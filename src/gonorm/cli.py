@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Iterable
 
@@ -38,6 +37,12 @@ def _warn(lines: Iterable[str]) -> None:
 
 def _render_row(variables: tuple[Variable, ...], row: tuple) -> str:
     return ", ".join(f"{render_var(v)}={value!r}" for v, value in zip(variables, row))
+
+
+def _print_witness(variables: tuple[Variable, ...], pair: tuple, file=None) -> None:
+    first, second = pair
+    print(f"  between ({_render_row(variables, first)})", file=file)
+    print(f"      and ({_render_row(variables, second)})", file=file)
 
 
 def _scope_filter(deps: Iterable[GoFd], scope_text: str | None) -> list[GoFd]:
@@ -71,9 +76,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     else:
         for dep, outcome in results:
             print(f"{'ok       ' if outcome.holds else 'VIOLATED '}{dep.render()}")
-            for first, second in outcome.witnesses:
-                print(f"  between ({_render_row(outcome.variables, first)})")
-                print(f"      and ({_render_row(outcome.variables, second)})")
+            for pair in outcome.witnesses:
+                _print_witness(outcome.variables, pair)
     return 0 if holds else 1
 
 
@@ -273,11 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    os.environ.get("GONORM_SEED")  # reserved; all output is deterministic
     try:
         return args.func(args)
     except UnsatisfiedDependency as err:
         print(f"error: {err}", file=sys.stderr)
+        for pair in err.witnesses[:1]:
+            _print_witness(err.variables, pair, file=sys.stderr)
         return 1
     except (GonormError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -67,7 +67,8 @@ class NothingToDo(GonormError):
 class UnsatisfiedDependency(GonormError):
     """A transformation was applied on a graph that violates its dependency."""
 
-    def __init__(self, dependency: str, witnesses: tuple = ()):
+    def __init__(self, dependency: str, witnesses: tuple = (), variables: tuple = ()):
         self.dependency = dependency
         self.witnesses = tuple(witnesses)
+        self.variables = tuple(variables)  # the variables each witness row binds
         super().__init__(f"graph does not satisfy {dependency}")

@@ -20,6 +20,7 @@ from .pattern import (
     ObjectVar,
     Pattern,
     PropVar,
+    Relation,
     Variable,
     attrs,
     canonicalize,
@@ -29,7 +30,6 @@ from .pattern import (
     render_vars,
     rename_map,
     rename_variable,
-    row_sort_key,
     scope_key,
     var_sort_key,
     variable_roles,
@@ -153,17 +153,33 @@ class Satisfaction:
     variables: tuple[Variable, ...]
 
 
-def satisfies(graph: Graph, dep: GoFd, max_witnesses: int = 5) -> Satisfaction:
-    """Check the dependency on the graph; collects up to ``max_witnesses`` violating pairs."""
+def scope_matches(graph: Graph, dep: GoFd, matches: Relation | None) -> Relation:
+    """The dependency's scope evaluated on the graph, or ``matches`` if given.
+
+    Given matches must come from that very scope: shared within it, never across.
+    """
+    if matches is None:
+        return evaluate(dep.scope, graph)
+    if matches.scope != dep.scope:
+        raise ScopeMismatch(f"matches were not evaluated for the scope of {dep.render()}")
+    return matches
+
+
+def satisfies(graph: Graph, dep: GoFd, max_witnesses: int = 5, *,
+              matches: Relation | None = None) -> Satisfaction:
+    """Check the dependency on the graph; collects up to ``max_witnesses`` violating pairs.
+
+    ``matches`` may pass the scope's already evaluated matches on ``graph``.
+    """
     check_bound(dep)
-    relation = evaluate(dep.scope, graph)
+    relation = scope_matches(graph, dep, matches)
     index = {v: i for i, v in enumerate(relation.variables)}
     lhs_cols = [index[v] for v in sorted(dep.lhs, key=var_sort_key)]
     rhs_cols = [index[v] for v in sorted(dep.rhs, key=var_sort_key)]
     holds = True
     groups: dict[tuple, tuple] = {}
     witnesses: list[tuple[tuple, tuple]] = []
-    for row in sorted(relation.rows, key=row_sort_key):
+    for row in relation.ordered:
         left = tuple(row[i] for i in lhs_cols)
         right = tuple(row[i] for i in rhs_cols)
         if left in groups:

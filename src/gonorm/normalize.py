@@ -20,7 +20,7 @@ from typing import Iterable
 from .errors import NonStrict, UnsatisfiedDependency
 from .gofd import GnSchema, GoFd, applicable_deps, gofd, minimal_cover, satisfies
 from .graph import Graph
-from .pattern import Pattern, more_general_than, render_pattern, scope_key, var_sort_key
+from .pattern import Pattern, evaluate, more_general_than, render_pattern, scope_key, var_sort_key
 from .transform import (
     Transformation,
     TransformationKind,
@@ -87,11 +87,13 @@ def scoped_normalize(graph: Graph, schema: Iterable[GoFd], scope: Pattern,
     sigma = applicable_deps(schema, scope)
     log.collected = [dep.render() for dep in sigma]
 
-    # phase 2: the graph must satisfy them all before restructuring
+    # phase 2: the graph must satisfy them all before restructuring; the
+    # scope is matched once, and every phase below reads these matches
+    matches = evaluate(scope, graph)
     for dep in sigma:
-        outcome = satisfies(graph, dep, max_witnesses=max_witnesses)
+        outcome = satisfies(graph, dep, max_witnesses=max_witnesses, matches=matches)
         if not outcome.holds:
-            raise UnsatisfiedDependency(dep.render(), outcome.witnesses)
+            raise UnsatisfiedDependency(dep.render(), outcome.witnesses, outcome.variables)
     cover = minimal_cover(sigma)
     log.cover = [dep.render() for dep in cover]
 
@@ -112,7 +114,7 @@ def scoped_normalize(graph: Graph, schema: Iterable[GoFd], scope: Pattern,
                 continue
             part_owner[len(parts)] = pos
             parts.append(part)
-    plans, leftovers = build_plans(graph, parts)
+    plans, leftovers = build_plans(graph, parts, matches=matches)
     log.transformations = plans
     for dep, kind in leftovers:
         pos = part_owner[parts.index(dep)]

@@ -22,6 +22,7 @@ from typing import IO, Iterable
 from .errors import ParseError
 from .gofd import GnSchema, GoFd, gofd
 from .pattern import (
+    ANON_EDGE_VAR,
     Direction,
     ObjectVar,
     Pattern,
@@ -86,6 +87,7 @@ class _Endpoint:
     name: str | None = None
     labels: tuple[str, ...] = ()
     keys: tuple[str, ...] = ()
+    column: int = 0  # where the name is written
 
 
 class _Parser:
@@ -135,24 +137,23 @@ class _Parser:
         self.take("(")
         if self.accept(")"):
             return _Endpoint()
-        name = self.take("ident").text
+        token = self.take("ident")
         labels: tuple[str, ...] = ()
         keys: tuple[str, ...] = ()
         if self.accept(":"):
             labels, keys = self.both_sets()
         self.take(")")
-        return _Endpoint(name, labels, keys)
+        return _Endpoint(token.text, labels, keys, token.column)
 
     def edge_body(self) -> _Endpoint:
-        name = None
         token = self.accept("ident")
-        if token is not None:
-            name = token.text
         labels: tuple[str, ...] = ()
         keys: tuple[str, ...] = ()
         if self.accept(":"):
             labels, keys = self.both_sets()
-        return _Endpoint(name, labels, keys)
+        if token is None:
+            return _Endpoint(None, labels, keys)
+        return _Endpoint(token.text, labels, keys, token.column)
 
     def pattern(self) -> Pattern:
         first = self.endpoint()
@@ -174,6 +175,9 @@ class _Parser:
             return edge_pattern(edge.name or "", edge.labels, edge.keys)
         node = source if source.name is not None else target
         direction = Direction.OUT if node is source else Direction.IN
+        if node.name == (edge.name or ANON_EDGE_VAR):
+            raise ParseError(f"node and edge both bind variable {node.name!r}",
+                             self.line, max(node.column, edge.column))
         return node_edge_pattern(node.name, node.labels, node.keys,
                                  edge.name or "", edge.labels, edge.keys, direction)
 

@@ -11,11 +11,12 @@ variable), no matter how the variables are named.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from enum import Enum
 from typing import Iterable, Union
 
-from .graph import Atomic, Graph
+from .graph import Atomic, EdgeRecord, Graph, NodeRecord
 
 # reserved name given to an edge variable that was written anonymously
 ANON_EDGE_VAR = "_e"
@@ -122,12 +123,8 @@ def node_edge_pattern(node_var: str, node_labels: Iterable[str], node_keys: Iter
 
 def attrs(pattern: Pattern) -> frozenset[Variable]:
     """All variables a match binds: object identities plus one per required key."""
-    if isinstance(pattern, NodePattern):
+    if not isinstance(pattern, NodeEdgePattern):
         out: set[Variable] = {ObjectVar(pattern.var)}
-        out.update(PropVar(pattern.var, k) for k in pattern.keys)
-        return frozenset(out)
-    if isinstance(pattern, EdgeOnlyPattern):
-        out = {ObjectVar(pattern.var)}
         out.update(PropVar(pattern.var, k) for k in pattern.keys)
         return frozenset(out)
     out = {ObjectVar(pattern.node_var), ObjectVar(pattern.edge_var)}
@@ -153,6 +150,12 @@ class Relation:
 
     variables: tuple[Variable, ...]
     rows: frozenset[tuple[Atomic, ...]]
+    scope: Pattern | None = field(default=None, compare=False)  # pattern matched, if any
+
+    @cached_property
+    def ordered(self) -> tuple[tuple[Atomic, ...], ...]:
+        """The rows in ``row_sort_key`` order, sorted once per relation."""
+        return tuple(sorted(self.rows, key=row_sort_key))
 
     @property
     def schema(self) -> frozenset[Variable]:
@@ -181,46 +184,36 @@ def relation_from_maps(variables: Iterable[Variable],
     return Relation(ordered, rows)
 
 
-def _node_matches(graph: Graph, nid: str, labels: frozenset[str], keys: frozenset[str]) -> bool:
-    record = graph.nodes[nid]
-    return labels <= record.labels and keys <= record.props.keys()
-
-
-def _edge_matches(graph: Graph, eid: str, labels: frozenset[str], keys: frozenset[str]) -> bool:
-    record = graph.edges[eid]
+def _matches(record: NodeRecord | EdgeRecord, labels: frozenset[str], keys: frozenset[str]) -> bool:
     return labels <= record.labels and keys <= record.props.keys()
 
 
 def evaluate(pattern: Pattern, graph: Graph) -> Relation:
-    """All matches of the pattern as a relation over ``attrs(pattern)``."""
-    assignments: list[dict[Variable, Atomic]] = []
-    if isinstance(pattern, NodePattern):
-        for nid, record in graph.nodes.items():
-            if _node_matches(graph, nid, pattern.labels, pattern.keys):
-                row: dict[Variable, Atomic] = {ObjectVar(pattern.var): nid}
-                row.update({PropVar(pattern.var, k): record.props[k] for k in pattern.keys})
-                assignments.append(row)
-    elif isinstance(pattern, EdgeOnlyPattern):
-        for eid, record in graph.edges.items():
-            if _edge_matches(graph, eid, pattern.labels, pattern.keys):
-                row = {ObjectVar(pattern.var): eid}
-                row.update({PropVar(pattern.var, k): record.props[k] for k in pattern.keys})
-                assignments.append(row)
+    """All matches of the pattern as a relation over ``attrs(pattern)``.
+
+    Costs O(|N|+|E|) for every shape.  A node-edge match is an edge plus its
+    single anchor node, the source for ``OUT`` and the target for ``IN``, so
+    one pass over the edges finds them all.
+    """
+    if isinstance(pattern, NodeEdgePattern):
+        names = (pattern.node_var, pattern.edge_var)
+        matches = []
+        for eid, edge in graph.edges.items():
+            nid = edge.src if pattern.direction is Direction.OUT else edge.tgt
+            node = graph.nodes[nid]
+            if (_matches(edge, pattern.edge_labels, pattern.edge_keys)
+                    and _matches(node, pattern.node_labels, pattern.node_keys)):
+                matches.append(((nid, node), (eid, edge)))
     else:
-        for nid, node in graph.nodes.items():
-            if not _node_matches(graph, nid, pattern.node_labels, pattern.node_keys):
-                continue
-            base: dict[Variable, Atomic] = {ObjectVar(pattern.node_var): nid}
-            base.update({PropVar(pattern.node_var, k): node.props[k] for k in pattern.node_keys})
-            for eid, edge in graph.edges.items():
-                anchored = edge.src == nid if pattern.direction is Direction.OUT else edge.tgt == nid
-                if not anchored or not _edge_matches(graph, eid, pattern.edge_labels, pattern.edge_keys):
-                    continue
-                row = dict(base)
-                row[ObjectVar(pattern.edge_var)] = eid
-                row.update({PropVar(pattern.edge_var, k): edge.props[k] for k in pattern.edge_keys})
-                assignments.append(row)
-    return relation_from_maps(attrs(pattern), assignments)
+        names = (pattern.var,)
+        records = graph.nodes if isinstance(pattern, NodePattern) else graph.edges
+        matches = [((oid, record),) for oid, record in records.items()
+                   if _matches(record, pattern.labels, pattern.keys)]
+    variables = tuple(sorted(attrs(pattern), key=var_sort_key))
+    slots = [(names.index(v.name), v.key if isinstance(v, PropVar) else None) for v in variables]
+    rows = frozenset(tuple(match[i][0] if key is None else match[i][1].props[key]
+                           for i, key in slots) for match in matches)
+    return Relation(variables, rows, pattern)
 
 
 # -- generality and renaming ---------------------------------------------

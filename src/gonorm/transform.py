@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Iterable, Union
 
 from .errors import InvariantError, NonStrict, NothingToDo, UnsatisfiedDependency
-from .gofd import GoFd, check_bound, gofd, satisfies
+from .gofd import GoFd, check_bound, gofd, satisfies, scope_matches
 from .graph import Atomic, Graph
 from .pattern import (
     Direction,
@@ -32,10 +32,10 @@ from .pattern import (
     ObjectVar,
     Pattern,
     PropVar,
+    Relation,
     Variable,
     evaluate,
     node_pattern,
-    row_sort_key,
     var_sort_key,
     variable_roles,
 )
@@ -164,13 +164,7 @@ class DelEdge:
     edge: str
 
 
-@dataclass(frozen=True)
-class DelProp:
-    obj: str
-    key: str
-
-
-Op = Union[NewNode, NewEdge, MoveProp, DelEdge, DelProp]
+Op = Union[NewNode, NewEdge, MoveProp, DelEdge]
 
 
 def op_to_dict(op: Op) -> dict:
@@ -183,9 +177,7 @@ def op_to_dict(op: Op) -> dict:
     if isinstance(op, MoveProp):
         return {"op": "move-prop", "from": op.source, "key": op.key,
                 "to": op.target, "value": op.value}
-    if isinstance(op, DelEdge):
-        return {"op": "del-edge", "id": op.edge}
-    return {"op": "del-prop", "id": op.obj, "key": op.key}
+    return {"op": "del-edge", "id": op.edge}
 
 
 @dataclass
@@ -228,9 +220,7 @@ class Transformation:
 
 def _family_parts(scope: Pattern, role: str) -> tuple[frozenset[str], frozenset[str]]:
     """Label and key sets of the scope component with the given role."""
-    if isinstance(scope, NodePattern):
-        return scope.labels, scope.keys
-    if isinstance(scope, EdgeOnlyPattern):
+    if not isinstance(scope, NodeEdgePattern):
         return scope.labels, scope.keys
     if role == "node":
         return scope.node_labels, scope.node_keys
@@ -274,21 +264,22 @@ def _key_dependency(val_label: str, lhs_keys: Iterable[str],
                 [ObjectVar("x")])
 
 
-def instantiate(graph: Graph, dep: GoFd) -> Transformation:
+def instantiate(graph: Graph, dep: GoFd, *, matches: Relation | None = None) -> Transformation:
     """Plan the transformation for one dependency on one graph.
 
     The dependency must have a single right-side variable; recombined
     dependencies are split by the caller and their plans merge naturally
     because value nodes are named by left-side values alone.  Raises
     ``NothingToDo`` when the descriptor shape carries no redundancy or when
-    the scope matches nothing.
+    the scope matches nothing.  ``matches`` may pass the scope's already
+    evaluated matches on ``graph``.
     """
     if len(dep.rhs) != 1:
         raise ValueError("one right-side variable per transformation; split the dependency")
     kind = match_redundancy_pattern(dep)
     if kind is TransformationKind.NO_REDUNDANCY:
         raise NothingToDo(f"no redundancy shape in {dep.render()}")
-    relation = evaluate(dep.scope, graph)
+    relation = scope_matches(graph, dep, matches)
     if not relation.rows:
         raise NothingToDo(f"scope of {dep.render()} matches nothing")
 
@@ -313,9 +304,8 @@ def instantiate(graph: Graph, dep: GoFd) -> Transformation:
         key_dep = _key_dependency(val_label, lhs_keys, val_keys)
 
     plan = _PlanBuilder()
-    rows = sorted(relation.as_maps(),
-                  key=lambda m: row_sort_key(tuple(m[v] for v in relation.variables)))
-    for row in rows:
+    for values in relation.ordered:
+        row = dict(zip(relation.variables, values))
         nid = row[ObjectVar(node_var)] if node_var is not None else None
         eid = row[ObjectVar(edge_var)] if edge_var is not None else None
         pairs = _lhs_pairs(dep, row)
@@ -360,15 +350,16 @@ def instantiate(graph: Graph, dep: GoFd) -> Transformation:
     return Transformation(dep, kind, len(relation.rows), plan.ops, key_dep, val_label)
 
 
-def build_plans(graph: Graph,
-                deps: Iterable[GoFd]) -> tuple[list[Transformation], list[tuple[GoFd, TransformationKind]]]:
+def build_plans(graph: Graph, deps: Iterable[GoFd], *, matches: Relation | None = None
+                ) -> tuple[list[Transformation], list[tuple[GoFd, TransformationKind]]]:
     """Plan every transformable dependency and coordinate shared edges.
 
     Returns the plans plus the dependencies that produced none, each with the
     shape it matched.  Coordination: when an edge is deleted, its properties
     that no plan moved anywhere migrate to the reifier node, so the edge's
     incidental data survives.  Migration ops are attached to the first plan
-    that deletes the edge.
+    that deletes the edge.  ``matches`` may pass the already evaluated
+    matches of the one scope all ``deps`` share.
     """
     plans: list[Transformation] = []
     leftovers: list[tuple[GoFd, TransformationKind]] = []
@@ -378,7 +369,7 @@ def build_plans(graph: Graph,
             leftovers.append((dep, kind))
             continue
         try:
-            plans.append(instantiate(graph, dep))
+            plans.append(instantiate(graph, dep, matches=matches))
         except NothingToDo:
             leftovers.append((dep, kind))
 
@@ -453,9 +444,6 @@ class _Executor:
         elif isinstance(op, DelEdge):
             if op.edge in self.out.edges:
                 self.out.remove_object(op.edge)
-        elif isinstance(op, DelProp):
-            if self.out.is_node(op.obj) or self.out.is_edge(op.obj):
-                self.out.remove_prop(op.obj, op.key)
 
 
 def execute_plans(graph: Graph, plans: Iterable[Transformation]) -> Graph:
@@ -483,7 +471,7 @@ def apply_all(graph: Graph, deps: Iterable[GoFd],
     for dep in deps:
         sat = satisfies(graph, dep, max_witnesses=max_witnesses)
         if not sat.holds:
-            raise UnsatisfiedDependency(dep.render(), sat.witnesses)
+            raise UnsatisfiedDependency(dep.render(), sat.witnesses, sat.variables)
         for var in sorted(dep.rhs - dep.lhs, key=var_sort_key):
             parts.append(gofd(dep.scope, dep.lhs, [var]))
     plans, _ = build_plans(graph, parts)

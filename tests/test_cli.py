@@ -194,6 +194,7 @@ def test_normalize_refuses_violating_graph_without_writing(capsys, tmp_path):
     code, _, err = run(capsys, "normalize", "--graph", UNI_GRAPH,
                        "--schema", schema, "--out", str(base))
     assert code == 1 and "does not satisfy" in err
+    assert "between (" in err and "c='n1'" in err  # the first witness pair, by object id
     assert not base.with_suffix(".graph.json").exists()
     assert not (tmp_path / "never.graph.json").exists()
 
@@ -254,6 +255,13 @@ def test_unusable_inputs_exit_two(capsys, tmp_path):
     bad_schema = write(tmp_path, "broken.gofd", "(x:{A}:{k}::x.k=>x\n")
     code, _, err = run(capsys, "check", "--graph", UNI_GRAPH, "--schema", bad_schema)
     assert code == 2 and "error:" in err
+
+
+def test_shared_node_and_edge_variable_exits_two(capsys, tmp_path):
+    schema = write(tmp_path, "shared.gofd", "(x:{A}:{k})-[x:{R}:{k}]->() :: x.k => x\n")
+    code, out, err = run(capsys, "check", "--graph", UNI_GRAPH, "--schema", schema)
+    assert code == 2 and out == ""
+    assert "both bind variable 'x' at line 1, column 14" in err
 
 
 def test_missing_required_argument_is_an_argparse_error(capsys):

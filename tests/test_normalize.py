@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import random
 
@@ -20,11 +21,14 @@ from gonorm import (
     gofd,
     node_edge_pattern,
     node_pattern,
+    render_pattern,
     scope_key,
     scoped_normalize,
     sort_scopes,
 )
+import gonorm.pattern as pattern_module
 
+from conftest import fixture_schema
 from oracles import generalize, random_pattern
 
 
@@ -229,6 +233,43 @@ def test_full_normalize_propagates_violations():
     g.set_prop("p3", "city", "Rome")
     with pytest.raises(UnsatisfiedDependency):
         full_normalize(g, [gofd(PERSON, [pv("x", "city")], [pv("x", "zip")])])
+
+
+def record_evaluations(monkeypatch) -> list[str]:
+    """Patch every gonorm binding of ``evaluate``; returns the scopes it is called on."""
+    original = pattern_module.evaluate
+    scopes: list[str] = []
+
+    def recording(pattern, graph):
+        scopes.append(render_pattern(pattern))
+        return original(pattern, graph)
+
+    for name in ("gofd", "metrics", "normalize", "pattern", "transform"):
+        module = importlib.import_module(f"gonorm.{name}")
+        if getattr(module, "evaluate", None) is original:
+            monkeypatch.setattr(module, "evaluate", recording)
+    return scopes
+
+
+def test_full_normalize_matches_each_scope_once_per_pass(monkeypatch, university_graph):
+    schema = fixture_schema("university.schema.gofd").schema
+    scopes = record_evaluations(monkeypatch)
+    result = full_normalize(university_graph, schema)
+    assert scopes == [log.scope for log in result.logs]
+
+    # two scopes, several dependencies and split right sides per scope
+    g = person_graph()
+    g.add_node({"T"}, {}, node_id="t1")
+    g.add_edge("p1", "t1", {"R"}, {"w": 7, "v": 8}, edge_id="e1")
+    ne = node_edge_pattern("x", {"Person"}, {"city"}, "y", {"R"}, {"v", "w"},
+                           Direction.OUT)
+    deps = [gofd(PERSON, [pv("x", "city")], [pv("x", "zip")]),
+            gofd(ne, [ObjectVar("x")], [pv("y", "w"), pv("y", "v")]),
+            gofd(ne, [ObjectVar("y")], [pv("y", "w")])]
+    scopes.clear()
+    result = full_normalize(g, deps)
+    assert len(result.logs) == 2
+    assert scopes == [log.scope for log in result.logs]
 
 
 # -- reporting -------------------------------------------------------------

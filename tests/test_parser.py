@@ -117,6 +117,9 @@ def test_error_positions():
     expect_error("(c:{A}:{t})::c.q=>c", "not bound by the pattern", 1, 14)
     expect_error("(a)-[t:{R}:{}]->(b)::t=>t", "at most one endpoint", 1, 20)
     expect_error("()::t=>t", "must bind a variable", 1, 3)
+    expect_error("(x:{A}:{k})-[x:{R}:{k}]->() :: x.k => x", "both bind variable 'x'", 1, 14)
+    expect_error("()-[x:{R}:{}]->(x:{A}:{}) :: x => x", "both bind variable 'x'", 1, 17)
+    expect_error("(_e:{A}:{})-[:{R}:{}]->() :: _e => _e", "both bind variable '_e'", 1, 2)
     with pytest.raises(ParseError) as caught:
         parse_gofd("(c:{A}:{t}) c.t=>c")
     assert caught.value.expected == ("::",)

@@ -109,6 +109,15 @@ def test_node_edge_pattern_direction():
     assert {(m[ObjectVar("x")], m[ObjectVar("y")]) for m in into.as_maps()} == \
         {("n2", "e1"), ("n1", "e2")}
 
+    # a self-loop and a pair of parallel edges: each edge is one match per direction
+    g.add_edge("n1", "n1", {"R"}, {"w": 7}, edge_id="e4")
+    g.add_edge("n1", "n2", {"R"}, {"w": 5}, edge_id="e5")
+    for direction in Direction:
+        pattern = node_edge_pattern("x", {"A"}, (), "y", {"R"}, {"w"}, direction)
+        expected = {frozenset(row.items()) for row in naive_matches(g, pattern)}
+        actual = {frozenset(row.items()) for row in evaluate(pattern, g).as_maps()}
+        assert actual == expected and len(actual) == 3  # e1, e4, e5 all carry w
+
 
 def test_node_edge_pattern_self_loop_counts_once_per_row():
     g = playground()

@@ -36,7 +36,6 @@ from gonorm import (
 )
 from gonorm.transform import (
     DelEdge,
-    DelProp,
     MoveProp,
     NewEdge,
     NewNode,
@@ -130,7 +129,6 @@ def test_op_to_dict_frozen_layout():
     assert op_to_dict(MoveProp("a", "k", "v", 3)) == {
         "op": "move-prop", "from": "a", "key": "k", "to": "v", "value": 3}
     assert op_to_dict(DelEdge("e")) == {"op": "del-edge", "id": "e"}
-    assert op_to_dict(DelProp("a", "k")) == {"op": "del-prop", "id": "a", "key": "k"}
 
 
 # -- planning --------------------------------------------------------------
