@@ -3,9 +3,9 @@
 
 Builds random graphs that satisfy a random strict dependency of each
 redundancy shape (sharing the case builder with the test suite), normalizes
-them, and verifies that every scope's matches can be rebuilt from the
-output and that every emitted key dependency holds.  Prints a per-shape
-tally and timing.
+them, and verifies that inverting the output with its plans rebuilds the
+input byte for byte and that every emitted key dependency holds.  Prints a
+per-shape tally and timing.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from gonorm import satisfies, scoped_normalize, verify_lossless
+from gonorm import dump_graph, invert, satisfies, scoped_normalize, verify_lossless
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import CASE_KINDS, random_satisfying_case  # noqa: E402
@@ -37,7 +37,7 @@ def main(argv: list[str] | None = None) -> int:
         graph, dep = random_satisfying_case(rng, kind)
         result = scoped_normalize(graph, [dep], dep.scope)
         plans = result.logs[0].transformations
-        ok = bool(plans)
+        ok = bool(plans) and dump_graph(invert(result.graph, plans)) == dump_graph(graph)
         for plan in plans:
             others = [p for p in plans if p is not plan]
             ok = ok and verify_lossless(graph, result.graph, plan, others)

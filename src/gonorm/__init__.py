@@ -117,6 +117,7 @@ from .transform import (
     build_plans,
     execute_plans,
     instantiate,
+    invert,
     match_redundancy_pattern,
     skolem_label,
     skolem_node_id,

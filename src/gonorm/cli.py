@@ -12,22 +12,60 @@ input or arguments.  All JSON output is byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
 import sys
 from typing import Iterable
 
 from .errors import GonormError, UnsatisfiedDependency
 from .gofd import GoFd, applicable_deps, minimal_cover, satisfies
-from .graph import dump_graph, load_graph, save_graph
+from .graph import dump_graph, load_graph
 from .metrics import build_report
 from .normalform import DEFAULT_MAX_ATTRS, NormalForm, check_gn_nf
 from .normalize import full_normalize, scoped_normalize
-from .parser import format_schema, load_schema, parse_pattern_text, save_schema
+from .parser import format_schema, load_schema, parse_pattern_text
 from .pattern import Variable, render_pattern, render_var
 
 
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, ensure_ascii=False)
+
+
 def _print_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, ensure_ascii=False))
+    print(_json_text(doc))
+
+
+def _create_beside(path: str):
+    """A new file ``<path>.<n>.tmp`` for the first free ``n``, opened exclusively.
+
+    Unlike ``mkstemp``'s owner-only files, it gets the mode ``open`` gives.
+    """
+    for n in itertools.count():
+        try:
+            return open(f"{path}.{n}.tmp", "x", encoding="utf-8")
+        except FileExistsError:
+            pass
+
+
+def _write_files(texts: dict[str, str]) -> None:
+    """Write each text to its path, so that a failure leaves no partial file.
+
+    Every text goes to a new temporary file beside its path first; only when
+    all are written are they renamed into place.
+    """
+    temps: list[str] = []
+    try:
+        for path, text in texts.items():
+            with _create_beside(path) as fh:
+                temps.append(fh.name)
+                fh.write(text)
+        for temp, path in zip(temps, texts):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            if os.path.exists(temp):
+                os.remove(temp)
 
 
 def _warn(lines: Iterable[str]) -> None:
@@ -92,7 +130,7 @@ def cmd_mincover(args: argparse.Namespace) -> int:
               for scope in scopes]
     flattened = [dep for _, cover in covers for dep in cover]
     if args.out:
-        save_schema(flattened, args.out)
+        _write_files({args.out: format_schema(flattened)})
     if args.format == "json":
         _print_json({
             "scopes": [
@@ -112,8 +150,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     _warn(doc.warnings)
     report = build_report(graph, doc.schema)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, indent=2, ensure_ascii=False) + "\n")
+        _write_files({args.out: _json_text(report) + "\n"})
     if args.format == "json":
         _print_json(report)
     else:
@@ -166,17 +203,13 @@ def cmd_normalize(args: argparse.Namespace) -> int:
                                   max_witnesses=args.max_witnesses)
     else:
         result = full_normalize(graph, doc.schema, max_witnesses=args.max_witnesses)
-    graph_path = f"{args.out}.graph.json"
-    schema_path = f"{args.out}.schema.gofd"
-    save_graph(result.graph, graph_path)
-    save_schema(result.schema, schema_path)
-    written = [graph_path, schema_path]
+    texts = {f"{args.out}.graph.json": dump_graph(result.graph),
+             f"{args.out}.schema.gofd": format_schema(result.schema)}
     if args.explain:
-        log_path = f"{args.out}.log.json"
         log_doc = {"passes": [log.to_dict(explain=True) for log in result.logs]}
-        with open(log_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(log_doc, indent=2, ensure_ascii=False) + "\n")
-        written.append(log_path)
+        texts[f"{args.out}.log.json"] = _json_text(log_doc) + "\n"
+    _write_files(texts)
+    written = list(texts)
     if args.format == "json":
         _print_json({
             "passes": [log.to_dict(explain=args.explain) for log in result.logs],
@@ -205,8 +238,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
         _warn(doc.warnings)
         text = format_schema(doc.schema)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_files({args.out: text})
     else:
         print(text, end="")
     return 0

@@ -234,7 +234,8 @@ def graph_from_dict(doc: Any) -> Graph:
 
 
 def dump_graph(graph: Graph) -> str:
-    return json.dumps(graph_to_dict(graph), indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(graph_to_dict(graph), indent=2, ensure_ascii=False,
+                      allow_nan=False) + "\n"
 
 
 def save_graph(graph: Graph, target: str | IO[str]) -> None:
@@ -246,6 +247,10 @@ def save_graph(graph: Graph, target: str | IO[str]) -> None:
             fh.write(text)
 
 
+def _reject_constant(name: str) -> None:
+    raise ParseError(f"non-finite number {name} is not JSON")
+
+
 def load_graph(source: str | IO[str]) -> Graph:
     if hasattr(source, "read"):
         text = source.read()  # type: ignore[union-attr]
@@ -253,7 +258,7 @@ def load_graph(source: str | IO[str]) -> Graph:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
     return graph_from_dict(doc)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import NonStrict, UnsatisfiedDependency
+from .errors import InvariantError, NonStrict, UnsatisfiedDependency
 from .gofd import GnSchema, GoFd, applicable_deps, gofd, minimal_cover, satisfies
 from .graph import Graph
 from .pattern import Pattern, evaluate, more_general_than, render_pattern, scope_key, var_sort_key
@@ -25,8 +25,8 @@ from .transform import (
     Transformation,
     TransformationKind,
     build_plans,
+    check_transformable,
     execute_plans,
-    match_redundancy_pattern,
 )
 
 
@@ -76,9 +76,10 @@ def scoped_normalize(graph: Graph, schema: Iterable[GoFd], scope: Pattern,
     Raises ``UnsatisfiedDependency`` if the graph violates any dependency
     applicable to the scope; nothing is changed in that case.  Cover members
     are split to one determined variable each before planning, so a combined
-    right side never blocks its transformable parts; a part whose left side
-    mixes the node and edge family cannot be transformed and is kept with a
-    warning.
+    right side never blocks its transformable parts.  A part that cannot be
+    transformed is kept with a warning: its left side mixes the node and
+    edge family, or the output could not tell which edges held a property
+    it moves off them (see ``check_transformable``).
     """
     schema = list(schema)
     log = PhaseLog(render_pattern(scope))
@@ -106,8 +107,8 @@ def scoped_normalize(graph: Graph, schema: Iterable[GoFd], scope: Pattern,
         for var in sorted(dep.rhs - dep.lhs, key=var_sort_key):
             part = gofd(dep.scope, dep.lhs, [var])
             try:
-                match_redundancy_pattern(part)
-            except NonStrict as reason:
+                check_transformable(graph, part, matches=matches)
+            except (NonStrict, InvariantError) as reason:
                 log.warnings.append(
                     f"not transformable, kept as is: {part.render()} ({reason})")
                 kept_parts.setdefault(pos, []).append(part)

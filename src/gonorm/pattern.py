@@ -16,6 +16,7 @@ from functools import cached_property
 from enum import Enum
 from typing import Iterable, Union
 
+from .errors import InvariantError
 from .graph import Atomic, EdgeRecord, Graph, NodeRecord
 
 # reserved name given to an edge variable that was written anonymously
@@ -100,6 +101,10 @@ class NodeEdgePattern:
     edge_labels: frozenset[str]
     edge_keys: frozenset[str]
     direction: Direction
+
+    def __post_init__(self) -> None:
+        if self.node_var == self.edge_var:
+            raise InvariantError(f"node and edge both bind variable {self.node_var!r}")
 
 
 Pattern = Union[NodePattern, EdgeOnlyPattern, NodeEdgePattern]

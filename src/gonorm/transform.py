@@ -9,10 +9,12 @@ the untouched input graph; plans are then executed together, all creations
 before all removals, so transformations sharing objects cannot read each
 other's partial writes.
 
-Skolem naming makes the output deterministic and invertible: value nodes are
-named by the defining left-side values, reifier nodes by the edge they
-replace.  Inverting those names is what lets ``verify_lossless`` rebuild the
-original matches from the transformed graph.
+Skolem naming makes the output deterministic: value nodes are named by the
+defining left-side values, reifier nodes by the edge they replace.  The plans
+record which objects were created and where each moved value went, so
+``invert`` rebuilds the whole input graph from the output and its plans,
+reading every value from the output; ``verify_lossless`` compares that
+rebuild with the input byte for byte.
 """
 from __future__ import annotations
 
@@ -21,20 +23,23 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Union
 
-from .errors import InvariantError, NonStrict, NothingToDo, UnsatisfiedDependency
+from .errors import (
+    GonormError,
+    InvariantError,
+    NonStrict,
+    NothingToDo,
+    UnsatisfiedDependency,
+)
 from .gofd import GoFd, check_bound, gofd, satisfies, scope_matches
-from .graph import Atomic, Graph
+from .graph import Atomic, Graph, dump_graph
 from .pattern import (
     Direction,
-    EdgeOnlyPattern,
     NodeEdgePattern,
-    NodePattern,
     ObjectVar,
     Pattern,
     PropVar,
     Relation,
     Variable,
-    evaluate,
     node_pattern,
     var_sort_key,
     variable_roles,
@@ -90,10 +95,39 @@ def match_redundancy_pattern(dep: GoFd) -> TransformationKind:
     return _SHAPE_TABLE.get(shape, TransformationKind.NO_REDUNDANCY)
 
 
+def check_transformable(graph: Graph, dep: GoFd, *,
+                        matches: Relation | None = None) -> None:
+    """Raise if a one-variable right side cannot be transformed losslessly.
+
+    Raises ``NonStrict`` when a descriptor side mixes the node and the edge
+    family.  Raises ``InvariantError`` when a between-n-ep or between-np-ep
+    plan would leave the output unable to tell which edges held the moved
+    key: a between-n-ep target node already has that key, or a matched node
+    has an edge that would match the scope but for lacking the key.
+    ``matches`` may pass the scope's already evaluated matches on ``graph``.
+    """
+    kind = match_redundancy_pattern(dep)
+    if kind not in (TransformationKind.BETWEEN_N_EP, TransformationKind.BETWEEN_NP_EP):
+        return
+    relation = scope_matches(graph, dep, matches)
+    scope = dep.scope
+    column = relation.variables.index(ObjectVar(scope.node_var))
+    key = next(iter(dep.rhs)).key
+    anchors = {row[column] for row in relation.rows}
+    if kind is TransformationKind.BETWEEN_N_EP:
+        for nid in sorted(anchors):
+            if key in graph.nodes[nid].props:
+                raise InvariantError(f"node {nid} already has {key}")
+    other_keys = scope.edge_keys - {key}
+    for eid, edge in graph.edges.items():
+        nid = edge.src if scope.direction is Direction.OUT else edge.tgt
+        if (nid in anchors and key not in edge.props and scope.edge_labels <= edge.labels
+                and other_keys <= edge.props.keys()):
+            raise InvariantError(f"edge {eid} of node {nid} lacks {key}")
+
+
 # -- deterministic names --------------------------------------------------
 
-VAL_ID_PREFIX = "sk:val|"
-REIF_ID_PREFIX = "sk:reif||edge="
 EDGE_ID_PREFIX = "ske:"
 
 
@@ -113,17 +147,6 @@ def skolem_label(labels: Iterable[str], keys: Iterable[str]) -> str:
 
 def reifier_id(edge_id: str) -> str:
     return skolem_node_id("reif", (), [("edge", edge_id)])
-
-
-def reified_edge_id(node_id: str) -> str | None:
-    """The original edge id encoded in a reifier node id, or None."""
-    if not node_id.startswith(REIF_ID_PREFIX):
-        return None
-    try:
-        decoded = json.loads(node_id[len(REIF_ID_PREFIX):])
-    except ValueError:
-        return None
-    return decoded if isinstance(decoded, str) else None
 
 
 def reification_prefix(edge_labels: Iterable[str]) -> str:
@@ -284,15 +307,12 @@ def instantiate(graph: Graph, dep: GoFd, *, matches: Relation | None = None) -> 
         raise NothingToDo(f"scope of {dep.render()} matches nothing")
 
     roles = variable_roles(dep.scope)
-    node_var = next((n for n, r in roles.items() if r == "node"), None)
-    edge_var = next((n for n, r in roles.items() if r == "edge"), None)
+    objects = [(roles[var.name], pos) for pos, var in enumerate(relation.variables)
+               if isinstance(var, ObjectVar)]
     rhs = next(iter(dep.rhs))
     lhs_role = roles[next(iter(dep.lhs)).name]
     lhs_keys = sorted(var.key for var in dep.lhs if isinstance(var, PropVar))
     owner_labels, _ = _family_parts(dep.scope, lhs_role)
-    edge_prefix = None
-    if edge_var is not None:
-        edge_prefix = reification_prefix(_family_parts(dep.scope, "edge")[0])
 
     val_label: str | None = None
     key_dep: GoFd | None = None
@@ -306,46 +326,23 @@ def instantiate(graph: Graph, dep: GoFd, *, matches: Relation | None = None) -> 
     plan = _PlanBuilder()
     for values in relation.ordered:
         row = dict(zip(relation.variables, values))
-        nid = row[ObjectVar(node_var)] if node_var is not None else None
-        eid = row[ObjectVar(edge_var)] if edge_var is not None else None
+        owner = {role: values[pos] for role, pos in objects}
+        if kind is TransformationKind.BETWEEN_N_EP:
+            plan.add(MoveProp(owner["edge"], rhs.key, owner["node"], row[rhs]))
+            continue
         pairs = _lhs_pairs(dep, row)
-        vid = None
-        if val_label is not None:
-            vid = skolem_node_id("val", owner_labels, pairs)
-            plan.add(NewNode(vid, (val_label,)))
-
-        if kind is TransformationKind.WITHIN_N:
-            for key, value in pairs + [(rhs.key, row[rhs])]:
-                plan.add(MoveProp(nid, key, vid, value))
-            plan.add(NewEdge(created_edge_id(val_label, nid, vid),
-                             nid, vid, (val_label,)))
-        elif kind is TransformationKind.WITHIN_E:
-            rid = plan.reify(graph, eid, edge_prefix)
-            for key, value in pairs + [(rhs.key, row[rhs])]:
-                plan.add(MoveProp(eid, key, vid, value))
-            plan.add(NewEdge(created_edge_id(f"{edge_prefix}_det", rid, vid),
-                             rid, vid, (f"{edge_prefix}_det",)))
-        elif kind is TransformationKind.BETWEEN_N_EP:
-            plan.add(MoveProp(eid, rhs.key, nid, row[rhs]))
-        elif kind is TransformationKind.BETWEEN_NP_EP:
-            for key, value in pairs:
-                plan.add(MoveProp(nid, key, vid, value))
-            plan.add(MoveProp(eid, rhs.key, vid, row[rhs]))
-            plan.add(NewEdge(created_edge_id(val_label, nid, vid),
-                             nid, vid, (val_label,)))
-        elif kind is TransformationKind.BETWEEN_EP_NP:
-            rid = plan.reify(graph, eid, edge_prefix)
-            for key, value in pairs:
-                plan.add(MoveProp(eid, key, vid, value))
-            plan.add(MoveProp(nid, rhs.key, vid, row[rhs]))
-            plan.add(NewEdge(created_edge_id(f"{edge_prefix}_det", rid, vid),
-                             rid, vid, (f"{edge_prefix}_det",)))
-        else:  # BETWEEN_EP_N
-            rid = plan.reify(graph, eid, edge_prefix)
-            for key, value in pairs:
-                plan.add(MoveProp(eid, key, vid, value))
-            plan.add(NewEdge(created_edge_id(f"{edge_prefix}_det", rid, vid),
-                             rid, vid, (f"{edge_prefix}_det",)))
+        vid = skolem_node_id("val", owner_labels, pairs)
+        plan.add(NewNode(vid, (val_label,)))
+        if lhs_role == "edge":  # values leave the edge: reify it, link the reifier
+            prefix = reification_prefix(owner_labels)
+            link, link_label = plan.reify(graph, owner["edge"], prefix), f"{prefix}_det"
+        else:
+            link, link_label = owner["node"], val_label
+        for key, value in pairs:
+            plan.add(MoveProp(owner[lhs_role], key, vid, value))
+        if isinstance(rhs, PropVar):
+            plan.add(MoveProp(owner[roles[rhs.name]], rhs.key, vid, row[rhs]))
+        plan.add(NewEdge(created_edge_id(link_label, link, vid), link, vid, (link_label,)))
 
     return Transformation(dep, kind, len(relation.rows), plan.ops, key_dep, val_label)
 
@@ -408,7 +405,7 @@ class _Executor:
                     f"{self.assigned[slot]!r} vs {value!r}")
             return
         current = self.out.props(obj)
-        if key in current and current[key] != value:
+        if key in current:  # even an equal value: the output could not tell them apart
             raise InvariantError(
                 f"transformation would overwrite {obj}.{key}: "
                 f"{current[key]!r} vs {value!r}")
@@ -464,8 +461,10 @@ def apply_all(graph: Graph, deps: Iterable[GoFd],
     """Validate, plan, and execute the transformations for all dependencies.
 
     Every dependency must hold on the graph; a violated one raises
-    ``UnsatisfiedDependency`` before anything is changed.  Dependencies with
-    several right-side variables are split into one plan per variable.
+    ``UnsatisfiedDependency`` before anything is changed, and a part that
+    ``check_transformable`` refuses raises its error the same way.
+    Dependencies with several right-side variables are split into one plan
+    per variable.
     """
     parts: list[GoFd] = []
     for dep in deps:
@@ -474,154 +473,107 @@ def apply_all(graph: Graph, deps: Iterable[GoFd],
             raise UnsatisfiedDependency(dep.render(), sat.witnesses, sat.variables)
         for var in sorted(dep.rhs - dep.lhs, key=var_sort_key):
             parts.append(gofd(dep.scope, dep.lhs, [var]))
+            check_transformable(graph, parts[-1])
     plans, _ = build_plans(graph, parts)
     return execute_plans(graph, plans), plans
 
 
-# -- lossless check -------------------------------------------------------
+# -- inverse and lossless check --------------------------------------------
 
-def _det_val_props(graph: Graph, rid: str) -> dict[str, Atomic]:
-    """Union of properties on value nodes attached to a reifier node."""
-    out: dict[str, Atomic] = {}
-    for record in graph.edges.values():
-        if record.src == rid and record.tgt.startswith(VAL_ID_PREFIX):
-            out.update(graph.nodes[record.tgt].props)
+def invert(after: Graph, plans: Iterable[Transformation]) -> Graph:
+    """Rebuild the input graph from a transformed graph and its plans.
+
+    Every value is read from ``after``.  The plans give structure only:
+    which objects were created, which slot ``(object, key)`` moved to which
+    target, and which edge each reifier node replaced; the edge's endpoints
+    come from the reifier's ``_src``/``_tgt`` link edges.  A value moved on
+    again, like an edge property moved onto a node and then off it to a
+    value node, is followed until a slot still holds it, so the plans of
+    several passes may be given in any order.  A slot that was moved off
+    and still holds a value was written after the move: it gets its own
+    value back.  Raises ``InvariantError`` when a node the plans create or
+    move values onto is missing, a created edge is missing or rewired, or
+    one slot moved to targets holding different values; other
+    ``GonormError`` subclasses when other objects the plans name are gone.
+    """
+    new_nodes: set[str] = set()
+    new_edges: dict[str, NewEdge] = {}
+    moves: dict[tuple[str, str], set[str]] = {}
+    replaced: dict[str, str] = {}  # reifier node id -> id of the edge it replaced
+    for plan in plans:
+        for op in plan.ops:
+            if isinstance(op, NewNode):
+                new_nodes.add(op.node)
+            elif isinstance(op, NewEdge):
+                new_edges[op.edge] = op
+            elif isinstance(op, MoveProp):
+                moves.setdefault((op.source, op.key), set()).add(op.target)
+            else:
+                replaced[reifier_id(op.edge)] = op.edge
+
+    written = {(target, key) for (_, key), targets in moves.items() for target in targets}
+    for nid in new_nodes.union(target for target, _ in written):
+        if nid not in after.nodes:
+            raise InvariantError(f"node {nid!r} of the plans is missing")
+    for op in new_edges.values():
+        record = after.edges.get(op.edge)
+        if record is None or (record.src, record.tgt) != (op.src, op.tgt):
+            raise InvariantError(f"created edge {op.edge!r} is missing or rewired")
+
+    def read(obj: str, key: str) -> Atomic:
+        found: dict[str, Atomic] = {}
+        for target in moves[(obj, key)]:
+            props = after.nodes[target].props
+            if key in props:
+                value = props[key]
+            elif (target, key) in moves:
+                value = read(target, key)
+            else:
+                raise InvariantError(f"moved value {target}.{key} is missing")
+            found[json.dumps(value)] = value
+        if len(found) > 1:
+            raise InvariantError(f"{obj}.{key} moved to different values: "
+                                 f"{', '.join(sorted(found))}")
+        return found.popitem()[1]
+
+    out = Graph()
+    for nid, node in after.nodes.items():
+        if nid not in new_nodes:
+            out.add_node(node.labels, node.props, node_id=nid)
+    for eid, edge in after.edges.items():
+        if eid not in new_edges:
+            out.add_edge(edge.src, edge.tgt, edge.labels, edge.props, edge_id=eid)
+    # the only created edge into a reifier node is its _src link; the _tgt
+    # link leaves it under the same prefix
+    src_links = {op.tgt: op for op in new_edges.values() if op.tgt in replaced}
+    for op in new_edges.values():
+        link = src_links.get(op.src)
+        if link is not None and op.labels == (link.labels[0].removesuffix("_src") + "_tgt",):
+            out.add_edge(link.src, op.tgt, after.nodes[op.src].labels,
+                         edge_id=replaced[op.src])
+    missing = set(replaced.values()) - out.edges.keys()
+    if missing:
+        raise InvariantError(f"no _src/_tgt links for reified edges {sorted(missing)}")
+
+    for obj, key in written:
+        if obj in out.nodes:
+            out.remove_prop(obj, key)
+    for obj, key in moves:
+        if (obj, key) not in written or key in after.nodes[obj].props:
+            out.set_prop(obj, key, read(obj, key))
     return out
-
-
-def _node_val_props(graph: Graph, nid: str) -> dict[str, Atomic]:
-    """Union of properties on value nodes linked from an ordinary node."""
-    out: dict[str, Atomic] = {}
-    for eid, record in graph.edges.items():
-        if (record.src == nid and eid.startswith(EDGE_ID_PREFIX)
-                and record.tgt.startswith(VAL_ID_PREFIX)):
-            out.update(graph.nodes[record.tgt].props)
-    return out
-
-
-@dataclass(frozen=True)
-class _VirtualEdge:
-    """An edge of the transformed graph, real or recovered from a reifier."""
-
-    eid: str
-    src: str | None
-    tgt: str | None
-    labels: frozenset[str]
-    props: dict[str, Atomic]
-    virtual: bool = False
-
-
-def _edge_universe(after: Graph) -> list[_VirtualEdge]:
-    out = [_VirtualEdge(eid, rec.src, rec.tgt, frozenset(rec.labels), dict(rec.props))
-           for eid, rec in after.edges.items()]
-    for nid, record in after.nodes.items():
-        original = reified_edge_id(nid)
-        if original is None:
-            continue
-        src = tgt = None
-        for erec in after.edges.values():
-            if erec.tgt == nid and any(l.endswith("_src") for l in erec.labels):
-                src = erec.src
-            if erec.src == nid and any(l.endswith("_tgt") for l in erec.labels):
-                tgt = erec.tgt
-        props = dict(record.props)
-        props.update(_det_val_props(after, nid))
-        out.append(_VirtualEdge(original, src, tgt, frozenset(record.labels), props, True))
-    return out
-
-
-def _lookup(key: str, *sources: dict[str, Atomic]) -> tuple[bool, Atomic | None]:
-    for source in sources:
-        if key in source:
-            return True, source[key]
-    return False, None
 
 
 def verify_lossless(before: Graph, after: Graph, plan: Transformation,
                     siblings: Iterable[Transformation] = ()) -> bool:
-    """Check that the plan's scope matches can be rebuilt from the output.
+    """True when ``invert`` rebuilds ``before`` from ``after`` byte for byte.
 
-    Follows the created edges backwards: value nodes supply moved properties,
-    reifier nodes stand in for deleted edges, and properties a sibling plan
-    moved onto a node are read from there.  The rebuilt relation must equal
-    the scope's matches on the input graph exactly.
+    ``plan`` and ``siblings`` together are the plans that turned ``before``
+    into ``after``, of one pass or of several, in any order.  The whole
+    graph is compared, so damage outside the plans' scopes counts too.
     """
-    scope = plan.dependency.scope
-    reference = evaluate(scope, before)
-    onto_node: set[str] = set()
-    for other in list(siblings) + [plan]:
-        if other.kind is TransformationKind.BETWEEN_N_EP:
-            rhs = next(iter(other.dependency.rhs))
-            if isinstance(rhs, PropVar):
-                onto_node.add(rhs.key)
-
-    rebuilt: set[tuple[Atomic, ...]] = set()
-    variables = reference.variables
-
-    def emit(binding: dict[Variable, Atomic]) -> None:
-        rebuilt.add(tuple(binding[v] for v in variables))
-
-    if isinstance(scope, NodePattern):
-        for nid, record in after.nodes.items():
-            if nid.startswith("sk:") or not scope.labels <= frozenset(record.labels):
-                continue
-            pool = [dict(record.props), _node_val_props(after, nid)]
-            binding: dict[Variable, Atomic] = {ObjectVar(scope.var): nid}
-            ok = True
-            for key in scope.keys:
-                found, value = _lookup(key, *pool)
-                if not found:
-                    ok = False
-                    break
-                binding[PropVar(scope.var, key)] = value
-            if ok:
-                emit(binding)
-    elif isinstance(scope, EdgeOnlyPattern):
-        for edge in _edge_universe(after):
-            if not scope.labels <= edge.labels:
-                continue
-            binding = {ObjectVar(scope.var): edge.eid}
-            ok = True
-            for key in scope.keys:
-                found, value = _lookup(key, edge.props)
-                if not found:
-                    ok = False
-                    break
-                binding[PropVar(scope.var, key)] = value
-            if ok:
-                emit(binding)
-    else:
-        for edge in _edge_universe(after):
-            if not scope.edge_labels <= edge.labels:
-                continue
-            nid = edge.src if scope.direction is Direction.OUT else edge.tgt
-            if nid is None or nid not in after.nodes:
-                continue
-            node = after.nodes[nid]
-            if nid.startswith("sk:") or not scope.node_labels <= frozenset(node.labels):
-                continue
-            node_vals = _node_val_props(after, nid)
-            node_pool = [dict(node.props), node_vals]
-            if edge.virtual:
-                node_pool.append(edge.props)
-            edge_pool = [edge.props, node_vals]
-            binding = {ObjectVar(scope.node_var): nid, ObjectVar(scope.edge_var): edge.eid}
-            ok = True
-            for key in scope.node_keys:
-                found, value = _lookup(key, *node_pool)
-                if not found:
-                    ok = False
-                    break
-                binding[PropVar(scope.node_var, key)] = value
-            for key in scope.edge_keys:
-                found, value = _lookup(key, *edge_pool)
-                if not found and key in onto_node:
-                    found, value = _lookup(key, dict(node.props))
-                if not found:
-                    ok = False
-                    break
-                binding[PropVar(scope.edge_var, key)] = value
-            if ok:
-                emit(binding)
-
-    return rebuilt == set(reference.rows)
+    try:
+        rebuilt = invert(after, [plan, *siblings])
+    except GonormError:  # missing, rewired or conflicting objects and values
+        return False
+    return dump_graph(rebuilt) == dump_graph(before)

@@ -346,6 +346,15 @@ def random_satisfying_case(rng: random.Random,
         # The first anchor always gets an edge, so every case has a match.
         return rng.randint(1 if position == 0 else 0, 4)
 
+    def spread(anchor: str, position: int, props: dict[str, Atomic]) -> None:
+        count = fanout(position)
+        for _ in range(count):
+            attach(anchor, props)
+        if count == 0 and rng.random() < 0.5:
+            # right label but missing "eb", at an anchor the scope does not
+            # match: moving "eb" off its matched edges stays recoverable
+            attach(anchor, {})
+
     if kind == "bnep":
         with_nkey = rng.random() < 0.4
         scope = node_edge_pattern("x", {nlabel}, ("na",) if with_nkey else (),
@@ -357,8 +366,7 @@ def random_satisfying_case(rng: random.Random,
             elif rng.random() < 0.4:
                 graph.set_prop(anchor, "nz", rng.choice(OUT_POOL))
             value = rng.choice(OUT_POOL)
-            for _ in range(fanout(pos)):
-                attach(anchor, {"eb": value})
+            spread(anchor, pos, {"eb": value})
     elif kind == "bnpep":
         scope = node_edge_pattern("x", {nlabel}, ("na",),
                                   "y", {elabel}, ("eb",), direction)
@@ -366,8 +374,7 @@ def random_satisfying_case(rng: random.Random,
         for pos, anchor in enumerate(anchors):
             value = rng.choice(LHS_POOL)
             graph.set_prop(anchor, "na", value)
-            for _ in range(fanout(pos)):
-                attach(anchor, {"eb": table[value]})
+            spread(anchor, pos, {"eb": table[value]})
     elif kind == "bepnp":
         scope = node_edge_pattern("x", {nlabel}, ("nb",),
                                   "y", {elabel}, ("ea",), direction)

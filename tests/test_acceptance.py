@@ -35,10 +35,12 @@ from gonorm import (
     build_report,
     check_gn_nf,
     closure,
+    dump_graph,
     evaluate,
     full_normalize,
     gofd,
     implies,
+    invert,
     load_schema,
     minimal_cover,
     more_general_than,
@@ -293,6 +295,7 @@ def test_criterion_6a_random_corpus_is_lossless():
             for plan in plans:
                 assert verify_lossless(before, result.graph, plan, siblings=plans), \
                     dep.render()
+            assert dump_graph(invert(result.graph, plans)) == dump_graph(before), dep.render()
             passed += 1
         assert passed == 200
 

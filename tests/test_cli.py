@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from gonorm import build_report, dump_graph, full_normalize, load_graph, load_schema
+from gonorm import cli
 from gonorm.cli import main
 
 from conftest import FIXTURES
@@ -199,6 +200,44 @@ def test_normalize_refuses_violating_graph_without_writing(capsys, tmp_path):
     assert not (tmp_path / "never.graph.json").exists()
 
 
+def test_normalize_failure_leaves_no_output_file(capsys, monkeypatch, tmp_path):
+    argv = ["normalize", "--graph", UNI_GRAPH, "--schema", UNI_SCHEMA,
+            "--out", str(tmp_path / "result"), "--explain"]
+
+    def fail(*args):
+        raise RuntimeError("serializer failed")
+
+    with monkeypatch.context() as patch:  # the second of three serializers raises
+        patch.setattr(cli, "format_schema", fail)
+        with pytest.raises(RuntimeError):
+            main(argv)
+    assert list(tmp_path.iterdir()) == []
+
+    # writing the second file fails; the first, already written, is removed
+    real_open, opened = open, []
+
+    def open_twice(file, *args, **kwargs):
+        opened.append(file)
+        if len(opened) == 2:
+            raise OSError("disk full")
+        return real_open(file, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "open", open_twice, raising=False)
+        code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "disk full" in err
+    assert len(opened) == 2 and list(tmp_path.iterdir()) == []
+
+    # a temp file left by another run is skipped and left as it was
+    squatter = tmp_path / "result.schema.gofd.0.tmp"
+    squatter.write_text("not ours", encoding="utf-8")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "result.graph.json", "result.log.json", "result.schema.gofd", squatter.name]
+    assert squatter.read_text(encoding="utf-8") == "not ours"
+
+
 def test_normalize_scope_limits_the_run(capsys, tmp_path):
     base = str(tmp_path / "scoped")
     code, out, _ = run(capsys, "normalize", "--graph", UNI_GRAPH,
@@ -255,6 +294,11 @@ def test_unusable_inputs_exit_two(capsys, tmp_path):
     bad_schema = write(tmp_path, "broken.gofd", "(x:{A}:{k}::x.k=>x\n")
     code, _, err = run(capsys, "check", "--graph", UNI_GRAPH, "--schema", bad_schema)
     assert code == 2 and "error:" in err
+    for constant in ("NaN", "Infinity", "-Infinity"):
+        non_finite = write(tmp_path, "non_finite.json", '{"nodes": [{"id": "n1", '
+                           f'"properties": {{"k": {constant}}}}}], "edges": []}}')
+        code, out, err = run(capsys, "convert", "--graph", non_finite)
+        assert code == 2 and out == "" and f"non-finite number {constant}" in err
 
 
 def test_shared_node_and_edge_variable_exits_two(capsys, tmp_path):

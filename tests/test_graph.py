@@ -172,6 +172,9 @@ def test_dump_is_sorted_and_stable():
     assert list(doc["nodes"][1]["properties"]) == ["a", "b"]
     assert dump_graph(g) == dump_graph(g.copy())
     assert dump_graph(g).endswith("\n")
+    g.set_prop("n1", "k", float("nan"))
+    with pytest.raises(ValueError):  # NaN is not JSON
+        dump_graph(g)
 
 
 def test_save_and_load_path_and_file(tmp_path):

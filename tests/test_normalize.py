@@ -13,12 +13,15 @@ from hypothesis import strategies as st
 from gonorm import (
     Direction,
     Graph,
+    InvariantError,
     ObjectVar,
     PropVar,
     UnsatisfiedDependency,
+    apply_all,
     dump_graph,
     full_normalize,
     gofd,
+    invert,
     node_edge_pattern,
     node_pattern,
     render_pattern,
@@ -28,8 +31,8 @@ from gonorm import (
 )
 import gonorm.pattern as pattern_module
 
-from conftest import fixture_schema
-from oracles import generalize, random_pattern
+from conftest import fixture_graph, fixture_schema
+from oracles import CASE_KINDS, generalize, random_pattern, random_satisfying_case
 
 
 def pv(name: str, key: str) -> PropVar:
@@ -98,6 +101,63 @@ def test_mixed_family_descriptor_is_kept_with_warning():
     assert log.kept == [mixed.render()]
     assert mixed in result.schema
     assert dump_graph(result.graph) == before
+
+
+def test_move_onto_a_node_that_has_the_key_is_kept_with_warning():
+    # moving e1.w onto a p1 that has w already would make both graphs
+    # normalize to the same output
+    ne = node_edge_pattern("x", {"Person"}, (), "y", {"R"}, {"w"}, Direction.OUT)
+    dep = gofd(ne, [ObjectVar("x")], [pv("y", "w")])
+    outputs = []
+    for own in ({"w": 5}, {}):
+        g = Graph()
+        g.add_node({"Person"}, own, node_id="p1")
+        g.add_node({"T"}, {}, node_id="t1")
+        g.add_edge("p1", "t1", {"R"}, {"w": 5}, edge_id="e1")
+        result = scoped_normalize(g, [dep], ne)
+        (log,) = result.logs
+        assert dump_graph(invert(result.graph, log.transformations)) == dump_graph(g)
+        outputs.append((dump_graph(result.graph), log, result.schema))
+    (kept_graph, kept, kept_schema), (moved_graph, moved, moved_schema) = outputs
+    assert kept_graph != moved_graph
+    assert kept.transformations == [] and kept.kept == [dep.render()]
+    assert kept.warnings == [f"not transformable, kept as is: {dep.render()} "
+                             "(node p1 already has w)"]
+    assert dep in kept_schema
+    assert [p.kind.value for p in moved.transformations] == ["between-n-ep"]
+    assert moved.warnings == [] and dep not in moved_schema
+
+
+@pytest.mark.parametrize("lhs, kind", [(ObjectVar("x"), "between-n-ep"),
+                                       (PropVar("x", "a"), "between-np-ep")])
+def test_node_with_an_edge_lacking_the_moved_key_is_kept_with_warning(lhs, kind):
+    # with e2 lacking w, moving e1.w away would make both graphs normalize
+    # to the same output: nothing would tell which edges held w
+    ne = node_edge_pattern("x", {"A"}, {"a"}, "y", {"R"}, {"w"}, Direction.OUT)
+    dep = gofd(ne, [lhs], [pv("y", "w")])
+    outputs = []
+    for e2_props in ({}, {"w": 5}):
+        g = Graph()
+        g.add_node({"A"}, {"a": 1}, node_id="p1")
+        g.add_node({"T"}, {}, node_id="t1")
+        g.add_node({"T"}, {}, node_id="t2")
+        g.add_edge("p1", "t1", {"R"}, {"w": 5}, edge_id="e1")
+        g.add_edge("p1", "t2", {"R"}, e2_props, edge_id="e2")
+        result = scoped_normalize(g, [dep], ne)
+        (log,) = result.logs
+        assert dump_graph(invert(result.graph, log.transformations)) == dump_graph(g)
+        outputs.append((dump_graph(result.graph), log, result.schema))
+        if not e2_props:
+            with pytest.raises(InvariantError, match="edge e2 of node p1 lacks w"):
+                apply_all(g, [dep])
+    (kept_graph, kept, kept_schema), (moved_graph, moved, moved_schema) = outputs
+    assert kept_graph != moved_graph
+    assert kept.transformations == [] and kept.kept == [dep.render()]
+    assert kept.warnings == [f"not transformable, kept as is: {dep.render()} "
+                             "(edge e2 of node p1 lacks w)"]
+    assert dep in kept_schema
+    assert [p.kind.value for p in moved.transformations] == [kind]
+    assert moved.warnings == [] and dep not in moved_schema
 
 
 def test_zero_match_cover_member_is_kept_and_logged():
@@ -226,6 +286,26 @@ def test_full_normalize_reaches_a_fixpoint():
     assert dump_graph(again.graph) == dump_graph(first.graph)
     assert all(log.transformations == [] for log in again.logs)
     assert {d.render() for d in again.schema} == {d.render() for d in first.schema}
+
+
+@pytest.mark.parametrize("name", ["university", "students", "metrics_example"])
+def test_bundled_fixtures_invert_with_plans_in_any_order(name):
+    graph = fixture_graph(f"{name}.graph.json")
+    result = full_normalize(graph, fixture_schema(f"{name}.schema.gofd").schema)
+    plans = [plan for log in result.logs for plan in log.transformations]
+    assert plans
+    for order in (plans, plans[::-1]):
+        assert dump_graph(invert(result.graph, order)) == dump_graph(graph)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(CASE_KINDS))
+def test_normalizing_a_normalized_graph_changes_nothing(seed, kind):
+    graph, dep = random_satisfying_case(random.Random(seed), kind)
+    first = full_normalize(graph, [dep])
+    again = full_normalize(first.graph, first.schema)
+    assert dump_graph(again.graph) == dump_graph(first.graph)
+    assert all(log.transformations == [] for log in again.logs)
 
 
 def test_full_normalize_propagates_violations():

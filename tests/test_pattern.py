@@ -12,6 +12,7 @@ from gonorm import (
     ANON_EDGE_VAR,
     Direction,
     EdgeOnlyPattern,
+    GonormError,
     Graph,
     NodeEdgePattern,
     NodePattern,
@@ -56,6 +57,10 @@ def test_constructors_freeze_sets():
     assert edge_pattern("", {"R"}, ()).var == ANON_EDGE_VAR
     ne = node_edge_pattern("x", {"A"}, (), "", {"R"}, (), Direction.OUT)
     assert ne.edge_var == ANON_EDGE_VAR
+    # a node and its edge never share a variable, also not the anonymous one
+    for node_var, edge_var in (("x", "x"), (ANON_EDGE_VAR, "")):
+        with pytest.raises(GonormError, match="both bind variable"):
+            node_edge_pattern(node_var, {"A"}, {"k"}, edge_var, {"R"}, {"k"}, Direction.IN)
 
 
 def test_attrs_and_roles():
