@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from gonorm import (
     EndpointError,
     FormatError,
+    GonormError,
     Graph,
     InvariantError,
     NotFoundError,
@@ -23,6 +24,7 @@ from gonorm import (
     load_graph,
     save_graph,
 )
+from gonorm.cli import main
 from gonorm.graph import check_atomic
 
 from oracles import random_graph
@@ -212,6 +214,87 @@ def test_from_dict_validation():
               "edges": []}
     with pytest.raises(InvariantError):
         graph_from_dict(nested)
+
+
+def _node(nid="a", **fields):
+    return {"id": nid, "labels": [], "properties": {}, **fields}
+
+
+def _edge(eid="e", src="a", tgt="a", **fields):
+    return {"id": eid, "src": src, "tgt": tgt, "labels": [], "properties": {}, **fields}
+
+
+def _doc(nodes=(), edges=()):
+    return {"nodes": list(nodes), "edges": list(edges)}
+
+
+# (case, document, error class, message): one row per rule of graph_from_dict
+LOADER_ERRORS = [
+    ("root-list", [], InvariantError, "document root must be an object"),
+    ("root-string", "graph", InvariantError, "document root must be an object"),
+    ("nodes-missing", {"edges": []}, InvariantError, '"nodes" must be a list'),
+    ("nodes-object", {"nodes": {}, "edges": []}, InvariantError, '"nodes" must be a list'),
+    ("edges-missing", {"nodes": []}, InvariantError, '"edges" must be a list'),
+    ("edges-null", {"nodes": [], "edges": None}, InvariantError, '"edges" must be a list'),
+    ("node-entry", _doc(["a"]), InvariantError, "node entries must be objects"),
+    ("edge-entry", _doc([_node()], [["e"]]), InvariantError, "edge entries must be objects"),
+    ("node-id-int", _doc([_node(1)]), InvariantError, "node ids must be strings"),
+    ("node-id-missing", _doc([{"labels": []}]), InvariantError, "node ids must be strings"),
+    ("edge-id-null", _doc([_node()], [_edge(None)]), InvariantError,
+     "edge ids must be strings"),
+    ("duplicate-node", _doc([_node(), _node()]), InvariantError, "duplicate id: 'a'"),
+    ("duplicate-edge", _doc([_node()], [_edge(), _edge()]), InvariantError,
+     "duplicate id: 'e'"),
+    ("node-and-edge", _doc([_node()], [_edge("a")]), InvariantError, "duplicate id: 'a'"),
+    ("node-labels-string", _doc([_node(labels="A")]), InvariantError,
+     "labels of 'a' must be a list of strings"),
+    ("node-labels-int", _doc([_node(labels=["A", 1])]), InvariantError,
+     "labels of 'a' must be a list of strings"),
+    ("edge-labels-null", _doc([_node()], [_edge(labels=None)]), InvariantError,
+     "labels of 'e' must be a list of strings"),
+    ("node-properties-list", _doc([_node(properties=[])]), InvariantError,
+     "properties of 'a' must be an object"),
+    ("edge-properties-string", _doc([_node()], [_edge(properties="k")]), InvariantError,
+     "properties of 'e' must be an object"),
+    ("node-null-value", _doc([_node(properties={"k": None})]), InvariantError,
+     "property 'k' of 'a' must be an atomic string/number/boolean"),
+    ("node-nested-value", _doc([_node(properties={"j": 1, "k": [1]})]), InvariantError,
+     "property 'k' of 'a' must be an atomic string/number/boolean"),
+    ("edge-nested-value", _doc([_node()], [_edge(properties={"w": {"x": 1}})]),
+     InvariantError, "property 'w' of 'e' must be an atomic string/number/boolean"),
+    ("edge-null-value", _doc([_node()], [_edge(properties={"w": None})]), InvariantError,
+     "property 'w' of 'e' must be an atomic string/number/boolean"),
+    ("src-missing", _doc([_node()], [{"id": "e", "tgt": "a"}]), InvariantError,
+     "edge 'e' must name src and tgt node ids"),
+    ("tgt-missing", _doc([_node()], [{"id": "e", "src": "a"}]), InvariantError,
+     "edge 'e' must name src and tgt node ids"),
+    ("tgt-int", _doc([_node()], [_edge(tgt=1)]), InvariantError,
+     "edge 'e' must name src and tgt node ids"),
+    ("src-dangling", _doc([_node()], [_edge(src="ghost")]), InvariantError,
+     "dangling endpoint: edge 'e' src 'ghost' is not a node"),
+    ("tgt-dangling", _doc([_node()], [_edge(tgt="ghost")]), InvariantError,
+     "dangling endpoint: edge 'e' tgt 'ghost' is not a node"),
+    ("src-is-edge", _doc([_node()], [_edge("e1"), _edge("e2", src="e1")]), InvariantError,
+     "dangling endpoint: edge 'e2' src 'e1' is not a node"),
+    # nodes are checked before edges, and an edge's endpoints before its labels
+    ("node-before-edge", _doc([_node(labels=7)], [["e"]]), InvariantError,
+     "labels of 'a' must be a list of strings"),
+    ("endpoint-before-labels", _doc([_node()], [_edge(tgt="ghost", labels=7)]),
+     InvariantError, "dangling endpoint: edge 'e' tgt 'ghost' is not a node"),
+]
+
+
+@pytest.mark.parametrize("doc, error, message", [case[1:] for case in LOADER_ERRORS],
+                         ids=[case[0] for case in LOADER_ERRORS])
+def test_from_dict_error_table(doc, error, message, capsys, tmp_path):
+    with pytest.raises(GonormError) as caught:
+        graph_from_dict(doc)
+    assert type(caught.value) is error and str(caught.value) == message
+    path = tmp_path / "bad.graph.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["convert", "--graph", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
 
 
 def test_from_dict_dangling_endpoint():
