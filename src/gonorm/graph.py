@@ -8,6 +8,7 @@ every graph is first-normal-form by construction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, IO, Iterable, Iterator, Union
 
@@ -184,58 +185,124 @@ def graph_to_dict(graph: Graph) -> dict[str, Any]:
     }
 
 
-def _require(condition: bool, rule: str) -> None:
-    if not condition:
-        raise InvariantError(rule)
+def _labels_of(entry: dict, oid: str) -> set[str]:
+    labels = entry.get("labels", [])
+    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        raise InvariantError(f"labels of {oid!r} must be a list of strings")
+    return set(labels)
+
+
+def _props_of(entry: dict, oid: str) -> dict[str, Atomic]:
+    props = entry.get("properties", {})
+    if not isinstance(props, dict):
+        raise InvariantError(f"properties of {oid!r} must be an object")
+    for key, value in props.items():
+        if not isinstance(value, (str, int, float, bool)):
+            raise InvariantError(
+                f"property {key!r} of {oid!r} must be an atomic string/number/boolean")
+    return dict(props)
 
 
 def graph_from_dict(doc: Any) -> Graph:
-    _require(isinstance(doc, dict), "document root must be an object")
-    _require(isinstance(doc.get("nodes"), list), '"nodes" must be a list')
-    _require(isinstance(doc.get("edges"), list), '"edges" must be a list')
+    """Build a graph from its JSON document, checking each entry once.
+
+    Nodes are checked before edges, and each entry's id before its
+    endpoints, labels and properties; the first rule broken raises
+    ``InvariantError`` naming it.
+    """
+    if not isinstance(doc, dict):
+        raise InvariantError("document root must be an object")
+    node_docs, edge_docs = doc.get("nodes"), doc.get("edges")
+    if not isinstance(node_docs, list):
+        raise InvariantError('"nodes" must be a list')
+    if not isinstance(edge_docs, list):
+        raise InvariantError('"edges" must be a list')
     graph = Graph()
-    seen: set[str] = set()
-    for entry in doc["nodes"]:
-        _require(isinstance(entry, dict), "node entries must be objects")
+    nodes, edges = graph.nodes, graph.edges
+    for entry in node_docs:
+        if not isinstance(entry, dict):
+            raise InvariantError("node entries must be objects")
         nid = entry.get("id")
-        _require(isinstance(nid, str), "node ids must be strings")
-        _require(nid not in seen, f"duplicate id: {nid!r}")
-        seen.add(nid)
-        labels = entry.get("labels", [])
-        _require(isinstance(labels, list) and all(isinstance(l, str) for l in labels),
-                 f"labels of {nid!r} must be a list of strings")
-        props = entry.get("properties", {})
-        _require(isinstance(props, dict), f"properties of {nid!r} must be an object")
-        for key, value in props.items():
-            _require(isinstance(value, (str, int, float, bool)) and value is not None,
-                     f"property {key!r} of {nid!r} must be an atomic string/number/boolean")
-        graph.add_node(labels, props, node_id=nid)
-    for entry in doc["edges"]:
-        _require(isinstance(entry, dict), "edge entries must be objects")
+        if not isinstance(nid, str):
+            raise InvariantError("node ids must be strings")
+        if nid in nodes:
+            raise InvariantError(f"duplicate id: {nid!r}")
+        nodes[nid] = NodeRecord(_labels_of(entry, nid), _props_of(entry, nid))
+    for entry in edge_docs:
+        if not isinstance(entry, dict):
+            raise InvariantError("edge entries must be objects")
         eid = entry.get("id")
-        _require(isinstance(eid, str), "edge ids must be strings")
-        _require(eid not in seen, f"duplicate id: {eid!r}")
-        seen.add(eid)
+        if not isinstance(eid, str):
+            raise InvariantError("edge ids must be strings")
+        if eid in nodes or eid in edges:
+            raise InvariantError(f"duplicate id: {eid!r}")
         src, tgt = entry.get("src"), entry.get("tgt")
-        _require(isinstance(src, str) and isinstance(tgt, str),
-                 f"edge {eid!r} must name src and tgt node ids")
-        _require(src in graph.nodes, f"dangling endpoint: edge {eid!r} src {src!r} is not a node")
-        _require(tgt in graph.nodes, f"dangling endpoint: edge {eid!r} tgt {tgt!r} is not a node")
-        labels = entry.get("labels", [])
-        _require(isinstance(labels, list) and all(isinstance(l, str) for l in labels),
-                 f"labels of {eid!r} must be a list of strings")
-        props = entry.get("properties", {})
-        _require(isinstance(props, dict), f"properties of {eid!r} must be an object")
-        for key, value in props.items():
-            _require(isinstance(value, (str, int, float, bool)) and value is not None,
-                     f"property {key!r} of {eid!r} must be an atomic string/number/boolean")
-        graph.add_edge(src, tgt, labels, props, edge_id=eid)
+        if not (isinstance(src, str) and isinstance(tgt, str)):
+            raise InvariantError(f"edge {eid!r} must name src and tgt node ids")
+        if src not in nodes:
+            raise InvariantError(f"dangling endpoint: edge {eid!r} src {src!r} is not a node")
+        if tgt not in nodes:
+            raise InvariantError(f"dangling endpoint: edge {eid!r} tgt {tgt!r} is not a node")
+        edges[eid] = EdgeRecord(src, tgt, _labels_of(entry, eid), _props_of(entry, eid))
     return graph
 
 
+_encode_str = json.encoder.encode_basestring  # the C encoder, where CPython has it
+
+
+def _scalar(value: Atomic) -> str:
+    """One atomic value as ``json.dumps(value, allow_nan=False)`` writes it."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _labels_text(labels: set[str]) -> str:
+    if not labels:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(_encode_str, sorted(labels))) + "\n      ]"
+
+
+def _props_text(props: dict[str, Atomic]) -> str:
+    if not props:
+        return "{}"
+    pairs = (f"{_encode_str(key)}: {_scalar(value)}" for key, value in sorted(props.items()))
+    return "{\n        " + ",\n        ".join(pairs) + "\n      }"
+
+
+def _list_text(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def dump_graph(graph: Graph) -> str:
-    return json.dumps(graph_to_dict(graph), indent=2, ensure_ascii=False,
-                      allow_nan=False) + "\n"
+    """The graph's JSON text, byte for byte ``json.dumps(graph_to_dict(graph),
+    indent=2, ensure_ascii=False, allow_nan=False) + "\\n"``.
+
+    The layout is written here because ``indent`` makes ``json.dumps`` use
+    its pure-Python encoder.  Ids, labels and keys are strings, as the
+    loader and ``Graph`` keep them.  A non-finite float raises ``ValueError``.
+    """
+    nodes = [f'    {{\n      "id": {_encode_str(nid)},\n'
+             f'      "labels": {_labels_text(record.labels)},\n'
+             f'      "properties": {_props_text(record.props)}\n    }}'
+             for nid, record in sorted(graph.nodes.items())]
+    edges = [f'    {{\n      "id": {_encode_str(eid)},\n'
+             f'      "src": {_encode_str(record.src)},\n'
+             f'      "tgt": {_encode_str(record.tgt)},\n'
+             f'      "labels": {_labels_text(record.labels)},\n'
+             f'      "properties": {_props_text(record.props)}\n    }}'
+             for eid, record in sorted(graph.edges.items())]
+    return f'{{\n  "nodes": {_list_text(nodes)},\n  "edges": {_list_text(edges)}\n}}\n'
 
 
 def save_graph(graph: Graph, target: str | IO[str]) -> None:

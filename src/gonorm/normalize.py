@@ -14,6 +14,8 @@ its own.
 """
 from __future__ import annotations
 
+import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -22,12 +24,15 @@ from .gofd import GnSchema, GoFd, applicable_deps, gofd, minimal_cover, satisfie
 from .graph import Graph
 from .pattern import Pattern, evaluate, more_general_than, render_pattern, scope_key, var_sort_key
 from .transform import (
+    NewNode,
     Transformation,
     TransformationKind,
     build_plans,
     check_transformable,
     execute_plans,
 )
+
+logger = logging.getLogger("gonorm")
 
 
 @dataclass
@@ -127,6 +132,8 @@ def scoped_normalize(graph: Graph, schema: Iterable[GoFd], scope: Pattern,
         untouched.append(gofd(merged[0].scope, merged[0].lhs,
                               frozenset().union(*(d.rhs for d in merged))))
     result_graph = execute_plans(graph, plans)
+    if logger.isEnabledFor(logging.DEBUG):
+        _log_pass(log.scope, len(matches), plans)
 
     # phase 4: assemble the surviving schema
     result = GnSchema()
@@ -141,6 +148,16 @@ def scoped_normalize(graph: Graph, schema: Iterable[GoFd], scope: Pattern,
         if plan.key_dependency is not None and result.add(plan.key_dependency):
             log.key_dependencies.append(plan.key_dependency.render())
     return NormalizationResult(result_graph, result, [log])
+
+
+def _log_pass(scope: str, matches: int, plans: list[Transformation]) -> None:
+    ops = Counter(type(op).__name__ for plan in plans for op in plan.ops)
+    value_nodes = {op.node for plan in plans for op in plan.ops
+                   if isinstance(op, NewNode) and op.labels == (plan.val_label,)}
+    logger.debug("normalized %s: %d matches, %d plans, ops %s, %d value nodes created",
+                  scope, matches, len(plans),
+                  " ".join(f"{kind}={count}" for kind, count in sorted(ops.items())) or "none",
+                  len(value_nodes))
 
 
 def sort_scopes(scopes: Iterable[Pattern]) -> list[Pattern]:

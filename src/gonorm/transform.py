@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import (
     GonormError,
@@ -159,31 +159,31 @@ def created_edge_id(label: str, src: str, tgt: str) -> str:
 
 # -- primitive operations -------------------------------------------------
 
-@dataclass(frozen=True)
-class NewNode:
+# Named tuples, so that ``_PlanBuilder`` hashes and compares them in C.  No
+# two op types can be equal: a ``NewEdge``'s labels are a tuple where a
+# ``MoveProp``'s value is atomic, and the other two differ in length.
+
+class NewNode(NamedTuple):
     node: str
     labels: tuple[str, ...]
     props: tuple[tuple[str, Atomic], ...] = ()
 
 
-@dataclass(frozen=True)
-class NewEdge:
+class NewEdge(NamedTuple):
     edge: str
     src: str
     tgt: str
     labels: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class MoveProp:
+class MoveProp(NamedTuple):
     source: str
     key: str
     target: str
     value: Atomic
 
 
-@dataclass(frozen=True)
-class DelEdge:
+class DelEdge(NamedTuple):
     edge: str
 
 
@@ -250,11 +250,6 @@ def _family_parts(scope: Pattern, role: str) -> tuple[frozenset[str], frozenset[
     return scope.edge_labels, scope.edge_keys
 
 
-def _lhs_pairs(dep: GoFd, row: dict[Variable, Atomic]) -> list[tuple[str, Atomic]]:
-    return sorted(((var.key, row[var]) for var in dep.lhs if isinstance(var, PropVar)),
-                  key=lambda p: p[0])
-
-
 class _PlanBuilder:
     """Accumulates ops for one transformation, deduplicating repeats."""
 
@@ -307,42 +302,51 @@ def instantiate(graph: Graph, dep: GoFd, *, matches: Relation | None = None) -> 
         raise NothingToDo(f"scope of {dep.render()} matches nothing")
 
     roles = variable_roles(dep.scope)
-    objects = [(roles[var.name], pos) for pos, var in enumerate(relation.variables)
-               if isinstance(var, ObjectVar)]
+    column = {var: pos for pos, var in enumerate(relation.variables)}
+    owner = {roles[var.name]: pos for var, pos in column.items() if isinstance(var, ObjectVar)}
     rhs = next(iter(dep.rhs))
-    lhs_role = roles[next(iter(dep.lhs)).name]
-    lhs_keys = sorted(var.key for var in dep.lhs if isinstance(var, PropVar))
-    owner_labels, _ = _family_parts(dep.scope, lhs_role)
-
-    val_label: str | None = None
-    key_dep: GoFd | None = None
-    if kind is not TransformationKind.BETWEEN_N_EP:
-        val_label = skolem_label(owner_labels, lhs_keys)
-        val_keys = list(lhs_keys)
-        if isinstance(rhs, PropVar):
-            val_keys.append(rhs.key)
-        key_dep = _key_dependency(val_label, lhs_keys, val_keys)
-
     plan = _PlanBuilder()
+    add = plan.add
+    if kind is TransformationKind.BETWEEN_N_EP:
+        edge, node, value = owner["edge"], owner["node"], column[rhs]
+        for values in relation.ordered:
+            add(MoveProp(values[edge], rhs.key, values[node], values[value]))
+        return Transformation(dep, kind, len(relation.rows), plan.ops)
+
+    lhs_role = roles[next(iter(dep.lhs)).name]
+    lhs_vars = sorted(dep.lhs, key=lambda var: var.key)  # PropVars only in these shapes
+    lhs_keys = [var.key for var in lhs_vars]
+    lhs_columns = [column[var] for var in lhs_vars]
+    owner_labels, _ = _family_parts(dep.scope, lhs_role)
+    val_label = skolem_label(owner_labels, lhs_keys)
+    val_keys = list(lhs_keys)
+    rhs_slot = None  # columns of the right side's owner and value, if it is a property
+    if isinstance(rhs, PropVar):
+        val_keys.append(rhs.key)
+        rhs_slot = (owner[roles[rhs.name]], column[rhs])
+    key_dep = _key_dependency(val_label, lhs_keys, val_keys)
+    source = owner[lhs_role]
+    reified = lhs_role == "edge"  # values leave the edge: reify it, link the reifier
+    prefix = reification_prefix(owner_labels)
+    link_label = f"{prefix}_det" if reified else val_label
+
+    names: dict[tuple[str, ...], str] = {}
     for values in relation.ordered:
-        row = dict(zip(relation.variables, values))
-        owner = {role: values[pos] for role, pos in objects}
-        if kind is TransformationKind.BETWEEN_N_EP:
-            plan.add(MoveProp(owner["edge"], rhs.key, owner["node"], row[rhs]))
-            continue
-        pairs = _lhs_pairs(dep, row)
-        vid = skolem_node_id("val", owner_labels, pairs)
-        plan.add(NewNode(vid, (val_label,)))
-        if lhs_role == "edge":  # values leave the edge: reify it, link the reifier
-            prefix = reification_prefix(owner_labels)
-            link, link_label = plan.reify(graph, owner["edge"], prefix), f"{prefix}_det"
-        else:
-            link, link_label = owner["node"], val_label
-        for key, value in pairs:
-            plan.add(MoveProp(owner[lhs_role], key, vid, value))
-        if isinstance(rhs, PropVar):
-            plan.add(MoveProp(owner[roles[rhs.name]], rhs.key, vid, row[rhs]))
-        plan.add(NewEdge(created_edge_id(link_label, link, vid), link, vid, (link_label,)))
+        lhs_values = tuple([values[pos] for pos in lhs_columns])
+        # Python equality merges 1, 1.0 and True, and 0.0 with -0.0, which
+        # json.dumps writes apart; their reprs differ as the JSON texts do
+        name_key = tuple(map(repr, lhs_values))
+        vid = names.get(name_key)
+        if vid is None:
+            vid = names[name_key] = skolem_node_id("val", owner_labels, zip(lhs_keys, lhs_values))
+            add(NewNode(vid, (val_label,)))
+        obj = values[source]
+        link = plan.reify(graph, obj, prefix) if reified else obj
+        for key, value in zip(lhs_keys, lhs_values):
+            add(MoveProp(obj, key, vid, value))
+        if rhs_slot is not None:
+            add(MoveProp(values[rhs_slot[0]], rhs.key, vid, values[rhs_slot[1]]))
+        add(NewEdge(created_edge_id(link_label, link, vid), link, vid, (link_label,)))
 
     return Transformation(dep, kind, len(relation.rows), plan.ops, key_dep, val_label)
 
@@ -404,7 +408,7 @@ class _Executor:
                     f"conflicting values for {obj}.{key}: "
                     f"{self.assigned[slot]!r} vs {value!r}")
             return
-        current = self.out.props(obj)
+        current = self.out.nodes[obj].props  # values only ever move onto nodes
         if key in current:  # even an equal value: the output could not tell them apart
             raise InvariantError(
                 f"transformation would overwrite {obj}.{key}: "

@@ -11,6 +11,7 @@ the library runs.
 
 from __future__ import annotations
 
+import json
 import random
 from typing import Iterable
 
@@ -30,7 +31,7 @@ from gonorm import (
     node_edge_pattern,
     node_pattern,
 )
-from gonorm.graph import Atomic
+from gonorm.graph import Atomic, graph_to_dict
 
 # Shared vocabulary.  Structural keys for nodes and edges are disjoint so a
 # moved property can never collide with an unrelated one, and "nz"/"ez" are
@@ -118,6 +119,14 @@ def fd_holds(rows: Iterable[Row], lhs: Iterable[Variable],
 
 def oracle_satisfies(graph: Graph, dep: GoFd) -> bool:
     return fd_holds(naive_matches(graph, dep.scope), dep.lhs, dep.rhs)
+
+
+# -- graph file text ------------------------------------------------------
+
+def oracle_dump_graph(graph: Graph) -> str:
+    """The graph file text as ``json.dumps`` writes it with ``indent=2``."""
+    return json.dumps(graph_to_dict(graph), indent=2, ensure_ascii=False,
+                      allow_nan=False) + "\n"
 
 
 # -- closure oracle --------------------------------------------------------

@@ -27,7 +27,7 @@ from gonorm import (
 from gonorm.cli import main
 from gonorm.graph import check_atomic
 
-from oracles import random_graph
+from oracles import oracle_dump_graph, random_graph
 
 
 def small_graph() -> Graph:
@@ -177,6 +177,41 @@ def test_dump_is_sorted_and_stable():
     g.set_prop("n1", "k", float("nan"))
     with pytest.raises(ValueError):  # NaN is not JSON
         dump_graph(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_dump_matches_json_dumps_random(seed):
+    g = random_graph(random.Random(seed))
+    assert dump_graph(g) == oracle_dump_graph(g)
+
+
+WRITER_STRINGS = ["", "plain", "ünïcødé ✓ 漢字", 'say "hi"', "back\\slash", "tab\tnl\ncr\r",
+                  "\x00\x01\x1f\x7f", "  ", "\ud800", "/slash/"]
+WRITER_NUMBERS = [0, -1, 2**70, -(2**70), 0.0, -0.0, 1.5, 1e16, 1e-07, 1e300, True, False]
+
+
+def test_dump_matches_json_dumps_explicit():
+    assert dump_graph(Graph()) == oracle_dump_graph(Graph())
+    bare = Graph()
+    bare.add_node(node_id="n1")
+    bare.add_edge("n1", "n1", edge_id="e1")
+    assert dump_graph(bare) == oracle_dump_graph(bare)
+    g = Graph()
+    for i, text in enumerate(WRITER_STRINGS):
+        g.add_node({text, "L"}, {text: text, "k": text}, node_id=f"s{i}{text}")
+    g.add_node({"N"}, {f"k{i}": value for i, value in enumerate(WRITER_NUMBERS)}, node_id="num")
+    for i, value in enumerate(WRITER_NUMBERS):
+        g.add_edge("num", "s0", {WRITER_STRINGS[i % len(WRITER_STRINGS)]}, {"w": value},
+                   edge_id=f"e{i}")
+    text = dump_graph(g)
+    assert text == oracle_dump_graph(g)
+    for literal in ("-0.0", "1e+16", "1e-07", str(2**70), "true", "false", '"\\u0000'):
+        assert literal in text
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        g.set_prop("num", "k0", bad)
+        with pytest.raises(ValueError):
+            dump_graph(g)
 
 
 def test_save_and_load_path_and_file(tmp_path):

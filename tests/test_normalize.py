@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import logging
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from gonorm import (
     scoped_normalize,
     sort_scopes,
 )
+import gonorm.normalize as normalize_module
 import gonorm.pattern as pattern_module
 
 from conftest import fixture_graph, fixture_schema
@@ -368,3 +370,34 @@ def test_phase_log_to_dict_layouts():
     assert set(entry) == {"dependency", "kind", "matches", "ops", "keyDependency"}
     assert entry["ops"][0]["op"] == "new-node"
     json.dumps(full)  # report payloads must serialize as-is
+
+
+PASS_RECORDS = {
+    "university": ["normalized ()-[t:{TEACHES}:{usingBook}]->(c:{Course}:{}): 3 matches, "
+                   "1 plans, ops MoveProp=3, 0 value nodes created"],
+    "metrics_example": ["normalized (x:{X}:{kx})-[y:{Y}:{ky}]->(): 8 matches, 1 plans, "
+                        "ops MoveProp=16 NewEdge=8 NewNode=4, 4 value nodes created"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PASS_RECORDS))
+def test_each_pass_logs_one_debug_record(caplog, name):
+    graph = fixture_graph(f"{name}.graph.json")
+    schema = fixture_schema(f"{name}.schema.gofd").schema
+    with caplog.at_level(logging.DEBUG, logger="gonorm"):
+        result = full_normalize(graph, schema)
+    records = [r for r in caplog.records if r.name == "gonorm"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * len(result.logs)
+    assert [r.getMessage() for r in records] == PASS_RECORDS[name]
+    assert logging.getLogger("gonorm").handlers == []  # the library sets none
+
+
+def test_pass_counts_are_skipped_unless_debug_is_on(caplog, monkeypatch, university_graph):
+    def fail(*args):
+        raise AssertionError("counted with debug logging off")
+
+    monkeypatch.setattr(normalize_module, "_log_pass", fail)
+    schema = fixture_schema("university.schema.gofd").schema
+    with caplog.at_level(logging.INFO, logger="gonorm"):
+        full_normalize(university_graph, schema)
+    assert not [r for r in caplog.records if r.name == "gonorm"]

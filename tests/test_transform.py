@@ -23,6 +23,7 @@ from gonorm import (
     build_plans,
     dump_graph,
     edge_pattern,
+    evaluate,
     execute_plans,
     full_normalize,
     gofd,
@@ -163,6 +164,47 @@ def test_instantiate_within_node_plan_shape():
     doc = plan.to_dict()
     assert set(doc) == {"dependency", "kind", "matches", "ops", "keyDependency"}
     assert doc["kind"] == "within-n" and doc["matches"] == 3
+
+
+MEMO_VALUES = (1, 1.0, True, 0.0, -0.0)  # equal in Python, apart as JSON text
+
+
+@pytest.mark.parametrize("edge_only", [False, True], ids=["within-n", "edge-only"])
+def test_value_node_names_keep_apart_equal_but_distinct_values(edge_only):
+    var, label = ("y", "R") if edge_only else ("x", "C")
+    scope = (edge_pattern if edge_only else node_pattern)(var, {label}, {"k", "v"})
+    dep = gofd(scope, [pv(var, "k")], [pv(var, "v")])
+
+    def holding(objects: dict[str, dict]) -> Graph:
+        g = Graph()
+        if edge_only:
+            g.add_node(node_id="a")
+            g.add_node(node_id="b")
+        for oid, props in objects.items():
+            if edge_only:
+                g.add_edge("a", "b", {label}, props, edge_id=oid)
+            else:
+                g.add_node({label}, props, node_id=oid)
+        return g
+
+    # each value on two objects, so that rows share a value node
+    objects = {f"o{i}": {"k": value, "v": "p" if i % 5 < 3 else "q"}
+               for i, value in enumerate(MEMO_VALUES * 2)}
+    (plan,), _ = build_plans(holding(objects), [dep])
+    value_nodes = {op.node for op in plan.ops
+                   if isinstance(op, NewNode) and op.labels == (plan.val_label,)}
+    assert value_nodes == {skolem_node_id("val", {label}, [("k", value)])
+                           for value in MEMO_VALUES}
+    assert len(value_nodes) == 5
+
+    # the same ops, planned one object at a time, so that no name is shared
+    relation = evaluate(scope, holding(objects))
+    column = relation.variables.index(ObjectVar(var))
+    expected: list = []
+    for row in relation.ordered:
+        (alone,), _ = build_plans(holding({row[column]: objects[row[column]]}), [dep])
+        expected += [op for op in alone.ops if op not in expected]
+    assert plan.ops == expected
 
 
 def test_within_node_execution_moves_values_once():
