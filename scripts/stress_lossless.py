@@ -4,7 +4,8 @@
 Builds random graphs that satisfy a random strict dependency of each
 redundancy shape (sharing the case builder with the test suite), normalizes
 them, and verifies that inverting the output with its plans rebuilds the
-input byte for byte and that every emitted key dependency holds.  Prints a
+input byte for byte and that every emitted key dependency holds, by the
+library's check and by the brute-force oracle of the test suite.  Prints a
 per-shape tally and timing.
 """
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 from gonorm import dump_graph, invert, satisfies, scoped_normalize, verify_lossless
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from oracles import CASE_KINDS, random_satisfying_case  # noqa: E402
+from oracles import CASE_KINDS, oracle_satisfies, random_satisfying_case  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -42,7 +43,8 @@ def main(argv: list[str] | None = None) -> int:
             others = [p for p in plans if p is not plan]
             ok = ok and verify_lossless(graph, result.graph, plan, others)
             if plan.key_dependency is not None:
-                ok = ok and satisfies(result.graph, plan.key_dependency).holds
+                ok = (ok and satisfies(result.graph, plan.key_dependency).holds
+                      and oracle_satisfies(result.graph, plan.key_dependency))
         tally[kind] += 1
         if not ok:
             failures += 1

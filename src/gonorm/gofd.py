@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import ScopeMismatch, UnboundVariable
-from .graph import Atomic, Graph
+from .graph import Atomic, Graph, value_key
 from .pattern import (
     NodeEdgePattern,
     ObjectVar,
@@ -180,8 +180,8 @@ def satisfies(graph: Graph, dep: GoFd, max_witnesses: int = 5, *,
     groups: dict[tuple, tuple] = {}
     witnesses: list[tuple[tuple, tuple]] = []
     for row in relation.ordered:
-        left = tuple(row[i] for i in lhs_cols)
-        right = tuple(row[i] for i in rhs_cols)
+        left = tuple([value_key(row[i]) for i in lhs_cols])
+        right = tuple([value_key(row[i]) for i in rhs_cols])
         if left in groups:
             prev_right, prev_row = groups[left]
             if prev_right != right:

@@ -22,6 +22,12 @@ from .errors import (
 
 Atomic = Union[str, int, float, bool]
 
+# The one rule for property values: two values are the same exactly when
+# their JSON texts are equal.  Python equality does not follow it, since it
+# merges 1, 1.0 and True, and 0.0 with -0.0.  On atomic values the repr
+# tells apart exactly what the JSON text tells apart.
+value_key = repr
+
 
 def check_atomic(value: Any) -> Atomic:
     """Return the value if it is an allowed property value, else raise FormatError."""
@@ -328,4 +334,6 @@ def load_graph(source: str | IO[str]) -> Graph:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:  # an integer literal over the int-to-str digit limit
+        raise ParseError(str(exc)) from exc
     return graph_from_dict(doc)

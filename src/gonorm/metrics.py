@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .gofd import DepClass, GoFd, check_bound, classify
-from .graph import Graph
+from .graph import Graph, value_key
 from .pattern import evaluate, var_sort_key
 
 
@@ -62,11 +62,11 @@ def profile(graph: Graph, dep: GoFd) -> DepProfile:
         return DepProfile((), 0, Fraction(0), Fraction(1), True)
     index = {v: i for i, v in enumerate(relation.variables)}
     cols = [index[v] for v in sorted(dep.lhs | dep.rhs, key=var_sort_key)]
-    groups: dict[tuple, int] = {}
+    groups: dict[tuple, list] = {}  # value keys -> [values, count]
     for row in relation.rows:
-        key = tuple(row[i] for i in cols)
-        groups[key] = groups.get(key, 0) + 1
-    ordered = sorted(groups.items(), key=lambda item: json.dumps(list(item[0])))
+        values = [row[i] for i in cols]
+        groups.setdefault(tuple(map(value_key, values)), [values, 0])[1] += 1
+    ordered = sorted(groups.values(), key=lambda group: json.dumps(group[0]))
     sizes = tuple(count for _, count in ordered)
     total = sum(sizes)
     minimality = Fraction(1) if total <= 1 else Fraction(len(sizes) - 1, total - 1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Union
 
 from .errors import InvariantError
@@ -50,19 +51,6 @@ def render_var(var: Variable) -> str:
 def var_sort_key(var: Variable) -> tuple[str, str]:
     # an object variable sorts before its own property variables
     return (var.name, "" if isinstance(var, ObjectVar) else var.key)
-
-
-def value_sort_key(value: Atomic) -> tuple[str, str | float]:
-    """Total order over atomic values; tags keep mixed types comparable."""
-    if isinstance(value, bool):
-        return ("b", str(value))
-    if isinstance(value, (int, float)):
-        return ("n", float(value))
-    return ("s", value)
-
-
-def row_sort_key(row: tuple[Atomic, ...]) -> tuple[tuple[str, str | float], ...]:
-    return tuple(value_sort_key(v) for v in row)
 
 
 def render_vars(variables: Iterable[Variable]) -> str:
@@ -159,8 +147,13 @@ class Relation:
 
     @cached_property
     def ordered(self) -> tuple[tuple[Atomic, ...], ...]:
-        """The rows in ``row_sort_key`` order, sorted once per relation."""
-        return tuple(sorted(self.rows, key=row_sort_key))
+        """The rows sorted by their object-id columns, once per relation.
+
+        Two matches always differ in some id, and rows with equal ids hold
+        the same values, so values are never compared for order.
+        """
+        ids = [i for i, var in enumerate(self.variables) if isinstance(var, ObjectVar)]
+        return tuple(sorted(self.rows, key=itemgetter(*ids)))
 
     @property
     def schema(self) -> frozenset[Variable]:

@@ -31,7 +31,7 @@ from .errors import (
     UnsatisfiedDependency,
 )
 from .gofd import GoFd, check_bound, gofd, satisfies, scope_matches
-from .graph import Atomic, Graph, dump_graph
+from .graph import Atomic, Graph, dump_graph, value_key
 from .pattern import (
     Direction,
     NodeEdgePattern,
@@ -333,9 +333,7 @@ def instantiate(graph: Graph, dep: GoFd, *, matches: Relation | None = None) -> 
     names: dict[tuple[str, ...], str] = {}
     for values in relation.ordered:
         lhs_values = tuple([values[pos] for pos in lhs_columns])
-        # Python equality merges 1, 1.0 and True, and 0.0 with -0.0, which
-        # json.dumps writes apart; their reprs differ as the JSON texts do
-        name_key = tuple(map(repr, lhs_values))
+        name_key = tuple(map(value_key, lhs_values))
         vid = names.get(name_key)
         if vid is None:
             vid = names[name_key] = skolem_node_id("val", owner_labels, zip(lhs_keys, lhs_values))
@@ -403,7 +401,7 @@ class _Executor:
     def assign(self, obj: str, key: str, value: Atomic) -> None:
         slot = (obj, key)
         if slot in self.assigned:
-            if self.assigned[slot] != value:
+            if value_key(self.assigned[slot]) != value_key(value):
                 raise InvariantError(
                     f"conflicting values for {obj}.{key}: "
                     f"{self.assigned[slot]!r} vs {value!r}")
@@ -534,7 +532,7 @@ def invert(after: Graph, plans: Iterable[Transformation]) -> Graph:
                 value = read(target, key)
             else:
                 raise InvariantError(f"moved value {target}.{key} is missing")
-            found[json.dumps(value)] = value
+            found[value_key(value)] = value
         if len(found) > 1:
             raise InvariantError(f"{obj}.{key} moved to different values: "
                                  f"{', '.join(sorted(found))}")

@@ -39,8 +39,10 @@ from gonorm.graph import Atomic, graph_to_dict
 NODE_LABELS = ("A", "B", "C")
 EDGE_LABELS = ("R", "S")
 NOISE_NODE_LABELS = ("D", "E")
-LHS_POOL = ("u", "v", "w", 1, 2)
-OUT_POOL = ("p1", "p2", "p3", 7, 8)
+# Values that Python equality merges (1, 1.0 and True; 0.0 and -0.0) are
+# distinct values of the file format, and the pools hold them side by side.
+LHS_POOL = ("u", "v", "w", 1, 2, 1.0, True, 0.0, -0.0)
+OUT_POOL = ("p1", "p2", "p3", 7, 8, 7.0, True)
 
 Row = dict[Variable, Atomic]
 
@@ -99,13 +101,16 @@ def naive_matches(graph: Graph, pattern: Pattern) -> list[Row]:
 
 def fd_violation(rows: Iterable[Row], lhs: Iterable[Variable],
                  rhs: Iterable[Variable]) -> tuple[Row, Row] | None:
-    """First pair of rows that agree on ``lhs`` but differ on ``rhs``."""
+    """First pair of rows that agree on ``lhs`` but differ on ``rhs``.
+
+    Values are compared by their JSON text, so 1, 1.0 and True differ.
+    """
     lhs_order = sorted(lhs, key=_vkey)
     rhs_order = sorted(rhs, key=_vkey)
     seen: dict[tuple, tuple] = {}
     for row in rows:
-        left = tuple(row[v] for v in lhs_order)
-        right = tuple(row[v] for v in rhs_order)
+        left = tuple(json.dumps(row[v]) for v in lhs_order)
+        right = tuple(json.dumps(row[v]) for v in rhs_order)
         if left in seen and seen[left][0] != right:
             return (seen[left][1], row)
         seen.setdefault(left, (right, row))
@@ -165,7 +170,7 @@ def oracle_potentials(graph: Graph, dep: GoFd) -> list[int]:
     order = sorted(set(dep.lhs) | set(dep.rhs), key=_vkey)
     counts: dict[tuple, int] = {}
     for row in naive_matches(graph, dep.scope):
-        key = tuple(row[v] for v in order)
+        key = tuple(json.dumps(row[v]) for v in order)
         counts[key] = counts.get(key, 0) + 1
     return sorted(counts.values())
 
@@ -282,7 +287,7 @@ def random_satisfying_case(rng: random.Random,
     """A graph plus one strict dependency the graph satisfies by construction."""
     kind = kind or rng.choice(CASE_KINDS)
     graph = Graph()
-    table = {v: rng.choice(OUT_POOL) for v in LHS_POOL}
+    table = {json.dumps(v): rng.choice(OUT_POOL) for v in LHS_POOL}
 
     if kind == "wn":
         labels = {rng.choice(NODE_LABELS)}
@@ -292,7 +297,7 @@ def random_satisfying_case(rng: random.Random,
         dep = gofd(scope, [PropVar("x", "na")], [PropVar("x", "nb")])
         for _ in range(rng.randint(2, 25)):
             value = rng.choice(LHS_POOL)
-            props: dict[str, Atomic] = {"na": value, "nb": table[value]}
+            props: dict[str, Atomic] = {"na": value, "nb": table[json.dumps(value)]}
             if rng.random() < 0.4:
                 props["nz"] = rng.choice(OUT_POOL)
             labs = set(labels)
@@ -315,7 +320,7 @@ def random_satisfying_case(rng: random.Random,
         ids = list(graph.nodes)
         for _ in range(rng.randint(2, 25)):
             value = rng.choice(LHS_POOL)
-            props = {"ea": value, "eb": table[value]}
+            props = {"ea": value, "eb": table[json.dumps(value)]}
             if rng.random() < 0.4:
                 props["ez"] = rng.choice(OUT_POOL)
             graph.add_edge(rng.choice(ids), rng.choice(ids), {elabel}, props)
@@ -383,27 +388,27 @@ def random_satisfying_case(rng: random.Random,
         for pos, anchor in enumerate(anchors):
             value = rng.choice(LHS_POOL)
             graph.set_prop(anchor, "na", value)
-            spread(anchor, pos, {"eb": table[value]})
+            spread(anchor, pos, {"eb": table[json.dumps(value)]})
     elif kind == "bepnp":
         scope = node_edge_pattern("x", {nlabel}, ("nb",),
                                   "y", {elabel}, ("ea",), direction)
         dep = gofd(scope, [PropVar("y", "ea")], [PropVar("x", "nb")])
         for pos, anchor in enumerate(anchors):
             value = rng.choice(LHS_POOL)
-            graph.set_prop(anchor, "nb", table[value])
+            graph.set_prop(anchor, "nb", table[json.dumps(value)])
             for _ in range(fanout(pos)):
                 attach(anchor, {"ea": value})
     else:  # bepn
         scope = node_edge_pattern("x", {nlabel}, (),
                                   "y", {elabel}, ("ea",), direction)
         dep = gofd(scope, [PropVar("y", "ea")], [ObjectVar("x")])
-        owner = {value: rng.choice(anchors) for value in LHS_POOL}
+        owner = {json.dumps(value): rng.choice(anchors) for value in LHS_POOL}
         for anchor in anchors:
             if rng.random() < 0.4:
                 graph.set_prop(anchor, "nz", rng.choice(OUT_POOL))
         for _ in range(rng.randint(2, 12)):
             value = rng.choice(LHS_POOL)
-            anchor = owner[value]
+            anchor = owner[json.dumps(value)]
             props = {"ea": value}
             if rng.random() < 0.5:
                 props["ez"] = rng.choice(OUT_POOL)

@@ -316,6 +316,7 @@ def test_criterion_6b_random_corpus_key_deps_and_bcnf():
                 assert prof.maximum == 1
                 assert prof.average == Fraction(1)
                 assert prof.minimality == Fraction(1)
+                assert oracle_satisfies(result.graph, key_dep), key_dep.render()
             assert check_gn_nf(NormalForm.GNBCNF, result.schema).holds, dep.render()
             passed += 1
         assert passed == 200

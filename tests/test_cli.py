@@ -284,6 +284,68 @@ def test_convert_needs_exactly_one_input(capsys):
 
 # -- failure modes and plumbing --------------------------------------------
 
+# -- property values: identity by JSON text ------------------------------------
+
+VALUE_SCHEMA = "(c:{C}:{k,v})::c.k=>c.v\n"
+
+
+def value_files(tmp_path, *props: str) -> tuple[str, str]:
+    """A graph of ``C`` nodes with the given JSON property texts, and VALUE_SCHEMA."""
+    nodes = ", ".join(f'{{"id": "n{i}", "labels": ["C"], "properties": {text}}}'
+                      for i, text in enumerate(props, 1))
+    return (write(tmp_path, "values.graph.json", f'{{"nodes": [{nodes}], "edges": []}}'),
+            write(tmp_path, "values.gofd", VALUE_SCHEMA))
+
+
+def test_check_tells_one_from_true(capsys, tmp_path):
+    graph, schema = value_files(tmp_path, '{"k": 1, "v": "p"}', '{"k": true, "v": "q"}')
+    code, out, _ = run(capsys, "check", "--graph", graph, "--schema", schema)
+    assert code == 0 and out.startswith("ok")
+
+
+def test_normalize_refuses_one_against_one_point_zero(capsys, tmp_path):
+    graph, schema = value_files(tmp_path, '{"k": "x", "v": 1}', '{"k": "x", "v": 1.0}')
+    code, _, err = run(capsys, "normalize", "--graph", graph, "--schema", schema,
+                       "--out", str(tmp_path / "out"))
+    assert code == 1 and "does not satisfy" in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["values.gofd",
+                                                               "values.graph.json"]
+
+
+@pytest.mark.parametrize("first, second", [("1", "1.0"), ("0.0", "-0.0")])
+def test_key_dependency_holds_on_values_python_equality_merges(capsys, tmp_path,
+                                                               first, second):
+    graph, schema = value_files(tmp_path, f'{{"k": {first}, "v": "p"}}',
+                                f'{{"k": {second}, "v": "p"}}')
+    out = tmp_path / "out"
+    code, _, _ = run(capsys, "normalize", "--graph", graph, "--schema", schema,
+                     "--out", str(out))
+    assert code == 0
+    assert "(x:{Sk_CK}:{k,v})::x.k=>x" in (tmp_path / "out.schema.gofd").read_text()
+    code, _, _ = run(capsys, "check", "--graph", f"{out}.graph.json",
+                     "--schema", f"{out}.schema.gofd")
+    assert code == 0
+    result = load_graph(f"{out}.graph.json")
+    values = [node.props["k"] for node in result.nodes.values() if "Sk_CK" in node.labels]
+    assert sorted(map(json.dumps, values)) == sorted([first, second])
+
+
+def test_integer_beyond_float_range_round_trips(capsys, tmp_path):
+    huge = str(10**400)
+    graph, schema = value_files(tmp_path, f'{{"k": {huge}, "v": "p"}}',
+                                f'{{"k": {huge}, "v": "p"}}', '{"k": 1, "v": "q"}')
+    code, _, _ = run(capsys, "check", "--graph", graph, "--schema", schema)
+    assert code == 0
+    out = tmp_path / "out"
+    code, _, _ = run(capsys, "normalize", "--graph", graph, "--schema", schema,
+                     "--out", str(out))
+    assert code == 0
+    result = load_graph(f"{out}.graph.json")
+    assert [node.props for node in result.nodes.values() if node.props.get("k") == 10**400] \
+        == [{"k": 10**400, "v": "p"}]
+    assert f'"k": {huge},' in (tmp_path / "out.graph.json").read_text()
+
+
 def test_unusable_inputs_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "check", "--graph", str(tmp_path / "missing.json"),
                        "--schema", UNI_SCHEMA)
@@ -299,6 +361,10 @@ def test_unusable_inputs_exit_two(capsys, tmp_path):
                            f'"properties": {{"k": {constant}}}}}], "edges": []}}')
         code, out, err = run(capsys, "convert", "--graph", non_finite)
         assert code == 2 and out == "" and f"non-finite number {constant}" in err
+    long_int = write(tmp_path, "long_int.json", '{"nodes": [{"id": "n1", '
+                     f'"properties": {{"k": {"9" * 5000}}}}}], "edges": []}}')
+    code, out, err = run(capsys, "convert", "--graph", long_int)
+    assert code == 2 and out == "" and "error:" in err and "digits" in err
 
 
 def test_shared_node_and_edge_variable_exits_two(capsys, tmp_path):

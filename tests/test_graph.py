@@ -25,7 +25,7 @@ from gonorm import (
     save_graph,
 )
 from gonorm.cli import main
-from gonorm.graph import check_atomic
+from gonorm.graph import check_atomic, value_key
 
 from oracles import oracle_dump_graph, random_graph
 
@@ -212,6 +212,22 @@ def test_dump_matches_json_dumps_explicit():
         g.set_prop("num", "k0", bad)
         with pytest.raises(ValueError):
             dump_graph(g)
+
+
+ATOMIC_VALUES = st.one_of(
+    st.integers(),
+    st.integers(min_value=10**308, max_value=10**400),  # beyond float range
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0, 1, 0.0, -0.0, 1.0, True, False, "1", "true"]),
+    st.booleans(),
+    st.text(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ATOMIC_VALUES, ATOMIC_VALUES)
+def test_value_key_is_identity_by_json_text(a, b):
+    assert (value_key(a) == value_key(b)) == (json.dumps(a) == json.dumps(b))
 
 
 def test_save_and_load_path_and_file(tmp_path):

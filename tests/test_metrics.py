@@ -86,6 +86,16 @@ def test_profile_groups_by_object_identity_when_asked():
     assert by_value.group_sizes == (4,)
 
 
+def test_profile_keeps_values_that_python_equality_merges_apart():
+    g = Graph()
+    for i, k in enumerate([True, 1, 1.0, 1, -0.0, 0.0]):
+        g.add_node({"A"}, {"k": k}, node_id=f"n{i}")
+    prof = profile(g, gofd(node_pattern("x", {"A"}, {"k"}), [pv("x", "k")], [pv("x", "k")]))
+    # groups in the order of their JSON texts: [-0.0], [0.0], [1.0], [1], [true]
+    assert prof.group_sizes == (1, 1, 1, 2, 1)
+    assert prof.minimality == Fraction(4, 5)
+
+
 def test_profile_edge_cases():
     g = Graph()
     prof = profile(g, gofd(node_pattern("x", {"A"}, {"k"}),

@@ -33,7 +33,7 @@ from gonorm import (
     scope_key,
     variable_roles,
 )
-from gonorm.pattern import row_sort_key, value_sort_key, var_sort_key
+from gonorm.pattern import var_sort_key
 
 from oracles import generalize, naive_matches, random_graph, random_pattern, specialize
 
@@ -72,12 +72,28 @@ def test_attrs_and_roles():
     assert variable_roles(edge_pattern("e")) == {"e": "edge"}
 
 
-def test_sort_keys_handle_mixed_value_types():
-    values = [1, "a", True, 2.5, "b", 0]
-    assert sorted(values, key=value_sort_key)  # no TypeError
-    rows = [(1, "a"), ("a", 1)]
-    assert sorted(rows, key=row_sort_key)  # heterogeneous rows stay orderable
+def test_rows_are_ordered_by_object_ids():
     assert var_sort_key(ObjectVar("x")) < var_sort_key(PropVar("x", "k"))
+    # every value column mixes types, and 10**400 has no float
+    g = Graph()
+    for nid, k in (("n3", 10**400), ("n1", "a"), ("n2", True), ("n10", 2.5), ("n4", 1)):
+        g.add_node({"A"}, {"k": k}, node_id=nid)
+    for eid, src, tgt, w in (("e3", "n3", "n2", -0.0), ("e1", "n3", "n1", "b"),
+                             ("e2", "n1", "n2", 0), ("e10", "n10", "n4", False)):
+        g.add_edge(src, tgt, {"R"}, {"w": w}, edge_id=eid)
+    cases = [
+        (node_pattern("x", {"A"}, {"k"}), [("n1",), ("n10",), ("n2",), ("n3",), ("n4",)]),
+        (edge_pattern("y", {"R"}, {"w"}), [("e1",), ("e10",), ("e2",), ("e3",)]),
+        # the node variable z sorts after the edge variable e: edge ids lead
+        (node_edge_pattern("z", {"A"}, {"k"}, "e", {"R"}, {"w"}, Direction.OUT),
+         [("e1", "n3"), ("e10", "n10"), ("e2", "n1"), ("e3", "n3")]),
+    ]
+    for pattern, expected in cases:
+        relation = evaluate(pattern, g)
+        ids = [i for i, var in enumerate(relation.variables) if isinstance(var, ObjectVar)]
+        assert [tuple(row[i] for i in ids) for row in relation.ordered] == expected
+        assert relation.ordered == tuple(sorted(relation.rows,
+                                                key=lambda row: [row[i] for i in ids]))
 
 
 # -- evaluation semantics --------------------------------------------------

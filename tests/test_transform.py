@@ -344,13 +344,15 @@ def test_apply_all_refuses_violated_dependency_untouched():
 
 def test_executor_detects_conflicting_assignments():
     g = person_graph()
-    bad = Transformation(
-        gofd(PERSON, [pv("x", "city")], [pv("x", "zip")]),
-        TransformationKind.WITHIN_N, 2,
-        [NewNode("v", ("L",)), MoveProp("p1", "zip", "v", 100),
-         MoveProp("p3", "zip", "v", 200)])
-    with pytest.raises(InvariantError):
-        execute_plans(g, [bad])
+    # all but the first pair are equal in Python, not as JSON text
+    for first, second in ((100, 200), (100, 100.0), (1, True), (0.0, -0.0)):
+        bad = Transformation(
+            gofd(PERSON, [pv("x", "city")], [pv("x", "zip")]),
+            TransformationKind.WITHIN_N, 2,
+            [NewNode("v", ("L",)), MoveProp("p1", "zip", "v", first),
+             MoveProp("p3", "zip", "v", second)])
+        with pytest.raises(InvariantError, match="conflicting values"):
+            execute_plans(g, [bad])
 
 
 def test_executor_refuses_overwriting_existing_property():
