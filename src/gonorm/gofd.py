@@ -27,6 +27,7 @@ from .pattern import (
     evaluate,
     more_general_than,
     render_pattern,
+    render_var,
     render_vars,
     rename_map,
     rename_variable,
@@ -130,7 +131,6 @@ def check_bound(dep: GoFd) -> None:
     universe = attrs(dep.scope)
     for var in sorted(dep.lhs | dep.rhs, key=var_sort_key):
         if var not in universe:
-            from .pattern import render_var
             raise UnboundVariable(
                 f"variable {render_var(var)} does not occur in scope {render_pattern(dep.scope)}")
 
@@ -208,18 +208,74 @@ def structurally_implied(scope: Pattern) -> tuple[GoFd, ...]:
     return tuple(out)
 
 
+class ClosureKernel:
+    """Attribute closures over a fixed set of variables, on integer bit masks.
+
+    Bit ``i`` stands for the ``i``-th variable in ``var_sort_key`` order, so
+    ascending bits list a variable set in the library's variable order.  The
+    dependencies are compiled once into ``(lhs, rhs)`` mask pairs, one per
+    distinct left side; ``close`` is then a fixpoint of integer operations.
+    """
+
+    def __init__(self, variables: Iterable[Variable], deps: Iterable[GoFd] = ()):
+        self.variables = tuple(sorted(set(variables), key=var_sort_key))
+        self.bits = {var: 1 << i for i, var in enumerate(self.variables)}
+        self.full = (1 << len(self.variables)) - 1
+        self.rules = self.compile(deps)
+
+    @classmethod
+    def for_scope(cls, scope: Pattern, deps: Iterable[GoFd] = ()) -> "ClosureKernel":
+        """The scope's attributes under ``deps`` plus its structural axioms."""
+        return cls(attrs(scope), list(deps) + list(structurally_implied(scope)))
+
+    def mask(self, variables: Iterable[Variable]) -> int:
+        out = 0
+        for var in variables:
+            bit = self.bits.get(var)
+            if bit is None:
+                raise UnboundVariable(f"variable {render_var(var)} is not among "
+                                      f"{render_vars(self.variables)}")
+            out |= bit
+        return out
+
+    def unmask(self, mask: int) -> list[Variable]:
+        """The variables of ``mask``, in ascending bit order."""
+        return [var for i, var in enumerate(self.variables) if mask >> i & 1]
+
+    def compile(self, deps: Iterable[GoFd]) -> list[tuple[int, int]]:
+        """One ``(lhs, rhs)`` pair per distinct left side, trivial parts dropped."""
+        rules: dict[int, int] = {}
+        for dep in deps:
+            lhs = self.mask(dep.lhs)
+            rhs = self.mask(dep.rhs) & ~lhs
+            if rhs:
+                rules[lhs] = rules.get(lhs, 0) | rhs
+        return list(rules.items())
+
+    def close(self, mask: int) -> int:
+        return _fixpoint(mask, self.rules)
+
+
+def _fixpoint(mask: int, rules: list[tuple[int, int]]) -> int:
+    """Smallest superset of ``mask`` closed under the ``(lhs, rhs)`` mask rules."""
+    pending = rules
+    while True:
+        waiting = []
+        for lhs, rhs in pending:
+            if lhs & mask == lhs:
+                mask |= rhs
+            else:
+                waiting.append((lhs, rhs))
+        if len(waiting) == len(pending):
+            return mask
+        pending = waiting
+
+
 def closure(seed: Iterable[Variable], deps: Iterable[GoFd]) -> frozenset[Variable]:
     """Fixpoint of the seed set under the descriptors of ``deps``."""
-    result = set(seed)
-    pending = list(deps)
-    changed = True
-    while changed:
-        changed = False
-        for dep in pending:
-            if dep.lhs <= result and not dep.rhs <= result:
-                result |= dep.rhs
-                changed = True
-    return frozenset(result)
+    seed, deps = list(seed), list(deps)
+    kernel = ClosureKernel(seed + [v for dep in deps for v in dep.lhs | dep.rhs], deps)
+    return frozenset(kernel.unmask(kernel.close(kernel.mask(seed))))
 
 
 def scope_closure(seed: Iterable[Variable], deps: Iterable[GoFd], scope: Pattern) -> frozenset[Variable]:
@@ -243,8 +299,9 @@ def applicable_deps(schema: Iterable[GoFd], scope: Pattern) -> tuple[GoFd, ...]:
 def implies(schema: Iterable[GoFd], dep: GoFd) -> bool:
     """True when the schema (with the structural axioms) entails the dependency."""
     check_bound(dep)
-    given = applicable_deps(schema, dep.scope)
-    return dep.rhs <= scope_closure(dep.lhs, given, dep.scope)
+    kernel = ClosureKernel.for_scope(dep.scope, applicable_deps(schema, dep.scope))
+    rhs = kernel.mask(dep.rhs)
+    return kernel.close(kernel.mask(dep.lhs)) & rhs == rhs
 
 
 def _same_scope(deps: list[GoFd]) -> Pattern:
@@ -270,44 +327,43 @@ def minimal_cover(deps: Iterable[GoFd]) -> tuple[GoFd, ...]:
     pool = [restrict(dep, scope) for dep in pool]
     for dep in pool:
         check_bound(dep)
-    structural = list(structurally_implied(scope))
+    kernel = ClosureKernel(attrs(scope))
+    structural = kernel.compile(structurally_implied(scope))
 
-    # split right sides, drop trivial parts
-    split: list[GoFd] = []
-    seen: set[str] = set()
+    def render(rule: tuple[int, int]) -> str:
+        return gofd(scope, kernel.unmask(rule[0]), kernel.unmask(rule[1])).render()
+
+    # split right sides to single variables, drop trivial parts
+    split: dict[tuple[int, int], None] = {}
     for dep in sorted(pool, key=lambda d: d.render()):
-        for var in sorted(dep.rhs - dep.lhs, key=var_sort_key):
-            candidate = gofd(dep.scope, dep.lhs, [var])
-            if candidate.render() not in seen:
-                seen.add(candidate.render())
-                split.append(candidate)
+        lhs = kernel.mask(dep.lhs)
+        rest = kernel.mask(dep.rhs) & ~lhs
+        while rest:
+            bit = rest & -rest
+            split[lhs, bit] = None
+            rest ^= bit
 
     # minimize left sides against the full current set
-    minimized: list[GoFd] = []
     current = list(split)
-    for i, dep in enumerate(current):
-        lhs = set(dep.lhs)
-        for var in sorted(dep.lhs, key=var_sort_key):
-            if len(lhs) == 1:
-                break
-            trial = lhs - {var}
-            if dep.rhs <= closure(trial, current + structural):
-                lhs = trial
-        reduced = gofd(dep.scope, lhs, dep.rhs)
-        current[i] = reduced
-        minimized.append(reduced)
+    for i, (lhs, rhs) in enumerate(current):
+        rest = lhs
+        while rest and lhs & (lhs - 1):  # try each variable while two are left
+            bit = rest & -rest
+            rest ^= bit
+            if _fixpoint(lhs & ~bit, current + structural) & rhs == rhs:
+                lhs &= ~bit
+        current[i] = (lhs, rhs)
 
     # drop members implied by the rest
-    kept = list(dict.fromkeys(minimized))
-    for dep in sorted(list(kept), key=lambda d: d.render()):
-        rest = [d for d in kept if d is not dep]
-        if dep.rhs <= closure(dep.lhs, rest + structural):
+    kept = list(dict.fromkeys(current))
+    for rule in sorted(kept, key=render):
+        rest = [r for r in kept if r != rule]
+        if _fixpoint(rule[0], rest + structural) & rule[1] == rule[1]:
             kept = rest
 
     # recombine right sides per left side
-    grouped: dict[tuple, set[Variable]] = {}
-    for dep in kept:
-        key = tuple(sorted(dep.lhs, key=var_sort_key))
-        grouped.setdefault(key, set()).update(dep.rhs)
-    combined = [gofd(scope, set(key), rhs) for key, rhs in grouped.items()]
-    return tuple(sorted(combined, key=lambda d: d.render()))
+    grouped: dict[int, int] = {}
+    for lhs, rhs in kept:
+        grouped[lhs] = grouped.get(lhs, 0) | rhs
+    return tuple(sorted((gofd(scope, kernel.unmask(lhs), kernel.unmask(rhs))
+                         for lhs, rhs in grouped.items()), key=lambda d: d.render()))

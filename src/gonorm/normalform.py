@@ -15,9 +15,9 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import SizeLimit
-from .gofd import GoFd, applicable_deps, gofd, scope_closure
+from .gofd import ClosureKernel, GoFd, applicable_deps, gofd
 from .graph import Graph, check_atomic
-from .pattern import Pattern, Variable, attrs, render_pattern, scope_key, var_sort_key
+from .pattern import Pattern, Variable, attrs, render_pattern, scope_key
 
 
 class NormalForm(Enum):
@@ -49,8 +49,20 @@ class NormalFormReport:
 DEFAULT_MAX_ATTRS = 12
 
 
+def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of ``mask``, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _check_size(scope: Pattern, max_attrs: int) -> None:
+    size = len(attrs(scope))
+    if size > max_attrs:
+        raise SizeLimit(f"scope has {size} attributes, limit is {max_attrs}")
+
+
 def is_superkey(candidate: Iterable[Variable], scope: Pattern, deps: Iterable[GoFd]) -> bool:
-    return scope_closure(candidate, deps, scope) == attrs(scope)
+    kernel = ClosureKernel.for_scope(scope, deps)
+    return kernel.close(kernel.mask(candidate)) == kernel.full
 
 
 def candidate_keys(scope: Pattern, deps: Iterable[GoFd],
@@ -60,19 +72,18 @@ def candidate_keys(scope: Pattern, deps: Iterable[GoFd],
     Enumerates subsets by size, skipping supersets of keys already found;
     scopes with more than ``max_attrs`` attributes are refused.
     """
-    universe = sorted(attrs(scope), key=var_sort_key)
-    if len(universe) > max_attrs:
-        raise SizeLimit(f"scope has {len(universe)} attributes, limit is {max_attrs}")
-    deps = list(deps)
-    keys: list[frozenset[Variable]] = []
-    for size in range(1, len(universe) + 1):
-        for combo in combinations(universe, size):
-            candidate = frozenset(combo)
-            if any(key <= candidate for key in keys):
+    _check_size(scope, max_attrs)
+    kernel = ClosureKernel.for_scope(scope, deps)
+    bits = [1 << i for i in range(len(kernel.variables))]
+    keys: list[int] = []
+    for size in range(1, len(bits) + 1):
+        for combo in combinations(bits, size):
+            candidate = sum(combo)
+            if any(key & candidate == key for key in keys):
                 continue
-            if is_superkey(candidate, scope, deps):
+            if kernel.close(candidate) == kernel.full:
                 keys.append(candidate)
-    return tuple(sorted(keys, key=lambda key: tuple(sorted(map(var_sort_key, key)))))
+    return tuple(frozenset(kernel.unmask(key)) for key in sorted(keys, key=_bits))
 
 
 def check_gn1nf(graph: Graph) -> NormalFormReport:
@@ -83,15 +94,14 @@ def check_gn1nf(graph: Graph) -> NormalFormReport:
     return NormalFormReport(NormalForm.GN1NF, True)
 
 
-def _lhs_candidates(scope: Pattern, deps: list[GoFd]) -> list[frozenset[Variable]]:
+def _lhs_candidates(kernel: ClosureKernel, deps: list[GoFd]) -> list[int]:
     """Left sides worth testing: unions of schema left sides plus single variables."""
-    unions: set[frozenset[Variable]] = set()
+    unions: set[int] = set()
     for dep in deps:
-        extended = {dep.lhs} | {u | dep.lhs for u in unions}
-        unions |= extended
-    singles = {frozenset([v]) for v in attrs(scope)}
-    out = unions | singles
-    return sorted(out, key=lambda s: (len(s), tuple(sorted(map(var_sort_key, s)))))
+        lhs = kernel.mask(dep.lhs)
+        unions |= {lhs} | {u | lhs for u in unions}
+    unions.update(1 << i for i in range(len(kernel.variables)))
+    return sorted(unions, key=lambda m: (m.bit_count(), _bits(m)))
 
 
 def check_scoped(form: NormalForm, scope: Pattern, schema: Iterable[GoFd],
@@ -100,34 +110,37 @@ def check_scoped(form: NormalForm, scope: Pattern, schema: Iterable[GoFd],
 
     Every non-trivial dependency entailed for the scope must have a superkey
     left side; the third normal form also accepts a right side that is part
-    of some candidate key.  Entailed dependencies are enumerated with left
-    sides drawn from unions of schema left sides plus single variables, and
-    single-variable right sides.
+    of some candidate key.  The entailed dependencies listed are ``X => v``
+    for every left side ``X`` that is a union of one or more left sides of
+    the applicable dependencies, or a single variable, and is not a
+    superkey; ``v`` ranges over the closure of ``X`` outside ``X``, minus
+    the prime variables for the third form.  Left sides come by size and
+    then variables, right sides by variable.  Scopes with more than
+    ``max_attrs`` attributes are refused for both forms.
     """
     if form is NormalForm.GN2NF:
         return NormalFormReport(NormalForm.GN2NF, True)
     if form not in (NormalForm.GN3NF, NormalForm.GNBCNF):
         raise ValueError(f"per-scope check expects 3nf or bcnf, got {form.value}")
+    _check_size(scope, max_attrs)
     deps = list(applicable_deps(schema, scope))
-    universe = attrs(scope)
-    prime: set[Variable] = set()
+    kernel = ClosureKernel.for_scope(scope, deps)
+    prime = 0
     if form is NormalForm.GN3NF:
         for key in candidate_keys(scope, deps, max_attrs=max_attrs):
-            prime |= key
+            prime |= kernel.mask(key)
+    reason = (ViolationReason.NOT_SUPERKEY if form is NormalForm.GNBCNF
+              else ViolationReason.NOT_PRIME)
+    scope_text = render_pattern(scope)
     violations: list[Violation] = []
-    for lhs in _lhs_candidates(scope, deps):
-        implied = scope_closure(lhs, deps, scope)
-        if implied == universe:
+    for lhs in _lhs_candidates(kernel, deps):
+        implied = kernel.close(lhs)
+        if implied == kernel.full:
             continue  # superkey left side cannot violate
-        for rhs in sorted(implied - lhs, key=var_sort_key):
-            if form is NormalForm.GN3NF and rhs in prime:
-                continue
-            reason = (ViolationReason.NOT_SUPERKEY if form is NormalForm.GNBCNF
-                      else ViolationReason.NOT_PRIME)
-            violations.append(Violation(render_pattern(scope),
-                                        gofd(scope, lhs, [rhs]).render(), reason))
-    unique = tuple(dict.fromkeys(violations))
-    return NormalFormReport(form, not unique, unique)
+        left = kernel.unmask(lhs)
+        for rhs in kernel.unmask(implied & ~lhs & ~prime):
+            violations.append(Violation(scope_text, gofd(scope, left, [rhs]).render(), reason))
+    return NormalFormReport(form, not violations, tuple(violations))
 
 
 def check_gn_nf(form: NormalForm, schema: Iterable[GoFd], graph: Graph | None = None,

@@ -15,6 +15,8 @@ import json
 import random
 from typing import Iterable
 
+from itertools import combinations
+
 from gonorm import (
     Direction,
     EdgeOnlyPattern,
@@ -22,14 +24,22 @@ from gonorm import (
     Graph,
     NodeEdgePattern,
     NodePattern,
+    NormalForm,
     ObjectVar,
     Pattern,
     PropVar,
     Variable,
+    Violation,
+    ViolationReason,
+    applicable_deps,
+    attrs,
     edge_pattern,
     gofd,
     node_edge_pattern,
     node_pattern,
+    render_pattern,
+    restrict,
+    structurally_implied,
 )
 from gonorm.graph import Atomic, graph_to_dict
 
@@ -161,6 +171,117 @@ def oracle_closure(seed: Iterable[Variable], deps: Iterable[GoFd],
             continue
         best &= cand
     return best
+
+
+# -- schema reasoning on frozensets ---------------------------------------
+#
+# The enumerations below are the library's former frozenset implementations
+# of candidate keys, per-scope normal forms and minimal covers, with every
+# closure taken by ``oracle_closure``.  The library's bit-mask versions must
+# agree with them exactly, order included.
+
+def _sort_key(var: Variable) -> tuple[str, str]:
+    # the library's variable order: an object variable before its properties
+    return (var.name, "" if isinstance(var, ObjectVar) else var.key)
+
+
+def _set_key(variables: Iterable[Variable]) -> tuple:
+    return tuple(sorted(map(_sort_key, variables)))
+
+
+def _scope_closure(seed: Iterable[Variable], deps: Iterable[GoFd],
+                   scope: Pattern) -> frozenset[Variable]:
+    return oracle_closure(seed, list(deps) + list(structurally_implied(scope)))
+
+
+def oracle_candidate_keys(scope: Pattern,
+                          deps: Iterable[GoFd]) -> tuple[frozenset[Variable], ...]:
+    """Subset-minimal superkeys of the scope, by size, ordered by variables."""
+    universe = sorted(attrs(scope), key=_sort_key)
+    deps = list(deps)
+    keys: list[frozenset[Variable]] = []
+    for size in range(1, len(universe) + 1):
+        for combo in combinations(universe, size):
+            candidate = frozenset(combo)
+            if any(key <= candidate for key in keys):
+                continue
+            if _scope_closure(candidate, deps, scope) == attrs(scope):
+                keys.append(candidate)
+    return tuple(sorted(keys, key=_set_key))
+
+
+def oracle_check_scoped(form: NormalForm, scope: Pattern,
+                        schema: Iterable[GoFd]) -> tuple[Violation, ...]:
+    """Violations of the third or Boyce-Codd normal form on one scope, in order.
+
+    Left sides are the unions of applicable left sides plus single
+    variables, by size and then variables; right sides single variables.
+    """
+    deps = list(applicable_deps(schema, scope))
+    universe = attrs(scope)
+    prime: set[Variable] = set()
+    if form is NormalForm.GN3NF:
+        for key in oracle_candidate_keys(scope, deps):
+            prime |= key
+    unions: set[frozenset[Variable]] = set()
+    for dep in deps:
+        unions |= {dep.lhs} | {u | dep.lhs for u in unions}
+    lefts = unions | {frozenset([v]) for v in universe}
+    violations: list[Violation] = []
+    for lhs in sorted(lefts, key=lambda s: (len(s), _set_key(s))):
+        implied = _scope_closure(lhs, deps, scope)
+        if implied == universe:
+            continue
+        for rhs in sorted(implied - lhs, key=_sort_key):
+            if form is NormalForm.GN3NF and rhs in prime:
+                continue
+            reason = (ViolationReason.NOT_SUPERKEY if form is NormalForm.GNBCNF
+                      else ViolationReason.NOT_PRIME)
+            violations.append(Violation(render_pattern(scope),
+                                        gofd(scope, lhs, [rhs]).render(), reason))
+    return tuple(dict.fromkeys(violations))
+
+
+def oracle_minimal_cover(deps: Iterable[GoFd]) -> tuple[GoFd, ...]:
+    """Minimal cover of same-scope dependencies, in the library's order.
+
+    Right sides are split, left sides reduced one variable at a time in
+    variable order, members tested for redundancy in text order, and right
+    sides recombined per left side.
+    """
+    pool = list(deps)
+    if not pool:
+        return ()
+    scope = pool[0].scope
+    pool = [restrict(dep, scope) for dep in pool]
+    structural = list(structurally_implied(scope))
+    split: list[GoFd] = []
+    seen: set[str] = set()
+    for dep in sorted(pool, key=lambda d: d.render()):
+        for var in sorted(dep.rhs - dep.lhs, key=_sort_key):
+            candidate = gofd(scope, dep.lhs, [var])
+            if candidate.render() not in seen:
+                seen.add(candidate.render())
+                split.append(candidate)
+    current = list(split)
+    for i, dep in enumerate(current):
+        lhs = set(dep.lhs)
+        for var in sorted(dep.lhs, key=_sort_key):
+            if len(lhs) == 1:
+                break
+            if dep.rhs <= oracle_closure(lhs - {var}, current + structural):
+                lhs -= {var}
+        current[i] = gofd(scope, lhs, dep.rhs)
+    kept = list(dict.fromkeys(current))
+    for dep in sorted(kept, key=lambda d: d.render()):
+        rest = [d for d in kept if d is not dep]
+        if dep.rhs <= oracle_closure(dep.lhs, rest + structural):
+            kept = rest
+    grouped: dict[tuple, set[Variable]] = {}
+    for dep in kept:
+        grouped.setdefault(tuple(sorted(dep.lhs, key=_sort_key)), set()).update(dep.rhs)
+    combined = [gofd(scope, key, rhs) for key, rhs in grouped.items()]
+    return tuple(sorted(combined, key=lambda d: d.render()))
 
 
 # -- redundancy-potential oracle ------------------------------------------

@@ -147,14 +147,16 @@ def test_nf_first_form_needs_a_graph(capsys, tmp_path):
 
 
 def test_nf_size_limit_is_an_input_error(capsys, tmp_path):
+    # disjoint single left sides: the Boyce-Codd check would list every union
     wide = ",".join(f"k{i}" for i in range(12))
-    schema = write(tmp_path, "wide.gofd",
-                   f"(x:{{A}}:{{{wide}}})::x.k0=>x.k1\n")
-    code, _, err = run(capsys, "nf", "--schema", schema, "--form", "3nf")
-    assert code == 2 and "attributes" in err
-    code, _, _ = run(capsys, "nf", "--schema", schema, "--form", "3nf",
-                     "--max-attrs", "13")
-    assert code == 1  # computable once the limit is raised; k0=>k1 violates
+    deps = "".join(f"(x:{{A}}:{{{wide}}})::x.k{i}=>x.k{i + 1}\n" for i in range(0, 12, 2))
+    schema = write(tmp_path, "wide.gofd", deps)
+    for form in ("bcnf", "3nf"):
+        code, out, err = run(capsys, "nf", "--schema", schema, "--form", form)
+        assert code == 2 and "attributes" in err and out == ""
+        code, out, _ = run(capsys, "nf", "--schema", schema, "--form", form,
+                           "--max-attrs", "13")
+        assert code == 1 and f"{form}: violated" in out  # computable once raised
 
 
 # -- normalize -------------------------------------------------------------

@@ -33,7 +33,13 @@ from gonorm import (
     structurally_implied,
 )
 
-from oracles import oracle_closure, oracle_satisfies, random_graph, random_pattern
+from oracles import (
+    oracle_closure,
+    oracle_minimal_cover,
+    oracle_satisfies,
+    random_graph,
+    random_pattern,
+)
 
 NODE3 = node_pattern("x", {"A"}, {"a", "b", "c"})
 
@@ -202,6 +208,29 @@ def test_closure_agrees_with_subset_oracle(seed):
     assert closure(seed_vars, deps) == oracle_closure(seed_vars, deps)
 
 
+def random_node_edge_scope(rng: random.Random):
+    return node_edge_pattern("x", {"A"}, rng.sample(["a", "b", "c"], rng.randint(0, 3)),
+                             "y", {"R"}, rng.sample(["u", "v"], rng.randint(0, 2)),
+                             rng.choice((Direction.OUT, Direction.IN)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_scope_closure_on_node_edge_scopes_agrees_with_oracle(seed):
+    # the structural edge => node axiom carries the edge's closure to the node
+    rng = random.Random(seed)
+    scope = random_node_edge_scope(rng)
+    universe = sorted(attrs(scope), key=lambda v: (v.name, getattr(v, "key", "")))
+    deps = [gofd(scope, rng.sample(universe, rng.randint(1, 2)),
+                 rng.sample(universe, rng.randint(1, 2)))
+            for _ in range(rng.randint(0, 3))]
+    seed_vars = rng.sample(universe, rng.randint(1, 2))
+    if rng.random() < 0.5:
+        seed_vars.append(ObjectVar("y"))
+    expected = oracle_closure(seed_vars, deps + list(structurally_implied(scope)))
+    assert scope_closure(seed_vars, deps, scope) == expected
+
+
 # -- schema-level reasoning ------------------------------------------------
 
 def course_like() -> tuple:
@@ -294,7 +323,21 @@ def test_minimal_cover_is_equivalent_to_input(seed):
         rhs = rng.sample(pool, rng.randint(1, 2))
         deps.append(gofd(scope, lhs, rhs))
     cover = minimal_cover(deps)
+    assert cover == oracle_minimal_cover(deps)
     for dep in deps:
         assert implies(cover, dep)
     for dep in cover:
         assert implies(deps, dep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_minimal_cover_on_node_edge_scopes_agrees_with_oracle(seed):
+    # object variables on both sides, so the structural axioms take part
+    rng = random.Random(seed)
+    scope = random_node_edge_scope(rng)
+    pool = sorted(attrs(scope), key=lambda v: (v.name, getattr(v, "key", "")))
+    deps = [gofd(scope, rng.sample(pool, rng.randint(1, min(3, len(pool)))),
+                 rng.sample(pool, rng.randint(1, 2)))
+            for _ in range(rng.randint(1, 6))]
+    assert minimal_cover(deps) == oracle_minimal_cover(deps)

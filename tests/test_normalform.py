@@ -16,10 +16,14 @@ from gonorm import (
     ObjectVar,
     PropVar,
     SizeLimit,
+    UnboundVariable,
     ViolationReason,
+    applicable_deps,
+    attrs,
     check_gn1nf,
     check_gn_nf,
     check_scoped,
+    edge_pattern,
     gofd,
     node_edge_pattern,
     node_pattern,
@@ -27,6 +31,7 @@ from gonorm import (
 from gonorm.normalform import candidate_keys, is_superkey
 
 from conftest import fixture_graph
+from oracles import generalize, oracle_candidate_keys, oracle_check_scoped
 
 
 def pv(name: str, key: str) -> PropVar:
@@ -69,6 +74,8 @@ def test_object_variable_alone_keys_a_node_scope():
     assert candidate_keys(scope, []) == (frozenset({ObjectVar("x")}),)
     assert is_superkey([ObjectVar("x")], scope, [])
     assert not is_superkey([pv("x", "a")], scope, [])
+    with pytest.raises(UnboundVariable):
+        is_superkey([pv("x", "elsewhere")], scope, [])
 
 
 def test_edge_variable_alone_keys_a_node_edge_scope():
@@ -136,6 +143,78 @@ def test_event_scope_fails_both_strong_forms():
     }
     assert all(v.reason is ViolationReason.NOT_PRIME for v in r3.violations)
     assert not check_scoped(NormalForm.GNBCNF, EVENT, EVENT_DEPS).holds
+
+
+def test_violations_come_by_left_side_size_then_variables():
+    scope = node_pattern("x", {"A"}, {"a", "b", "c", "d", "e"})
+    deps = [gofd(scope, [pv("x", "b"), pv("x", "c")], [pv("x", "e")]),
+            gofd(scope, [pv("x", "a"), pv("x", "d")], [pv("x", "e")]),
+            gofd(scope, [pv("x", "c")], [pv("x", "d")])]
+    report = check_scoped(NormalForm.GNBCNF, scope, deps)
+    # left sides: unions of {b,c}, {a,d} and {c}, and single variables
+    assert [v.dependency.split("::")[1] for v in report.violations] == [
+        "x.c=>x.d", "x.a,x.d=>x.e", "x.b,x.c=>x.d", "x.b,x.c=>x.e",
+        "x.a,x.c,x.d=>x.e", "x.a,x.b,x.c,x.d=>x.e"]
+
+
+def test_both_strong_forms_refuse_oversized_scopes():
+    wide = node_pattern("x", {"A"}, {f"k{i}" for i in range(12)})
+    deps = [gofd(wide, [pv("x", f"k{i}")], [pv("x", f"k{i + 1}")]) for i in (0, 2, 4)]
+    for form in (NormalForm.GNBCNF, NormalForm.GN3NF):
+        with pytest.raises(SizeLimit):
+            check_scoped(form, wide, deps)
+        assert not check_scoped(form, wide, deps, max_attrs=13).holds
+
+
+def random_scope(rng: random.Random):
+    def keys(pool: list[str]) -> list[str]:
+        return rng.sample(pool, rng.randint(len(pool) // 2, len(pool)))
+
+    shape = rng.choice(("node", "edge", "node-edge"))
+    if shape == "node":
+        return node_pattern("x", {"A", "B"}, keys(["a", "b", "c", "d", "e"]))
+    if shape == "edge":
+        return edge_pattern("y", {"R"}, keys(["u", "v", "w", "z"]))
+    return node_edge_pattern("x", {"A", "B"}, keys(["a", "b"]), "y", {"R"},
+                             keys(["u", "v", "w"]), rng.choice((Direction.OUT, Direction.IN)))
+
+
+def random_schema_dep(rng: random.Random, source):
+    """Mostly property left sides, so that few left sides are keys."""
+    pool = sorted(attrs(source), key=lambda v: (v.name, getattr(v, "key", "")))
+    props = [v for v in pool if isinstance(v, PropVar)]
+    if props and rng.random() < 0.85:
+        lhs = rng.sample(props, rng.randint(1, min(2, len(props))))
+    else:
+        lhs = [rng.choice(pool)]
+    rest = [v for v in props if v not in lhs]
+    if not rest or rng.random() < 0.15:
+        rest = pool
+    return gofd(source, lhs, rng.sample(rest, rng.randint(1, min(2, len(rest)))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_check_scoped_and_candidate_keys_agree_with_oracles(seed):
+    # dependencies come from the scope itself, from patterns that generalize
+    # it, and from an unrelated pattern that never applies
+    rng = random.Random(seed)
+    scope = random_scope(rng)
+    schema = []
+    for _ in range(rng.randint(1, 7)):
+        roll = rng.random()
+        if roll < 0.3:
+            source = scope
+        elif roll < 0.9:
+            source = generalize(rng, scope)
+        else:
+            source = node_pattern("z", {"Z"}, {"a"})
+        schema.append(random_schema_dep(rng, source))
+    for form in (NormalForm.GNBCNF, NormalForm.GN3NF):
+        assert check_scoped(form, scope, schema).violations == \
+            oracle_check_scoped(form, scope, schema)
+    deps = applicable_deps(schema, scope)
+    assert candidate_keys(scope, deps) == oracle_candidate_keys(scope, deps)
 
 
 def test_all_prime_scope_separates_3nf_from_bcnf():
