@@ -27,7 +27,7 @@ from gonorm.cli import main
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
-PAIRS = ("university", "students", "metrics_example")
+PAIRS = ("university", "students", "metrics_example", "shipping")
 SCHEMAS = PAIRS + ("scenario_corpus",)
 OUT = "out"  # basename for normalize, relative so the log's paths are stable
 

@@ -290,7 +290,7 @@ def test_full_normalize_reaches_a_fixpoint():
     assert {d.render() for d in again.schema} == {d.render() for d in first.schema}
 
 
-@pytest.mark.parametrize("name", ["university", "students", "metrics_example"])
+@pytest.mark.parametrize("name", ["university", "students", "metrics_example", "shipping"])
 def test_bundled_fixtures_invert_with_plans_in_any_order(name):
     graph = fixture_graph(f"{name}.graph.json")
     result = full_normalize(graph, fixture_schema(f"{name}.schema.gofd").schema)
