@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .errors import ParseError
 from .gofd import GnSchema, GoFd, gofd
@@ -35,13 +35,16 @@ from .pattern import (
     render_var,
 )
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_MULTI = ("::", "]->", "<-[", "-[", "]-", "=>")
-_SINGLES = "(){}:,."
+# Splits a line into whitespace runs, multi-character tokens, identifiers and
+# single characters; ``.`` takes any other character, so the pieces cover the
+# line end to end and each column is the sum of the lengths before it.
+_PIECE = re.compile(r"\s+|::|\]->|<-\[|-\[|\]-|=>|[A-Za-z_][A-Za-z0-9_]*|.", re.DOTALL)
+_KIND = {text: text for text in ("::", "]->", "<-[", "-[", "]-", "=>", *"(){}:,.")}
+_KIND.update({"⇒": "=>", "∅": "empty"})  # fancy arrow, empty-set sign
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     column: int
@@ -49,35 +52,19 @@ class _Token:
 
 def _tokenize(text: str, line: int) -> list[_Token]:
     out: list[_Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "⇒":  # fancy arrow, same as =>
-            out.append(_Token("=>", ch, i + 1))
-            i += 1
-            continue
-        if ch == "∅":  # empty-set sign, same as {}
-            out.append(_Token("empty", ch, i + 1))
-            i += 1
-            continue
-        for multi in _MULTI:
-            if text.startswith(multi, i):
-                out.append(_Token(multi, multi, i + 1))
-                i += len(multi)
-                break
-        else:
-            if ch in _SINGLES:
-                out.append(_Token(ch, ch, i + 1))
-                i += 1
+    column = 1
+    for piece in _PIECE.findall(text):
+        kind = _KIND.get(piece)
+        if kind is None:
+            if piece[0] in _IDENT_START:
+                kind = "ident"
+            elif piece[0].isspace():
+                column += len(piece)
+                continue
             else:
-                match = _IDENT.match(text, i)
-                if not match:
-                    raise ParseError(f"unexpected character {ch!r}", line, i + 1)
-                out.append(_Token("ident", match.group(), i + 1))
-                i = match.end()
+                raise ParseError(f"unexpected character {piece!r}", line, column)
+        out.append(_Token(kind, piece, column))
+        column += len(piece)
     out.append(_Token("end", "", len(text) + 1))
     return out
 

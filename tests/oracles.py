@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from typing import Iterable
 
 from itertools import combinations
@@ -26,6 +27,7 @@ from gonorm import (
     NodePattern,
     NormalForm,
     ObjectVar,
+    ParseError,
     Pattern,
     PropVar,
     Variable,
@@ -142,6 +144,51 @@ def oracle_dump_graph(graph: Graph) -> str:
     """The graph file text as ``json.dumps`` writes it with ``indent=2``."""
     return json.dumps(graph_to_dict(graph), indent=2, ensure_ascii=False,
                       allow_nan=False) + "\n"
+
+
+# -- tokenizer ---------------------------------------------------------------
+
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_MULTI = ("::", "]->", "<-[", "-[", "]-", "=>")
+_SINGLES = "(){}:,."
+
+
+def oracle_tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
+    """``(kind, text, column)`` of each token of one line, character by
+    character: at each position every multi-character token is tried with
+    ``str.startswith`` before the single characters and identifiers."""
+    out: list[tuple[str, str, int]] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "⇒":
+            out.append(("=>", ch, i + 1))
+            i += 1
+            continue
+        if ch == "∅":
+            out.append(("empty", ch, i + 1))
+            i += 1
+            continue
+        for multi in _MULTI:
+            if text.startswith(multi, i):
+                out.append((multi, multi, i + 1))
+                i += len(multi)
+                break
+        else:
+            if ch in _SINGLES:
+                out.append((ch, ch, i + 1))
+                i += 1
+            else:
+                match = _IDENT.match(text, i)
+                if not match:
+                    raise ParseError(f"unexpected character {ch!r}", line, i + 1)
+                out.append(("ident", match.group(), i + 1))
+                i = match.end()
+    out.append(("end", "", len(text) + 1))
+    return out
 
 
 # -- closure oracle --------------------------------------------------------

@@ -30,7 +30,9 @@ from gonorm import (
 )
 
 from conftest import FIXTURES
-from oracles import random_pattern
+from gonorm.parser import _tokenize
+
+from oracles import oracle_tokenize, random_pattern
 
 
 def pv(name: str, key: str) -> PropVar:
@@ -132,6 +134,29 @@ def test_error_message_carries_location_text():
     with pytest.raises(ParseError) as caught:
         parse_schema("(x:{A}:{k})::x.k=>x\n(x:{A}:{k})::x.k=>$\n")
     assert "line 2" in str(caught.value)
+
+
+# Token pieces, each spelling of a token, and characters that are none: a
+# lone "-", "<", "]" or "=", a digit first, non-ASCII letters, Unicode spaces.
+_PIECES = ("::", "]->", "<-[", "-[", "]-", "=>", "⇒", "∅", "(", ")", "{", "}", ":",
+           ",", ".", "x", "_e", "Course9", " ", "\t", "\u00a0", "\u2028", "\x1c",
+           "-", "<", "]", "=", ">", "[", "$", "#", "7", "é", "ß", "\u0130", "\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_PIECES), st.characters()), max_size=30),
+       st.integers(1, 99))
+def test_tokenizer_agrees_with_character_scan(pieces, line):
+    text = "".join(pieces)
+    try:
+        expected = oracle_tokenize(text, line)
+    except ParseError as error:
+        with pytest.raises(ParseError) as caught:
+            _tokenize(text, line)
+        assert (caught.value.message, caught.value.line, caught.value.column) == \
+            (error.message, error.line, error.column)
+    else:
+        assert [tuple(token) for token in _tokenize(text, line)] == expected
 
 
 # -- round-trips -----------------------------------------------------------
