@@ -36,13 +36,13 @@ def check_atomic(value: Any) -> Atomic:
     raise FormatError(f"property values must be string/number/boolean, got {type(value).__name__}")
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeRecord:
     labels: set[str] = field(default_factory=set)
     props: dict[str, Atomic] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class EdgeRecord:
     src: str
     tgt: str

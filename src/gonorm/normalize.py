@@ -27,9 +27,9 @@ from .transform import (
     NewNode,
     Transformation,
     TransformationKind,
+    _execute,
     build_plans,
     check_transformable,
-    execute_plans,
 )
 
 logger = logging.getLogger("gonorm")
@@ -79,12 +79,22 @@ def scoped_normalize(graph: Graph, schema: Iterable[GoFd], scope: Pattern,
     """Remove the redundancy one scope's dependencies describe.
 
     Raises ``UnsatisfiedDependency`` if the graph violates any dependency
-    applicable to the scope; nothing is changed in that case.  Cover members
-    are split to one determined variable each before planning, so a combined
-    right side never blocks its transformable parts.  A part that cannot be
-    transformed is kept with a warning: its left side mixes the node and
-    edge family, or the output could not tell which edges held a property
-    it moves off them (see ``check_transformable``).
+    applicable to the scope.  The input graph is never changed: the result
+    holds a normalized copy.  Cover members are split to one determined
+    variable each before planning, so a combined right side never blocks its
+    transformable parts.  A part that cannot be transformed is kept with a
+    warning: its left side mixes the node and edge family, or the output
+    could not tell which edges held a property it moves off them (see
+    ``check_transformable``).
+    """
+    return _normalize_scope(graph.copy(), schema, scope, max_witnesses)
+
+
+def _normalize_scope(graph: Graph, schema: Iterable[GoFd], scope: Pattern,
+                     max_witnesses: int) -> NormalizationResult:
+    """``scoped_normalize`` on ``graph`` itself, which the result holds.
+
+    If it raises, ``graph`` may be left half transformed.
     """
     schema = list(schema)
     log = PhaseLog(render_pattern(scope))
@@ -131,7 +141,7 @@ def scoped_normalize(graph: Graph, schema: Iterable[GoFd], scope: Pattern,
         merged = kept_parts[pos]
         untouched.append(gofd(merged[0].scope, merged[0].lhs,
                               frozenset().union(*(d.rhs for d in merged))))
-    result_graph = execute_plans(graph, plans)
+    _execute(graph, plans)
     if logger.isEnabledFor(logging.DEBUG):
         _log_pass(log.scope, len(matches), plans)
 
@@ -147,7 +157,7 @@ def scoped_normalize(graph: Graph, schema: Iterable[GoFd], scope: Pattern,
     for plan in plans:
         if plan.key_dependency is not None and result.add(plan.key_dependency):
             log.key_dependencies.append(plan.key_dependency.render())
-    return NormalizationResult(result_graph, result, [log])
+    return NormalizationResult(graph, result, [log])
 
 
 def _log_pass(scope: str, matches: int, plans: list[Transformation]) -> None:
@@ -189,16 +199,17 @@ def full_normalize(graph: Graph, schema: Iterable[GoFd],
                    max_witnesses: int = 5) -> NormalizationResult:
     """Normalize every scope of the schema, most specific first.
 
-    The scope list is fixed up front; scopes of key dependencies created
-    along the way describe already-normalized value nodes and are not
-    processed again.
+    The input graph is copied once and never changed; every pass works on
+    that copy, which the result holds.  The scope list is fixed up front;
+    scopes of key dependencies created along the way describe
+    already-normalized value nodes and are not processed again.
     """
     current = GnSchema(schema)
     order = sort_scopes(current.scopes())
     logs: list[PhaseLog] = []
-    out = graph
+    out = graph.copy()
     for scope in order:
-        step = scoped_normalize(out, current, scope, max_witnesses=max_witnesses)
-        out, current = step.graph, step.schema
+        step = _normalize_scope(out, current, scope, max_witnesses)
+        current = step.schema
         logs.extend(step.logs)
     return NormalizationResult(out, current, logs)

@@ -159,8 +159,8 @@ def created_edge_id(label: str, src: str, tgt: str) -> str:
 
 # -- primitive operations -------------------------------------------------
 
-# Named tuples, so that ``_PlanBuilder`` hashes and compares them in C.  No
-# two op types can be equal: a ``NewEdge``'s labels are a tuple where a
+# Named tuples, so that planning and execution hash and compare them in C.
+# No two op types can be equal: a ``NewEdge``'s labels are a tuple where a
 # ``MoveProp``'s value is atomic, and the other two differ in length.
 
 class NewNode(NamedTuple):
@@ -250,29 +250,16 @@ def _family_parts(scope: Pattern, role: str) -> tuple[frozenset[str], frozenset[
     return scope.edge_labels, scope.edge_keys
 
 
-class _PlanBuilder:
-    """Accumulates ops for one transformation, deduplicating repeats."""
-
-    def __init__(self) -> None:
-        self.ops: list[Op] = []
-        self._seen: set[Op] = set()
-
-    def add(self, op: Op) -> None:
-        if op not in self._seen:
-            self._seen.add(op)
-            self.ops.append(op)
-
-    def reify(self, graph: Graph, eid: str, prefix: str) -> str:
-        """Replace an edge by a node wired to both endpoints; returns its id."""
-        record = graph.edges[eid]
-        rid = reifier_id(eid)
-        self.add(NewNode(rid, tuple(sorted(record.labels))))
-        self.add(NewEdge(created_edge_id(f"{prefix}_src", record.src, rid),
-                         record.src, rid, (f"{prefix}_src",)))
-        self.add(NewEdge(created_edge_id(f"{prefix}_tgt", rid, record.tgt),
-                         rid, record.tgt, (f"{prefix}_tgt",)))
-        self.add(DelEdge(eid))
-        return rid
+def _reify(graph: Graph, eid: str, prefix: str) -> tuple[tuple[Op, ...], str]:
+    """The ops that replace an edge by a node wired to both endpoints, and the node's id."""
+    record = graph.edges[eid]
+    rid = reifier_id(eid)
+    return (NewNode(rid, tuple(sorted(record.labels))),
+            NewEdge(created_edge_id(f"{prefix}_src", record.src, rid),
+                    record.src, rid, (f"{prefix}_src",)),
+            NewEdge(created_edge_id(f"{prefix}_tgt", rid, record.tgt),
+                    rid, record.tgt, (f"{prefix}_tgt",)),
+            DelEdge(eid)), rid
 
 
 def _key_dependency(val_label: str, lhs_keys: Iterable[str],
@@ -282,16 +269,57 @@ def _key_dependency(val_label: str, lhs_keys: Iterable[str],
                 [ObjectVar("x")])
 
 
-def instantiate(graph: Graph, dep: GoFd, *, matches: Relation | None = None) -> Transformation:
-    """Plan the transformation for one dependency on one graph.
+class _Sweep(NamedTuple):
+    """What every part with one scope and left side plans alike.
 
-    The dependency must have a single right-side variable; recombined
-    dependencies are split by the caller and their plans merge naturally
-    because value nodes are named by left-side values alone.  Raises
-    ``NothingToDo`` when the descriptor shape carries no redundancy or when
-    the scope matches nothing.  ``matches`` may pass the scope's already
-    evaluated matches on ``graph``.
+    One row per match, in ``relation.ordered`` order: the match, the ops
+    planned before the part's own right-side move (the value node when its
+    name is new, the reification, the left-side moves), the value node's
+    id, and the link edge planned after that move.
     """
+
+    rows: list[tuple[tuple[Atomic, ...], list[Op], str, NewEdge]]
+    lhs_keys: list[str]
+    val_label: str
+
+
+def _sweep(graph: Graph, dep: GoFd, relation: Relation, roles: dict[str, str],
+           column: dict[Variable, int], owner: dict[str, int]) -> _Sweep:
+    lhs_role = roles[next(iter(dep.lhs)).name]
+    lhs_vars = sorted(dep.lhs, key=lambda var: var.key)  # PropVars only in these shapes
+    lhs_keys = [var.key for var in lhs_vars]
+    lhs_columns = [column[var] for var in lhs_vars]
+    owner_labels, _ = _family_parts(dep.scope, lhs_role)
+    val_label = skolem_label(owner_labels, lhs_keys)
+    source = owner[lhs_role]
+    reified = lhs_role == "edge"  # values leave the edge: reify it, link the reifier
+    prefix = reification_prefix(owner_labels)
+    link_label = f"{prefix}_det" if reified else val_label
+
+    names: dict[tuple[str, ...], str] = {}
+    rows = []
+    for values in relation.ordered:
+        lhs_values = tuple([values[pos] for pos in lhs_columns])
+        name_key = tuple(map(value_key, lhs_values))
+        vid = names.get(name_key)
+        head: list[Op] = []
+        if vid is None:
+            vid = names[name_key] = skolem_node_id("val", owner_labels, zip(lhs_keys, lhs_values))
+            head.append(NewNode(vid, (val_label,)))
+        link = obj = values[source]
+        if reified:
+            reification, link = _reify(graph, obj, prefix)
+            head += reification
+        head += [MoveProp(obj, key, vid, value) for key, value in zip(lhs_keys, lhs_values)]
+        rows.append((values, head, vid,
+                     NewEdge(created_edge_id(link_label, link, vid), link, vid, (link_label,))))
+    return _Sweep(rows, lhs_keys, val_label)
+
+
+def _instantiate(graph: Graph, dep: GoFd, matches: Relation | None,
+                 sweeps: dict[tuple[Pattern, frozenset[Variable]], _Sweep]) -> Transformation:
+    """``instantiate``, reusing the sweep of an earlier part with the same
+    scope and left side from ``sweeps``, or adding this part's there."""
     if len(dep.rhs) != 1:
         raise ValueError("one right-side variable per transformation; split the dependency")
     kind = match_redundancy_pattern(dep)
@@ -305,48 +333,44 @@ def instantiate(graph: Graph, dep: GoFd, *, matches: Relation | None = None) -> 
     column = {var: pos for pos, var in enumerate(relation.variables)}
     owner = {roles[var.name]: pos for var, pos in column.items() if isinstance(var, ObjectVar)}
     rhs = next(iter(dep.rhs))
-    plan = _PlanBuilder()
-    add = plan.add
     if kind is TransformationKind.BETWEEN_N_EP:
         edge, node, value = owner["edge"], owner["node"], column[rhs]
-        for values in relation.ordered:
-            add(MoveProp(values[edge], rhs.key, values[node], values[value]))
-        return Transformation(dep, kind, len(relation.rows), plan.ops)
+        ops = [MoveProp(values[edge], rhs.key, values[node], values[value])
+               for values in relation.ordered]
+        return Transformation(dep, kind, len(relation.rows), list(dict.fromkeys(ops)))
 
-    lhs_role = roles[next(iter(dep.lhs)).name]
-    lhs_vars = sorted(dep.lhs, key=lambda var: var.key)  # PropVars only in these shapes
-    lhs_keys = [var.key for var in lhs_vars]
-    lhs_columns = [column[var] for var in lhs_vars]
-    owner_labels, _ = _family_parts(dep.scope, lhs_role)
-    val_label = skolem_label(owner_labels, lhs_keys)
-    val_keys = list(lhs_keys)
-    rhs_slot = None  # columns of the right side's owner and value, if it is a property
+    sweep = sweeps.get((dep.scope, dep.lhs))
+    if sweep is None:
+        sweep = sweeps[(dep.scope, dep.lhs)] = _sweep(graph, dep, relation, roles, column, owner)
+    ops = []
+    val_keys = list(sweep.lhs_keys)
     if isinstance(rhs, PropVar):
         val_keys.append(rhs.key)
-        rhs_slot = (owner[roles[rhs.name]], column[rhs])
-    key_dep = _key_dependency(val_label, lhs_keys, val_keys)
-    source = owner[lhs_role]
-    reified = lhs_role == "edge"  # values leave the edge: reify it, link the reifier
-    prefix = reification_prefix(owner_labels)
-    link_label = f"{prefix}_det" if reified else val_label
+        source, value = owner[roles[rhs.name]], column[rhs]
+        for values, head, vid, link in sweep.rows:
+            ops += head
+            ops.append(MoveProp(values[source], rhs.key, vid, values[value]))
+            ops.append(link)
+    else:
+        for _, head, _, link in sweep.rows:
+            ops += head
+            ops.append(link)
+    key_dep = _key_dependency(sweep.val_label, sweep.lhs_keys, val_keys)
+    return Transformation(dep, kind, len(relation.rows), list(dict.fromkeys(ops)),
+                          key_dep, sweep.val_label)
 
-    names: dict[tuple[str, ...], str] = {}
-    for values in relation.ordered:
-        lhs_values = tuple([values[pos] for pos in lhs_columns])
-        name_key = tuple(map(value_key, lhs_values))
-        vid = names.get(name_key)
-        if vid is None:
-            vid = names[name_key] = skolem_node_id("val", owner_labels, zip(lhs_keys, lhs_values))
-            add(NewNode(vid, (val_label,)))
-        obj = values[source]
-        link = plan.reify(graph, obj, prefix) if reified else obj
-        for key, value in zip(lhs_keys, lhs_values):
-            add(MoveProp(obj, key, vid, value))
-        if rhs_slot is not None:
-            add(MoveProp(values[rhs_slot[0]], rhs.key, vid, values[rhs_slot[1]]))
-        add(NewEdge(created_edge_id(link_label, link, vid), link, vid, (link_label,)))
 
-    return Transformation(dep, kind, len(relation.rows), plan.ops, key_dep, val_label)
+def instantiate(graph: Graph, dep: GoFd, *, matches: Relation | None = None) -> Transformation:
+    """Plan the transformation for one dependency on one graph.
+
+    The dependency must have a single right-side variable; recombined
+    dependencies are split by the caller and their plans merge naturally
+    because value nodes are named by left-side values alone.  Raises
+    ``NothingToDo`` when the descriptor shape carries no redundancy or when
+    the scope matches nothing.  ``matches`` may pass the scope's already
+    evaluated matches on ``graph``.
+    """
+    return _instantiate(graph, dep, matches, {})
 
 
 def build_plans(graph: Graph, deps: Iterable[GoFd], *, matches: Relation | None = None
@@ -354,46 +378,60 @@ def build_plans(graph: Graph, deps: Iterable[GoFd], *, matches: Relation | None 
     """Plan every transformable dependency and coordinate shared edges.
 
     Returns the plans plus the dependencies that produced none, each with the
-    shape it matched.  Coordination: when an edge is deleted, its properties
-    that no plan moved anywhere migrate to the reifier node, so the edge's
+    shape it matched.  Dependencies with the same scope and left side, like
+    the parts of one split dependency, are planned from one sweep over the
+    matches.  Coordination: when an edge is deleted, its properties that no
+    plan moved anywhere migrate to the reifier node, so the edge's
     incidental data survives.  Migration ops are attached to the first plan
     that deletes the edge.  ``matches`` may pass the already evaluated
     matches of the one scope all ``deps`` share.
     """
     plans: list[Transformation] = []
     leftovers: list[tuple[GoFd, TransformationKind]] = []
+    sweeps: dict[tuple[Pattern, frozenset[Variable]], _Sweep] = {}
     for dep in deps:
         kind = match_redundancy_pattern(dep)
         if kind is TransformationKind.NO_REDUNDANCY:
             leftovers.append((dep, kind))
             continue
         try:
-            plans.append(instantiate(graph, dep, matches=matches))
+            plans.append(_instantiate(graph, dep, matches, sweeps))
         except NothingToDo:
             leftovers.append((dep, kind))
 
-    claimed: dict[str, set[str]] = {}
-    for plan in plans:
-        for obj, keys in plan.claimed.items():
-            claimed.setdefault(obj, set()).update(keys)
+    deleted = [plan.deleted_edges for plan in plans]
+    doomed = frozenset().union(*deleted)
+    claimed: dict[str, set[str]] = {eid: set() for eid in doomed}  # keys moved off
+    if doomed:
+        for plan in plans:
+            for op in plan.ops:
+                if isinstance(op, MoveProp) and op.source in doomed:
+                    claimed[op.source].add(op.key)
     migrated: set[str] = set()
-    for plan in plans:
-        for eid in sorted(plan.deleted_edges):
-            if eid in migrated:
-                continue
+    for plan, edges in zip(plans, deleted):
+        for eid in sorted(edges - migrated):
             migrated.add(eid)
             rid = reifier_id(eid)
             record = graph.edges[eid]
-            for key in sorted(set(record.props) - claimed.get(eid, set())):
+            for key in sorted(set(record.props) - claimed[eid]):
                 plan.ops.append(MoveProp(eid, key, rid, record.props[key]))
     return plans, leftovers
 
 
 # -- execution ------------------------------------------------------------
 
+def _op_key(op: Op) -> tuple:
+    """Equal for two ops exactly when their fields are equal, values by ``value_key``."""
+    if isinstance(op, MoveProp):
+        return op, value_key(op.value)
+    if isinstance(op, NewNode) and op.props:
+        return op, tuple([value_key(value) for _, value in op.props])
+    return op
+
+
 class _Executor:
     def __init__(self, graph: Graph) -> None:
-        self.out = graph.copy()
+        self.out = graph
         self.created_nodes: set[str] = set()
         self.created_edges: set[str] = set()
         self.assigned: dict[tuple[str, str], Atomic] = {}
@@ -446,16 +484,48 @@ class _Executor:
 
 
 def execute_plans(graph: Graph, plans: Iterable[Transformation]) -> Graph:
-    """Run plans against the graph, all creations first, then all removals."""
-    plans = list(plans)
+    """Run plans against a copy of the graph; the graph itself is unchanged.
+
+    Each distinct op runs once, all creations first, then all removals,
+    each in the order the ops first appear in the plans.
+    """
+    return _execute(graph.copy(), plans)
+
+
+def _execute(graph: Graph, plans: Iterable[Transformation]) -> Graph:
+    """``execute_plans`` on ``graph`` itself, which it changes and returns."""
     executor = _Executor(graph)
+    ops = _distinct_ops(plans)
+    for op in ops:
+        executor.create(op)
+    for op in ops:
+        executor.remove(op)
+    return graph
+
+
+def _distinct_ops(plans: Iterable[Transformation]) -> list[Op]:
+    """The plans' ops, each once, in the order they first appear.
+
+    Two ops are the same when their fields are equal, values by
+    ``value_key``: a ``1`` and a ``True`` moved to one slot are two ops, so
+    the executor still sees them conflict.  Plans of one sweep share their
+    op objects, so most repeats are caught by identity.
+    """
+    first: dict[Op, Op] = {}  # the first op of each class Python equality makes
+    others: set[tuple] = set()  # ops that class holds beyond its first, by _op_key
+    out: list[Op] = []
     for plan in plans:
         for op in plan.ops:
-            executor.create(op)
-    for plan in plans:
-        for op in plan.ops:
-            executor.remove(op)
-    return executor.out
+            seen = first.get(op)
+            if seen is None:
+                first[op] = op
+                out.append(op)
+            elif seen is not op:
+                key = _op_key(op)
+                if key != _op_key(seen) and key not in others:
+                    others.add(key)
+                    out.append(op)
+    return out
 
 
 def apply_all(graph: Graph, deps: Iterable[GoFd],

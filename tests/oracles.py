@@ -41,9 +41,24 @@ from gonorm import (
     node_pattern,
     render_pattern,
     restrict,
+    variable_roles,
     structurally_implied,
 )
-from gonorm.graph import Atomic, graph_to_dict
+from gonorm.graph import Atomic, graph_to_dict, value_key
+from gonorm.transform import (
+    DelEdge,
+    MoveProp,
+    NewEdge,
+    NewNode,
+    Op,
+    TransformationKind,
+    created_edge_id,
+    match_redundancy_pattern,
+    reification_prefix,
+    reifier_id,
+    skolem_label,
+    skolem_node_id,
+)
 
 # Shared vocabulary.  Structural keys for nodes and edges are disjoint so a
 # moved property can never collide with an unrelated one, and "nz"/"ez" are
@@ -189,6 +204,93 @@ def oracle_tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
                 i = match.end()
     out.append(("end", "", len(text) + 1))
     return out
+
+
+# -- planner -----------------------------------------------------------------
+
+def oracle_instantiate(graph: Graph, dep: GoFd, rows) -> list[Op]:
+    """The ops of one single-right-side part, planned on its own.
+
+    ``rows`` are the scope's matches on ``graph`` as a ``Relation``.  Every
+    match is swept for this part alone, and each op is kept the first time
+    it is made.
+    """
+    kind = match_redundancy_pattern(dep)
+    roles = variable_roles(dep.scope)
+    column = {var: pos for pos, var in enumerate(rows.variables)}
+    owner = {roles[var.name]: pos for var, pos in column.items()
+             if isinstance(var, ObjectVar)}
+    rhs = next(iter(dep.rhs))
+    ops: list[Op] = []
+
+    def add(op: Op) -> None:
+        if op not in ops:
+            ops.append(op)
+
+    if kind is TransformationKind.BETWEEN_N_EP:
+        for values in rows.ordered:
+            add(MoveProp(values[owner["edge"]], rhs.key, values[owner["node"]],
+                         values[column[rhs]]))
+        return ops
+
+    lhs_role = roles[next(iter(dep.lhs)).name]
+    lhs_vars = sorted(dep.lhs, key=lambda var: var.key)
+    if isinstance(dep.scope, NodeEdgePattern):
+        owner_labels = (dep.scope.node_labels if lhs_role == "node"
+                        else dep.scope.edge_labels)
+    else:
+        owner_labels = dep.scope.labels
+    val_label = skolem_label(owner_labels, [var.key for var in lhs_vars])
+    prefix = reification_prefix(owner_labels)
+    link_label = f"{prefix}_det" if lhs_role == "edge" else val_label
+    names: dict[tuple[str, ...], str] = {}
+    for values in rows.ordered:
+        lhs_values = [values[column[var]] for var in lhs_vars]
+        name_key = tuple(value_key(value) for value in lhs_values)
+        if name_key not in names:
+            names[name_key] = skolem_node_id(
+                "val", owner_labels, [(var.key, value) for var, value in zip(lhs_vars, lhs_values)])
+            add(NewNode(names[name_key], (val_label,)))
+        vid = names[name_key]
+        obj = link = values[owner[lhs_role]]
+        if lhs_role == "edge":
+            record = graph.edges[obj]
+            link = reifier_id(obj)
+            add(NewNode(link, tuple(sorted(record.labels))))
+            add(NewEdge(created_edge_id(f"{prefix}_src", record.src, link),
+                        record.src, link, (f"{prefix}_src",)))
+            add(NewEdge(created_edge_id(f"{prefix}_tgt", link, record.tgt),
+                        link, record.tgt, (f"{prefix}_tgt",)))
+            add(DelEdge(obj))
+        for var, value in zip(lhs_vars, lhs_values):
+            add(MoveProp(obj, var.key, vid, value))
+        if isinstance(rhs, PropVar):
+            add(MoveProp(values[owner[roles[rhs.name]]], rhs.key, vid, values[column[rhs]]))
+        add(NewEdge(created_edge_id(link_label, link, vid), link, vid, (link_label,)))
+    return ops
+
+
+def oracle_build_plans(graph: Graph, parts: Iterable[GoFd], rows):
+    """``(dependency, ops)`` of each part that plans something, and the
+    other parts: every part planned by ``oracle_instantiate``, then the
+    properties of each deleted edge that no plan moves are moved to its
+    reifier node, in the first plan that deletes the edge."""
+    plans: list[tuple[GoFd, list[Op]]] = []
+    leftovers: list[GoFd] = []
+    for dep in parts:
+        if match_redundancy_pattern(dep) is TransformationKind.NO_REDUNDANCY or not rows.rows:
+            leftovers.append(dep)
+        else:
+            plans.append((dep, oracle_instantiate(graph, dep, rows)))
+    claimed = {(op.source, op.key) for _, ops in plans for op in ops if isinstance(op, MoveProp)}
+    migrated: set[str] = set()
+    for _, ops in plans:
+        for eid in sorted({op.edge for op in ops if isinstance(op, DelEdge)} - migrated):
+            migrated.add(eid)
+            props = graph.edges[eid].props
+            ops.extend(MoveProp(eid, key, reifier_id(eid), props[key])
+                       for key in sorted(props) if (eid, key) not in claimed)
+    return plans, leftovers
 
 
 # -- closure oracle --------------------------------------------------------

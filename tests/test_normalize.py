@@ -20,6 +20,7 @@ from gonorm import (
     UnsatisfiedDependency,
     apply_all,
     dump_graph,
+    execute_plans,
     full_normalize,
     gofd,
     invert,
@@ -315,6 +316,76 @@ def test_full_normalize_propagates_violations():
     g.set_prop("p3", "city", "Rome")
     with pytest.raises(UnsatisfiedDependency):
         full_normalize(g, [gofd(PERSON, [pv("x", "city")], [pv("x", "zip")])])
+
+
+# -- the caller's graph is never changed -------------------------------------
+
+def shipping() -> tuple[Graph, list]:
+    """The bundled fixture, normalized in three passes: LEG, Order, Store."""
+    return (fixture_graph("shipping.graph.json"),
+            fixture_schema("shipping.schema.gofd").schema)
+
+
+def test_full_normalize_leaves_the_input_graph_unchanged():
+    graph, schema = shipping()
+    frozen = dump_graph(graph)
+    result = full_normalize(graph, schema)
+    assert [log.scope[:5] for log in result.logs] == ["()-[l", "(o:{O", "(s:{S"]
+    assert dump_graph(graph) == frozen
+    assert dump_graph(result.graph) != frozen
+
+
+@pytest.mark.parametrize("damage, error", [
+    # a squatter on an id the second pass generates
+    (lambda g: g.add_node({"Squatter"}, {}, node_id='sk:val|Order|customerID="ALFKI"'),
+     InvariantError),
+    # one customer's orders ship to two cities
+    (lambda g: g.set_prop("o2", "shipCity", "Hamburg"), UnsatisfiedDependency),
+], ids=["squatter", "violation"])
+def test_full_normalize_leaves_the_input_unchanged_when_a_later_pass_raises(damage, error):
+    graph, schema = shipping()
+    damage(graph)
+    frozen = dump_graph(graph)
+    passes = []
+    original = normalize_module.build_plans
+
+    def recording(g, parts, **kwargs):
+        passes.append(render_pattern(parts[0].scope))
+        return original(g, parts, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(normalize_module, "build_plans", recording)
+        with pytest.raises(error):
+            full_normalize(graph, schema)
+    assert passes[0].startswith("()-[l:{LEG}")  # the first pass ran
+    assert dump_graph(graph) == frozen
+
+
+def test_scoped_normalize_and_execute_plans_leave_their_input_unchanged():
+    graph, schema = shipping()
+    frozen = dump_graph(graph)
+    scopes = sort_scopes(dep.scope for dep in schema)
+    result = scoped_normalize(graph, schema, scopes[0])
+    assert dump_graph(graph) == frozen
+    assert dump_graph(result.graph) != frozen
+    plans = result.logs[0].transformations
+    assert dump_graph(execute_plans(graph, plans)) == dump_graph(result.graph)
+    assert dump_graph(graph) == frozen
+
+
+def test_full_normalize_copies_the_graph_once(monkeypatch):
+    graph, schema = shipping()
+    copies = []
+    original = Graph.copy
+
+    def counting(self):
+        copies.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Graph, "copy", counting)
+    result = full_normalize(graph, schema)
+    assert len(result.logs) == 3
+    assert copies == [graph]
 
 
 def record_evaluations(monkeypatch) -> list[str]:

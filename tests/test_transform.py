@@ -32,11 +32,13 @@ from gonorm import (
     match_redundancy_pattern,
     node_edge_pattern,
     node_pattern,
+    attrs,
     satisfies,
     skolem_label,
     skolem_node_id,
     verify_lossless,
 )
+from gonorm.pattern import var_sort_key
 from gonorm.transform import (
     DelEdge,
     MoveProp,
@@ -49,7 +51,7 @@ from gonorm.transform import (
     reifier_id,
 )
 
-from oracles import CASE_KINDS, random_satisfying_case
+from oracles import CASE_KINDS, LHS_POOL, oracle_build_plans, random_graph, random_satisfying_case
 
 
 def pv(name: str, key: str) -> PropVar:
@@ -344,15 +346,26 @@ def test_apply_all_refuses_violated_dependency_untouched():
 
 def test_executor_detects_conflicting_assignments():
     g = person_graph()
+    dep = gofd(PERSON, [pv("x", "city")], [pv("x", "zip")])
     # all but the first pair are equal in Python, not as JSON text
     for first, second in ((100, 200), (100, 100.0), (1, True), (0.0, -0.0)):
-        bad = Transformation(
-            gofd(PERSON, [pv("x", "city")], [pv("x", "zip")]),
-            TransformationKind.WITHIN_N, 2,
-            [NewNode("v", ("L",)), MoveProp("p1", "zip", "v", first),
-             MoveProp("p3", "zip", "v", second)])
+        bad = Transformation(dep, TransformationKind.WITHIN_N, 2,
+                             [NewNode("v", ("L",)), MoveProp("p1", "zip", "v", first),
+                              MoveProp("p3", "zip", "v", second)])
         with pytest.raises(InvariantError, match="conflicting values"):
             execute_plans(g, [bad])
+    # the same source and slot in two plans: two ops, though == merges them
+    for first, second in ((1, True), (100, 100.0), (0.0, -0.0)):
+        plans = [Transformation(dep, TransformationKind.WITHIN_N, 1,
+                                [NewNode("v", ("L",)), MoveProp("p1", "zip", "v", value)])
+                 for value in (first, second)]
+        with pytest.raises(InvariantError, match="conflicting values"):
+            execute_plans(g, plans)
+        plans = [Transformation(dep, TransformationKind.WITHIN_N, 1,
+                                [NewNode("v", ("L",), (("zip", value),))])
+                 for value in (first, second)]
+        with pytest.raises(InvariantError, match="conflicting values"):
+            execute_plans(g, plans)
 
 
 def test_executor_refuses_overwriting_existing_property():
@@ -383,6 +396,41 @@ def test_build_plans_reports_leftovers():
     assert [(d.render(), k) for d, k in leftovers] == [
         (key_like.render(), TransformationKind.NO_REDUNDANCY),
         (ghost.render(), TransformationKind.WITHIN_N)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(("node", "edge", "node-edge")))
+def test_split_parts_carry_the_ops_each_part_plans_alone(seed, shape):
+    # two split dependencies, each left side drawn from one object's
+    # variables and every other variable on the right
+    rng = random.Random(seed)
+    graph = random_graph(rng, max_nodes=7, max_edges=12)
+    node_labels, edge_labels = set(rng.sample(("A", "B"), rng.randint(0, 1))), set()
+    node_keys = rng.sample(("na", "nb", "nz"), rng.randint(1, 3))
+    edge_keys = rng.sample(("ea", "eb", "ez"), rng.randint(1, 3))
+    for records, keys in ((graph.nodes, node_keys), (graph.edges, edge_keys)):
+        for oid, record in records.items():  # most objects get the scope's keys
+            for key in keys:
+                if key not in record.props and rng.random() < 0.8:
+                    graph.set_prop(oid, key, rng.choice(LHS_POOL))
+    scope = {"node": node_pattern("x", node_labels, node_keys),
+             "edge": edge_pattern("y", edge_labels, edge_keys),
+             "node-edge": node_edge_pattern("x", node_labels, node_keys, "y", edge_labels,
+                                            edge_keys, rng.choice(list(Direction)))}[shape]
+    universe = sorted(attrs(scope), key=var_sort_key)
+    parts = []
+    for _ in range(2):
+        owner = rng.choice(sorted({var.name for var in universe}))
+        family = [var for var in universe if var.name == owner]
+        lhs = rng.sample(family, rng.randint(1, min(2, len(family))))
+        parts += [gofd(scope, lhs, [var]) for var in universe if var not in lhs]
+    matches = evaluate(scope, graph)
+    plans, leftovers = build_plans(graph, parts, matches=matches)
+    expected, expected_leftovers = oracle_build_plans(graph, parts, matches)
+    # repr tells 1 from True and 0.0 from -0.0, where == merges them
+    assert [(plan.dependency, repr(plan.ops)) for plan in plans] == \
+        [(dep, repr(ops)) for dep, ops in expected]
+    assert [dep for dep, _ in leftovers] == expected_leftovers
 
 
 # -- lossless check is a real check ----------------------------------------
