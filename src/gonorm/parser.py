@@ -16,6 +16,7 @@ so parse-format round-trips are stable.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 from typing import IO, Iterable, NamedTuple
 
@@ -41,7 +42,7 @@ from .pattern import (
 _PIECE = re.compile(r"\s+|::|\]->|<-\[|-\[|\]-|=>|[A-Za-z_][A-Za-z0-9_]*|.", re.DOTALL)
 _KIND = {text: text for text in ("::", "]->", "<-[", "-[", "]-", "=>", *"(){}:,.")}
 _KIND.update({"⇒": "=>", "∅": "empty"})  # fancy arrow, empty-set sign
-_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_IDENT_START = frozenset(string.ascii_letters + "_")
 
 
 class _Token(NamedTuple):

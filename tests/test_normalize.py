@@ -342,7 +342,8 @@ def test_full_normalize_leaves_the_input_graph_unchanged():
     # one customer's orders ship to two cities
     (lambda g: g.set_prop("o2", "shipCity", "Hamburg"), UnsatisfiedDependency),
 ], ids=["squatter", "violation"])
-def test_full_normalize_leaves_the_input_unchanged_when_a_later_pass_raises(damage, error):
+def test_full_normalize_leaves_the_input_unchanged_when_a_later_pass_raises(
+        monkeypatch, damage, error):
     graph, schema = shipping()
     damage(graph)
     frozen = dump_graph(graph)
@@ -353,10 +354,9 @@ def test_full_normalize_leaves_the_input_unchanged_when_a_later_pass_raises(dama
         passes.append(render_pattern(parts[0].scope))
         return original(g, parts, **kwargs)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(normalize_module, "build_plans", recording)
-        with pytest.raises(error):
-            full_normalize(graph, schema)
+    monkeypatch.setattr(normalize_module, "build_plans", recording)
+    with pytest.raises(error):
+        full_normalize(graph, schema)
     assert passes[0].startswith("()-[l:{LEG}")  # the first pass ran
     assert dump_graph(graph) == frozen
 
