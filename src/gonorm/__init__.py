@@ -103,7 +103,6 @@ from .pattern import (
     more_general_than,
     node_edge_pattern,
     node_pattern,
-    relation_from_maps,
     render_pattern,
     rename_map,
     rename_variable,
@@ -113,7 +112,6 @@ from .pattern import (
 from .transform import (
     Transformation,
     TransformationKind,
-    apply_all,
     build_plans,
     execute_plans,
     instantiate,

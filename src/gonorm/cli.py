@@ -19,7 +19,7 @@ import sys
 from typing import Iterable
 
 from .errors import GonormError, UnsatisfiedDependency
-from .gofd import GoFd, applicable_deps, minimal_cover, satisfies
+from .gofd import GoFd, applicable_deps, map_per_scope, minimal_cover, satisfies
 from .graph import dump_graph, load_graph
 from .metrics import build_report
 from .normalform import DEFAULT_MAX_ATTRS, NormalForm, check_gn_nf
@@ -95,8 +95,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     doc = load_schema(args.schema)
     _warn(doc.warnings)
     deps = _scope_filter(doc.schema, args.scope)
-    results = [(dep, satisfies(graph, dep, max_witnesses=args.max_witnesses))
-               for dep in deps]
+    results = list(zip(deps, map_per_scope(graph, deps, lambda dep, matches: satisfies(
+        graph, dep, max_witnesses=args.max_witnesses, matches=matches))))
     holds = all(outcome.holds for _, outcome in results)
     if args.format == "json":
         _print_json({

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import ScopeMismatch, UnboundVariable
 from .graph import Atomic, Graph, value_key
@@ -26,6 +26,7 @@ from .pattern import (
     canonicalize,
     evaluate,
     more_general_than,
+    once_per_object,
     render_pattern,
     render_var,
     render_vars,
@@ -59,14 +60,15 @@ class GoFd:
     def is_trivial(self) -> bool:
         return self.rhs <= self.lhs
 
+    @once_per_object
     def render(self) -> str:
         return (f"{render_pattern(self.scope)}::"
                 f"{render_vars(self.lhs)}=>{render_vars(self.rhs)}")
 
+    @once_per_object
     def canonical(self) -> str:
         """Render with canonical variable names; identity for dedup and ordering."""
-        mapping = rename_map(self.scope, canonicalize(self.scope))
-        return restrict(self, canonicalize(self.scope), mapping).render()
+        return restrict(self, canonicalize(self.scope)).render()
 
 
 def gofd(scope: Pattern, lhs: Iterable[Variable], rhs: Iterable[Variable]) -> GoFd:
@@ -163,6 +165,22 @@ def scope_matches(graph: Graph, dep: GoFd, matches: Relation | None) -> Relation
     if matches.scope != dep.scope:
         raise ScopeMismatch(f"matches were not evaluated for the scope of {dep.render()}")
     return matches
+
+
+def map_per_scope(graph: Graph, deps: list[GoFd], fn: Callable[[GoFd, Relation], object]) -> list:
+    """``fn(dep, matches)`` for each dependency in order, each distinct scope
+    pattern evaluated once (alpha-renamed ones apart, as ``scope_matches``
+    demands) and its matches let go before the next is evaluated."""
+    groups: dict[Pattern, list[int]] = {}
+    for pos, dep in enumerate(deps):
+        groups.setdefault(dep.scope, []).append(pos)
+    out: list = [None] * len(deps)
+    for scope, members in groups.items():
+        matches = evaluate(scope, graph)
+        for pos in members:
+            out[pos] = fn(deps[pos], matches)
+        del matches
+    return out
 
 
 def satisfies(graph: Graph, dep: GoFd, max_witnesses: int = 5, *,

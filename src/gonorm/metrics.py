@@ -15,9 +15,9 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .gofd import DepClass, GoFd, check_bound, classify
+from .gofd import DepClass, GoFd, check_bound, classify, map_per_scope, scope_matches
 from .graph import Graph, value_key
-from .pattern import evaluate, var_sort_key
+from .pattern import Relation, var_sort_key
 
 
 @dataclass(frozen=True)
@@ -49,15 +49,16 @@ class DepProfile:
     empty: bool
 
 
-def profile(graph: Graph, dep: GoFd) -> DepProfile:
+def profile(graph: Graph, dep: GoFd, *, matches: Relation | None = None) -> DepProfile:
     """Group sizes and minimality of one dependency on one graph.
 
     Matches are grouped by their values for all descriptor variables, left
     and right side together, object identities included.  Group order in the
     result is by the serialized group key, so it is stable across runs.
+    ``matches`` may pass the scope's already evaluated matches on ``graph``.
     """
     check_bound(dep)
-    relation = evaluate(dep.scope, graph)
+    relation = scope_matches(graph, dep, matches)
     if not relation.rows:
         return DepProfile((), 0, Fraction(0), Fraction(1), True)
     index = {v: i for i, v in enumerate(relation.variables)}
@@ -75,7 +76,8 @@ def profile(graph: Graph, dep: GoFd) -> DepProfile:
 
 def redundancy_potentials(graph: Graph,
                           schema: Iterable[GoFd]) -> list[tuple[GoFd, DepProfile]]:
-    return [(dep, profile(graph, dep)) for dep in schema]
+    deps = list(schema)
+    return list(zip(deps, map_per_scope(graph, deps, lambda d, m: profile(graph, d, matches=m))))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ variable), no matter how the variables are named.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, wraps
 from enum import Enum
 from operator import itemgetter
 from typing import Iterable, Union
@@ -22,6 +22,24 @@ from .graph import Atomic, EdgeRecord, Graph, NodeRecord
 
 # reserved name given to an edge variable that was written anonymously
 ANON_EDGE_VAR = "_e"
+
+
+def once_per_object(fn):
+    """``fn``, a pure function of one frozen object that never returns ``None``,
+    run once per object: the value is kept as an attribute of the object, out
+    of ``==``, ``hash`` and ``repr``.  Not in ``__dict__``: asking for that
+    turns the fields' inline storage into a dict and slows every field read."""
+    slot = f"_{fn.__name__}"
+
+    @wraps(fn)
+    def cached(obj):
+        value = getattr(obj, slot, None)
+        if value is None:
+            value = fn(obj)
+            object.__setattr__(obj, slot, value)  # the frozen class refuses setattr
+        return value
+
+    return cached
 
 
 @dataclass(frozen=True)
@@ -114,6 +132,7 @@ def node_edge_pattern(node_var: str, node_labels: Iterable[str], node_keys: Iter
                            frozenset(edge_keys), direction)
 
 
+@once_per_object
 def attrs(pattern: Pattern) -> frozenset[Variable]:
     """All variables a match binds: object identities plus one per required key."""
     if not isinstance(pattern, NodeEdgePattern):
@@ -155,31 +174,8 @@ class Relation:
         ids = [i for i, var in enumerate(self.variables) if isinstance(var, ObjectVar)]
         return tuple(sorted(self.rows, key=itemgetter(*ids)))
 
-    @property
-    def schema(self) -> frozenset[Variable]:
-        return frozenset(self.variables)
-
     def __len__(self) -> int:
         return len(self.rows)
-
-    def project(self, onto: Iterable[Variable]) -> Relation:
-        wanted = sorted(onto, key=var_sort_key)
-        index = {v: i for i, v in enumerate(self.variables)}
-        missing = [v for v in wanted if v not in index]
-        if missing:
-            raise KeyError(f"variables not in relation: {[render_var(v) for v in missing]}")
-        cols = [index[v] for v in wanted]
-        return Relation(tuple(wanted), frozenset(tuple(row[i] for i in cols) for row in self.rows))
-
-    def as_maps(self) -> list[dict[Variable, Atomic]]:
-        return [dict(zip(self.variables, row)) for row in self.rows]
-
-
-def relation_from_maps(variables: Iterable[Variable],
-                       assignments: Iterable[dict[Variable, Atomic]]) -> Relation:
-    ordered = tuple(sorted(variables, key=var_sort_key))
-    rows = frozenset(tuple(m[v] for v in ordered) for m in assignments)
-    return Relation(ordered, rows)
 
 
 def _matches(record: NodeRecord | EdgeRecord, labels: frozenset[str], keys: frozenset[str]) -> bool:
@@ -263,6 +259,7 @@ def rename_variable(var: Variable, mapping: dict[str, str]) -> Variable:
     return PropVar(name, var.key)
 
 
+@once_per_object
 def canonicalize(pattern: Pattern) -> Pattern:
     """The same pattern with its variables renamed to the fixed names x and y."""
     if isinstance(pattern, NodePattern):
@@ -272,6 +269,7 @@ def canonicalize(pattern: Pattern) -> Pattern:
     return replace(pattern, node_var="x", edge_var="y")
 
 
+@once_per_object
 def render_pattern(pattern: Pattern) -> str:
     """Canonical text; label and key sets are printed sorted."""
     def sets(labels: frozenset[str], keys: frozenset[str]) -> str:
@@ -290,6 +288,7 @@ def render_pattern(pattern: Pattern) -> str:
     return f"(){edge}{node}"
 
 
+@once_per_object
 def scope_key(pattern: Pattern) -> str:
     """Identity of a scope: its canonical text with canonical variable names."""
     return render_pattern(canonicalize(pattern))

@@ -28,9 +28,8 @@ from .errors import (
     InvariantError,
     NonStrict,
     NothingToDo,
-    UnsatisfiedDependency,
 )
-from .gofd import GoFd, check_bound, gofd, satisfies, scope_matches
+from .gofd import GoFd, check_bound, gofd, scope_matches
 from .graph import Atomic, Graph, dump_graph, value_key
 from .pattern import (
     Direction,
@@ -41,7 +40,6 @@ from .pattern import (
     Relation,
     Variable,
     node_pattern,
-    var_sort_key,
     variable_roles,
 )
 
@@ -526,28 +524,6 @@ def _distinct_ops(plans: Iterable[Transformation]) -> list[Op]:
                     others.add(key)
                     out.append(op)
     return out
-
-
-def apply_all(graph: Graph, deps: Iterable[GoFd],
-              max_witnesses: int = 5) -> tuple[Graph, list[Transformation]]:
-    """Validate, plan, and execute the transformations for all dependencies.
-
-    Every dependency must hold on the graph; a violated one raises
-    ``UnsatisfiedDependency`` before anything is changed, and a part that
-    ``check_transformable`` refuses raises its error the same way.
-    Dependencies with several right-side variables are split into one plan
-    per variable.
-    """
-    parts: list[GoFd] = []
-    for dep in deps:
-        sat = satisfies(graph, dep, max_witnesses=max_witnesses)
-        if not sat.holds:
-            raise UnsatisfiedDependency(dep.render(), sat.witnesses, sat.variables)
-        for var in sorted(dep.rhs - dep.lhs, key=var_sort_key):
-            parts.append(gofd(dep.scope, dep.lhs, [var]))
-            check_transformable(graph, parts[-1])
-    plans, _ = build_plans(graph, parts)
-    return execute_plans(graph, plans), plans
 
 
 # -- inverse and lossless check --------------------------------------------

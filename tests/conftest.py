@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -24,6 +27,29 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@contextmanager
+def runs_of(*fns):
+    """Per function, the first argument of each run of its own code, in order.
+
+    A memoizing wrapper is looked through (``inspect.unwrap``), so only real
+    computations are listed, not cache hits.  The lists hold the arguments
+    themselves, so ``id`` tells them apart.
+    """
+    codes = {inspect.unwrap(fn).__code__: [] for fn in fns}
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            code = frame.f_code
+            codes[code].append(frame.f_locals[code.co_varnames[0]])
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        yield list(codes.values())
+    finally:
+        sys.setprofile(previous)
 
 
 def fixture_graph(name: str) -> Graph:

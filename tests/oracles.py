@@ -19,6 +19,7 @@ from typing import Iterable
 from itertools import combinations
 
 from gonorm import (
+    ANON_EDGE_VAR,
     Direction,
     EdgeOnlyPattern,
     GoFd,
@@ -30,6 +31,7 @@ from gonorm import (
     ParseError,
     Pattern,
     PropVar,
+    Relation,
     Variable,
     Violation,
     ViolationReason,
@@ -124,6 +126,22 @@ def naive_matches(graph: Graph, pattern: Pattern) -> list[Row]:
     return rows
 
 
+def rows_as_maps(relation: Relation) -> list[Row]:
+    """The relation's rows as maps from variable to value."""
+    return [dict(zip(relation.variables, row)) for row in relation.rows]
+
+
+def projection(rows: Iterable[Row], onto: Iterable[Variable]) -> set[frozenset]:
+    """The distinct restrictions of ``rows`` to the variables ``onto``.
+
+    Values are told apart by their JSON text, as the file format does, so a
+    ``1``, a ``1.0`` and a ``True`` stay three values.  Raises ``KeyError``
+    when a row lacks one of the variables.
+    """
+    onto = list(onto)
+    return {frozenset((var, json.dumps(row[var])) for var in onto) for row in rows}
+
+
 # -- pairwise functional-dependency check ---------------------------------
 
 def fd_violation(rows: Iterable[Row], lhs: Iterable[Variable],
@@ -151,6 +169,73 @@ def fd_holds(rows: Iterable[Row], lhs: Iterable[Variable],
 
 def oracle_satisfies(graph: Graph, dep: GoFd) -> bool:
     return fd_holds(naive_matches(graph, dep.scope), dep.lhs, dep.rhs)
+
+
+# -- text, keys and attributes, recomputed on every call --------------------
+
+def oracle_attrs(pattern: Pattern) -> frozenset[Variable]:
+    if isinstance(pattern, NodeEdgePattern):
+        families = [(pattern.node_var, pattern.node_keys), (pattern.edge_var, pattern.edge_keys)]
+    else:
+        families = [(pattern.var, pattern.keys)]
+    out: set[Variable] = set()
+    for name, keys in families:
+        out.add(ObjectVar(name))
+        out.update(PropVar(name, key) for key in keys)
+    return frozenset(out)
+
+
+def oracle_render_pattern(pattern: Pattern) -> str:
+    def sets(labels: Iterable[str], keys: Iterable[str]) -> str:
+        return "{" + ",".join(sorted(labels)) + "}:{" + ",".join(sorted(keys)) + "}"
+
+    if isinstance(pattern, NodePattern):
+        return f"({pattern.var}:{sets(pattern.labels, pattern.keys)})"
+    if isinstance(pattern, EdgeOnlyPattern):
+        shown = "" if pattern.var == ANON_EDGE_VAR else pattern.var
+        return f"()-[{shown}:{sets(pattern.labels, pattern.keys)}]->()"
+    shown = "" if pattern.edge_var == ANON_EDGE_VAR else pattern.edge_var
+    node = f"({pattern.node_var}:{sets(pattern.node_labels, pattern.node_keys)})"
+    edge = f"-[{shown}:{sets(pattern.edge_labels, pattern.edge_keys)}]->"
+    return f"{node}{edge}()" if pattern.direction is Direction.OUT else f"(){edge}{node}"
+
+
+def _canonical_names(pattern: Pattern) -> dict[str, str]:
+    """Node variable to ``x``, edge variable to ``y``."""
+    if isinstance(pattern, NodePattern):
+        return {pattern.var: "x"}
+    if isinstance(pattern, EdgeOnlyPattern):
+        return {pattern.var: "y"}
+    return {pattern.node_var: "x", pattern.edge_var: "y"}
+
+
+def _canonical_pattern(pattern: Pattern) -> Pattern:
+    if isinstance(pattern, NodePattern):
+        return NodePattern("x", pattern.labels, pattern.keys)
+    if isinstance(pattern, EdgeOnlyPattern):
+        return EdgeOnlyPattern("y", pattern.labels, pattern.keys)
+    return NodeEdgePattern("x", pattern.node_labels, pattern.node_keys, "y",
+                           pattern.edge_labels, pattern.edge_keys, pattern.direction)
+
+
+def oracle_scope_key(pattern: Pattern) -> str:
+    return oracle_render_pattern(_canonical_pattern(pattern))
+
+
+def _render_side(variables: Iterable[Variable], names: dict[str, str]) -> str:
+    shown = {(names.get(var.name, var.name), getattr(var, "key", "")) for var in variables}
+    return ",".join(f"{name}.{key}" if key else name for name, key in sorted(shown))
+
+
+def oracle_render(dep: GoFd) -> str:
+    return (f"{oracle_render_pattern(dep.scope)}::"
+            f"{_render_side(dep.lhs, {})}=>{_render_side(dep.rhs, {})}")
+
+
+def oracle_canonical(dep: GoFd) -> str:
+    names = _canonical_names(dep.scope)
+    return (f"{oracle_scope_key(dep.scope)}::"
+            f"{_render_side(dep.lhs, names)}=>{_render_side(dep.rhs, names)}")
 
 
 # -- graph file text ------------------------------------------------------

@@ -19,9 +19,11 @@ from oracles import (
     oracle_closure,
     oracle_potentials,
     oracle_satisfies,
+    projection,
     random_graph,
     random_pattern,
     random_satisfying_case,
+    rows_as_maps,
     specialize,
 )
 
@@ -377,16 +379,11 @@ def test_criterion_6c_inference_agrees_with_brute_force():
 
 def _projection_contained(general, specific, graph) -> bool:
     mapping = rename_map(general, specific)
-    general_rows = {
-        frozenset((rename_variable(var, mapping), value) for var, value in row.items())
-        for row in evaluate(general, graph).as_maps()
-    }
-    needed = {rename_variable(var, mapping) for var in attrs(general)}
-    special_rows = {
-        frozenset((var, row[var]) for var in needed)
-        for row in evaluate(specific, graph).as_maps()
-    }
-    return special_rows <= general_rows
+    general_rows = [{rename_variable(var, mapping): value for var, value in row.items()}
+                    for row in rows_as_maps(evaluate(general, graph))]
+    needed = [rename_variable(var, mapping) for var in attrs(general)]
+    special_rows = rows_as_maps(evaluate(specific, graph))
+    return projection(special_rows, needed) <= projection(general_rows, needed)
 
 
 def test_criterion_6d_dominance_implies_containment():

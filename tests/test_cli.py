@@ -8,11 +8,21 @@ import sys
 
 import pytest
 
-from gonorm import build_report, dump_graph, full_normalize, load_graph, load_schema
+from gonorm import (
+    Graph,
+    build_report,
+    dump_graph,
+    evaluate,
+    full_normalize,
+    load_graph,
+    load_schema,
+    profile,
+    satisfies,
+)
 from gonorm import cli
 from gonorm.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, runs_of
 
 UNI_GRAPH = str(FIXTURES / "university.graph.json")
 UNI_SCHEMA = str(FIXTURES / "university.schema.gofd")
@@ -113,6 +123,39 @@ def test_metrics_json_matches_library_report(capsys, tmp_path):
     assert json.loads(report_path.read_text()) == expected
     assert report_path.read_text().endswith("\n")
 
+
+
+def test_check_and_metrics_match_each_scope_once(capsys, tmp_path):
+    g = Graph()
+    for nid, city, zip_code in (("p1", "Rome", 100), ("p2", "Rome", 100),
+                                ("p3", "Oslo", 200), ("p4", "Rome", 101)):
+        g.add_node({"Person"}, {"city": city, "zip": zip_code, "area": "EU"}, node_id=nid)
+    graph = write(tmp_path, "people.graph.json", dump_graph(g))
+    # three dependencies on one scope, and one on an alpha-renamed copy of it
+    schema = write(tmp_path, "people.gofd", "".join(
+        f"{scope} :: {descriptor}\n" for scope, descriptor in (
+            ("(x:{Person}:{area,city,zip})", "x.city => x.zip"),
+            ("(x:{Person}:{area,city,zip})", "x.zip => x.area"),
+            ("(x:{Person}:{area,city,zip})", "x.city => x.area"),
+            ("(n:{Person}:{area,city,zip})", "n.area => n.city"))))
+    deps = load_schema(schema).schema.deps
+    for verb in ("check", "metrics"):
+        with runs_of(evaluate) as (evaluated,):
+            code, out, _ = run(capsys, verb, "--graph", graph, "--schema", schema,
+                               "--format", "json")
+        # matches are shared only within one pattern, never across a renaming
+        assert evaluated == [deps[0].scope, deps[3].scope]
+        doc = json.loads(out)
+        if verb == "check":
+            assert code == 1
+            expected = [satisfies(g, dep) for dep in deps]
+            assert [(entry["holds"], entry["witnesses"]) for entry in doc["results"]] == \
+                [(sat.holds, [[list(a), list(b)] for a, b in sat.witnesses]) for sat in expected]
+        else:
+            assert code == 0
+            expected = [profile(g, dep) for dep in deps]
+            assert [(entry["M"], entry["max"]) for entry in doc["perDependency"]] == \
+                [(list(prof.group_sizes), prof.maximum) for prof in expected]
 
 # -- nf --------------------------------------------------------------------
 

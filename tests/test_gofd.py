@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from gonorm import (
     DepClass,
     Direction,
+    NodeEdgePattern,
     GnSchema,
     Graph,
     ObjectVar,
@@ -19,6 +23,7 @@ from gonorm import (
     UnboundVariable,
     applicable_deps,
     attrs,
+    canonicalize,
     classify,
     closure,
     edge_pattern,
@@ -27,16 +32,26 @@ from gonorm import (
     minimal_cover,
     node_edge_pattern,
     node_pattern,
+    render_pattern,
     restrict,
     satisfies,
+    scope_key,
     scope_closure,
     structurally_implied,
 )
 
+from gonorm.gofd import Descriptor
+from gonorm.pattern import var_sort_key
+
 from oracles import (
+    oracle_attrs,
+    oracle_canonical,
     oracle_closure,
     oracle_minimal_cover,
+    oracle_render,
+    oracle_render_pattern,
     oracle_satisfies,
+    oracle_scope_key,
     random_graph,
     random_pattern,
 )
@@ -65,6 +80,71 @@ def test_canonical_ignores_variable_names():
     schema = GnSchema([a])
     assert not schema.add(b)  # alpha-variant is a duplicate
     assert len(schema) == 1 and b in schema
+
+
+# -- text, keys and attributes are derived once per object -----------------
+
+LABEL_SETS = st.frozensets(st.sampled_from(("A", "B", "R")), max_size=2)
+KEY_SETS = st.frozensets(st.sampled_from(("a", "b", "w")), max_size=3)
+NODE_VARS = st.sampled_from(("x", "n", "y"))
+
+
+@st.composite
+def patterns(draw):
+    shape = draw(st.sampled_from(("node", "edge", "node-edge")))
+    if shape == "node":
+        return node_pattern(draw(NODE_VARS), draw(LABEL_SETS), draw(KEY_SETS))
+    edge_var = draw(st.sampled_from(("y", "e", "x", "")))  # "" is the anonymous edge
+    if shape == "edge":
+        return edge_pattern(edge_var, draw(LABEL_SETS), draw(KEY_SETS))
+    return node_edge_pattern(draw(NODE_VARS.filter(lambda name: name != edge_var)),
+                             draw(LABEL_SETS), draw(KEY_SETS), edge_var,
+                             draw(LABEL_SETS), draw(KEY_SETS),
+                             draw(st.sampled_from(list(Direction))))
+
+
+@st.composite
+def dependencies(draw):
+    scope = draw(patterns())
+    side = st.frozensets(st.sampled_from(sorted(oracle_attrs(scope), key=var_sort_key)),
+                         max_size=3)
+    return gofd(scope, draw(side), draw(side))
+
+
+def assert_derived_values_match_oracles(dep) -> None:
+    scope = dep.scope
+    assert attrs(scope) == oracle_attrs(scope)
+    assert render_pattern(scope) == oracle_render_pattern(scope)
+    assert scope_key(scope) == oracle_scope_key(scope)
+    assert render_pattern(canonicalize(scope)) == oracle_scope_key(scope)
+    assert dep.render() == oracle_render(dep)
+    assert dep.canonical() == oracle_canonical(dep)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dependencies(), patterns())
+def test_memoized_text_keys_and_attributes_match_the_uncached_formulas(dep, other):
+    def identity(obj) -> tuple:
+        return repr(obj), hash(obj)
+
+    twin = pickle.loads(pickle.dumps(dep))  # an equal object, nothing derived yet
+    before = identity(dep), identity(dep.scope)
+    assert_derived_values_match_oracles(dep)  # derives and keeps them
+    assert (identity(dep), identity(dep.scope)) == before
+    assert dep == twin and twin == dep and dep.scope == twin.scope
+    assert_derived_values_match_oracles(twin)
+
+    # copies keep what was derived; objects with other fields derive their own
+    labels = "node_labels" if isinstance(dep.scope, NodeEdgePattern) else "labels"
+    relabelled = replace(dep.scope, **{labels: getattr(dep.scope, labels) | {"Z"}})
+    for derived in (copy.copy(dep), pickle.loads(pickle.dumps(dep)),
+                    replace(dep, scope=copy.copy(dep.scope)),
+                    replace(dep, descriptor=Descriptor(dep.rhs, dep.lhs)),
+                    replace(dep, scope=relabelled),
+                    restrict(dep, canonicalize(dep.scope)),
+                    restrict(dep, other)):
+        assert_derived_values_match_oracles(derived)
+    assert render_pattern(relabelled) != render_pattern(dep.scope)
 
 
 def test_check_bound_rejects_foreign_variables():

@@ -6,6 +6,7 @@ import importlib
 import json
 import logging
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +14,15 @@ from hypothesis import strategies as st
 
 from gonorm import (
     Direction,
+    GoFd,
     Graph,
     InvariantError,
     ObjectVar,
     PropVar,
     UnsatisfiedDependency,
-    apply_all,
+    attrs,
     dump_graph,
+    edge_pattern,
     execute_plans,
     full_normalize,
     gofd,
@@ -33,8 +36,10 @@ from gonorm import (
 )
 import gonorm.normalize as normalize_module
 import gonorm.pattern as pattern_module
+from gonorm.pattern import var_sort_key
+from gonorm.transform import check_transformable
 
-from conftest import fixture_graph, fixture_schema
+from conftest import fixture_graph, fixture_schema, runs_of
 from oracles import CASE_KINDS, generalize, random_pattern, random_satisfying_case
 
 
@@ -152,7 +157,7 @@ def test_node_with_an_edge_lacking_the_moved_key_is_kept_with_warning(lhs, kind)
         outputs.append((dump_graph(result.graph), log, result.schema))
         if not e2_props:
             with pytest.raises(InvariantError, match="edge e2 of node p1 lacks w"):
-                apply_all(g, [dep])
+                check_transformable(g, dep)
     (kept_graph, kept, kept_schema), (moved_graph, moved, moved_schema) = outputs
     assert kept_graph != moved_graph
     assert kept.transformations == [] and kept.kept == [dep.render()]
@@ -424,6 +429,43 @@ def test_full_normalize_matches_each_scope_once_per_pass(monkeypatch, university
     assert len(result.logs) == 2
     assert scopes == [log.scope for log in result.logs]
 
+
+
+def chain_schema(seed: int) -> list:
+    """Ten scopes in four generalization chains, their variables named apart,
+    with four dependencies drawn over each scope's attributes."""
+    rng = random.Random(seed)
+    scopes = [
+        node_pattern("x", {"A"}, {"a", "b", "c"}),
+        node_pattern("n", {"A", "B"}, {"a", "b", "c", "d"}),
+        node_pattern("x", {"A", "B", "C"}, {"a", "b", "c", "d", "e"}),
+        node_pattern("m", {"D"}, {"a", "b"}),
+        node_edge_pattern("m", {"D"}, {"a", "b"}, "", {"R"}, {"u", "v"}, Direction.OUT),
+        node_edge_pattern("x", {"D", "E"}, {"a", "b", "c"}, "e", {"R"}, {"u", "v", "w"},
+                          Direction.OUT),
+        edge_pattern("", {"S"}, {"u", "v"}),
+        edge_pattern("f", {"S", "T"}, {"u", "v", "w"}),
+        node_edge_pattern("x", {"F"}, {"a"}, "y", {"R"}, {"u"}, Direction.IN),
+        node_edge_pattern("y", {"F"}, {"a", "b"}, "x", {"R", "S"}, {"u", "v"}, Direction.IN),
+    ]
+    deps = []
+    for scope in scopes:
+        universe = sorted(attrs(scope), key=var_sort_key)
+        for _ in range(4):
+            deps.append(gofd(scope, rng.sample(universe, rng.randint(1, 2)),
+                             rng.sample(universe, rng.randint(1, 2))))
+    return deps
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_full_normalize_derives_text_and_keys_once_per_object(seed):
+    deps = chain_schema(seed)
+    with runs_of(GoFd.canonical, scope_key) as (canonical, keyed):
+        result = full_normalize(Graph(), deps)
+    assert len(result.logs) == 10
+    for runs in (canonical, keyed):
+        assert runs
+        assert max(Counter(map(id, runs)).values()) == 1
 
 # -- reporting -------------------------------------------------------------
 

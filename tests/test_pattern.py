@@ -26,7 +26,6 @@ from gonorm import (
     more_general_than,
     node_edge_pattern,
     node_pattern,
-    relation_from_maps,
     rename_map,
     rename_variable,
     render_pattern,
@@ -35,7 +34,15 @@ from gonorm import (
 )
 from gonorm.pattern import var_sort_key
 
-from oracles import generalize, naive_matches, random_graph, random_pattern, specialize
+from oracles import (
+    generalize,
+    naive_matches,
+    projection,
+    random_graph,
+    random_pattern,
+    rows_as_maps,
+    specialize,
+)
 
 
 def playground() -> Graph:
@@ -101,33 +108,33 @@ def test_rows_are_ordered_by_object_ids():
 def test_node_pattern_label_superset_and_keys():
     g = playground()
     rel = evaluate(node_pattern("x", {"A"}, {"k"}), g)
-    assert {m[ObjectVar("x")] for m in rel.as_maps()} == {"n1", "n2"}
+    assert {m[ObjectVar("x")] for m in rows_as_maps(rel)} == {"n1", "n2"}
     rel = evaluate(node_pattern("x", {"A", "B"}, ()), g)
-    assert {m[ObjectVar("x")] for m in rel.as_maps()} == {"n2"}
+    assert {m[ObjectVar("x")] for m in rows_as_maps(rel)} == {"n2"}
     rel = evaluate(node_pattern("x", (), {"m"}), g)
-    assert {m[ObjectVar("x")] for m in rel.as_maps()} == {"n2"}
-    row = evaluate(node_pattern("x", {"A"}, {"k", "m"}), g).as_maps()
+    assert {m[ObjectVar("x")] for m in rows_as_maps(rel)} == {"n2"}
+    row = rows_as_maps(evaluate(node_pattern("x", {"A"}, {"k", "m"}), g))
     assert row == [{ObjectVar("x"): "n2", PropVar("x", "k"): 2, PropVar("x", "m"): "x"}]
 
 
 def test_edge_only_pattern_matches_each_edge_once():
     g = playground()
     rel = evaluate(edge_pattern("y", {"R"}, ()), g)
-    assert {m[ObjectVar("y")] for m in rel.as_maps()} == {"e1", "e2"}
+    assert {m[ObjectVar("y")] for m in rows_as_maps(rel)} == {"e1", "e2"}
     assert len(rel) == 2  # orientation never duplicates an edge match
     rel = evaluate(edge_pattern("y", {"R", "S"}, ()), g)
-    assert {m[ObjectVar("y")] for m in rel.as_maps()} == {"e2"}
+    assert {m[ObjectVar("y")] for m in rows_as_maps(rel)} == {"e2"}
     rel = evaluate(edge_pattern("y", (), {"w"}), g)
-    assert {m[ObjectVar("y")] for m in rel.as_maps()} == {"e1", "e3"}
+    assert {m[ObjectVar("y")] for m in rows_as_maps(rel)} == {"e1", "e3"}
 
 
 def test_node_edge_pattern_direction():
     g = playground()
     out = evaluate(node_edge_pattern("x", {"A"}, (), "y", {"R"}, (), Direction.OUT), g)
-    assert {(m[ObjectVar("x")], m[ObjectVar("y")]) for m in out.as_maps()} == \
+    assert {(m[ObjectVar("x")], m[ObjectVar("y")]) for m in rows_as_maps(out)} == \
         {("n1", "e1"), ("n2", "e2")}
     into = evaluate(node_edge_pattern("x", {"A"}, (), "y", {"R"}, (), Direction.IN), g)
-    assert {(m[ObjectVar("x")], m[ObjectVar("y")]) for m in into.as_maps()} == \
+    assert {(m[ObjectVar("x")], m[ObjectVar("y")]) for m in rows_as_maps(into)} == \
         {("n2", "e1"), ("n1", "e2")}
 
     # a self-loop and a pair of parallel edges: each edge is one match per direction
@@ -136,7 +143,7 @@ def test_node_edge_pattern_direction():
     for direction in Direction:
         pattern = node_edge_pattern("x", {"A"}, (), "y", {"R"}, {"w"}, direction)
         expected = {frozenset(row.items()) for row in naive_matches(g, pattern)}
-        actual = {frozenset(row.items()) for row in evaluate(pattern, g).as_maps()}
+        actual = {frozenset(row.items()) for row in rows_as_maps(evaluate(pattern, g))}
         assert actual == expected and len(actual) == 3  # e1, e4, e5 all carry w
 
 
@@ -144,7 +151,7 @@ def test_node_edge_pattern_self_loop_counts_once_per_row():
     g = playground()
     rel = evaluate(node_edge_pattern("x", {"B"}, (), "y", {"S"}, {"w"}, Direction.OUT), g)
     assert [(m[ObjectVar("x")], m[ObjectVar("y")], m[PropVar("y", "w")])
-            for m in rel.as_maps()] == [("n3", "e3", 6)]
+            for m in rows_as_maps(rel)] == [("n3", "e3", 6)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -154,23 +161,24 @@ def test_evaluate_agrees_with_brute_force(seed):
     g = random_graph(rng)
     pattern = random_pattern(rng)
     expected = {frozenset(row.items()) for row in naive_matches(g, pattern)}
-    actual = {frozenset(row.items()) for row in evaluate(pattern, g).as_maps()}
+    actual = {frozenset(row.items()) for row in rows_as_maps(evaluate(pattern, g))}
     assert actual == expected
 
 
 # -- relations -------------------------------------------------------------
 
 def test_relation_project_and_schema():
-    rel = relation_from_maps(
-        [ObjectVar("x"), PropVar("x", "k")],
-        [{ObjectVar("x"): "n1", PropVar("x", "k"): 1},
-         {ObjectVar("x"): "n2", PropVar("x", "k"): 1}],
-    )
-    assert rel.schema == frozenset({ObjectVar("x"), PropVar("x", "k")})
-    small = rel.project([PropVar("x", "k")])
-    assert small.rows == frozenset({(1,)})
+    g = Graph()
+    for nid, value in (("n1", 1), ("n2", 1), ("n3", 1.0)):
+        g.add_node({"A"}, {"k": value}, node_id=nid)
+    rel = evaluate(node_pattern("x", {"A"}, {"k"}), g)
+    assert frozenset(rel.variables) == frozenset({ObjectVar("x"), PropVar("x", "k")})
+    small = projection(rows_as_maps(rel), [PropVar("x", "k")])
+    # 1 and 1.0 are two values of the file format: they stay apart
+    assert small == {frozenset({(PropVar("x", "k"), "1")}),
+                     frozenset({(PropVar("x", "k"), "1.0")})}
     with pytest.raises(KeyError):
-        rel.project([ObjectVar("zz")])
+        projection(rows_as_maps(rel), [ObjectVar("zz")])
 
 
 # -- dominance -------------------------------------------------------------

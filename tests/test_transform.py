@@ -19,7 +19,6 @@ from gonorm import (
     TransformationKind,
     UnboundVariable,
     UnsatisfiedDependency,
-    apply_all,
     build_plans,
     dump_graph,
     edge_pattern,
@@ -34,6 +33,7 @@ from gonorm import (
     node_pattern,
     attrs,
     satisfies,
+    scoped_normalize,
     skolem_label,
     skolem_node_id,
     verify_lossless,
@@ -56,6 +56,15 @@ from oracles import CASE_KINDS, LHS_POOL, oracle_build_plans, random_graph, rand
 
 def pv(name: str, key: str) -> PropVar:
     return PropVar(name, key)
+
+
+def normalize_one(graph: Graph, dep):
+    """The graph and the plans of normalizing ``dep``'s scope by ``dep`` alone,
+    none of whose parts may be kept as not transformable."""
+    result = scoped_normalize(graph, [dep], dep.scope)
+    (log,) = result.logs
+    assert log.warnings == []
+    return result.graph, log.transformations
 
 
 PERSON = node_pattern("x", {"Person"}, {"city", "zip"})
@@ -212,7 +221,7 @@ def test_value_node_names_keep_apart_equal_but_distinct_values(edge_only):
 def test_within_node_execution_moves_values_once():
     g = person_graph()
     dep = gofd(PERSON, [pv("x", "city")], [pv("x", "zip")])
-    out, plans = apply_all(g, [dep])
+    out, plans = normalize_one(g, dep)
     assert len(plans) == 1
     rome = 'sk:val|Person|city="Rome"'
     oslo = 'sk:val|Person|city="Oslo"'
@@ -240,7 +249,7 @@ def edge_graph() -> Graph:
 def test_within_edge_execution_reifies_and_migrates_leftovers():
     g = edge_graph()
     dep = gofd(EDGE, [pv("y", "u")], [pv("y", "v")])
-    out, plans = apply_all(g, [dep])
+    out, plans = normalize_one(g, dep)
     assert plans[0].deleted_edges == {"e1", "e2"}
     r1, r2 = reifier_id("e1"), reifier_id("e2")
     val = "sk:val|R|u=1"
@@ -270,7 +279,7 @@ def ne_graph(w1=5, w2=5) -> Graph:
 def test_between_node_edge_prop_moves_onto_node():
     g = ne_graph()
     dep = gofd(NE, [ObjectVar("x")], [pv("y", "w")])
-    out, plans = apply_all(g, [dep])
+    out, plans = normalize_one(g, dep)
     assert plans[0].kind is TransformationKind.BETWEEN_N_EP
     assert plans[0].val_label is None and plans[0].key_dependency is None
     assert out.props("p1") == {"city": "Rome", "w": 5}
@@ -282,7 +291,7 @@ def test_between_node_edge_prop_moves_onto_node():
 def test_between_node_prop_edge_prop_shares_value_node():
     g = ne_graph()
     dep = gofd(NE, [pv("x", "city")], [pv("y", "w")])
-    out, plans = apply_all(g, [dep])
+    out, plans = normalize_one(g, dep)
     assert plans[0].kind is TransformationKind.BETWEEN_NP_EP
     val = 'sk:val|Person|city="Rome"'
     assert out.props(val) == {"city": "Rome", "w": 5}
@@ -295,7 +304,7 @@ def test_between_node_prop_edge_prop_shares_value_node():
 def test_between_edge_prop_node_prop_reifies_the_edge():
     g = ne_graph()
     dep = gofd(NE, [pv("y", "w")], [pv("x", "city")])
-    out, plans = apply_all(g, [dep])
+    out, plans = normalize_one(g, dep)
     assert plans[0].kind is TransformationKind.BETWEEN_EP_NP
     val = "sk:val|R|w=5"
     assert out.props(val) == {"w": 5, "city": "Rome"}
@@ -309,7 +318,7 @@ def test_between_edge_prop_node_prop_reifies_the_edge():
 def test_between_edge_prop_node_id_keeps_endpoint_recoverable():
     g = ne_graph()
     dep = gofd(NE, [pv("y", "w")], [ObjectVar("x")])
-    out, plans = apply_all(g, [dep])
+    out, plans = normalize_one(g, dep)
     assert plans[0].kind is TransformationKind.BETWEEN_EP_N
     val = "sk:val|R|w=5"
     assert out.props(val) == {"w": 5}
@@ -323,7 +332,7 @@ def test_split_right_sides_merge_on_one_value_node():
     for nid, area in (("p1", "EU"), ("p2", "EU"), ("p3", "EU")):
         g.set_prop(nid, "area", area)
     dep = gofd(wide, [pv("x", "city")], [pv("x", "zip"), pv("x", "area")])
-    out, plans = apply_all(g, [dep])
+    out, plans = normalize_one(g, dep)
     assert len(plans) == 2  # one per right-side variable
     rome = 'sk:val|Person|city="Rome"'
     assert out.props(rome) == {"city": "Rome", "zip": 100, "area": "EU"}
@@ -335,12 +344,12 @@ def test_split_right_sides_merge_on_one_value_node():
 
 # -- executor safety -------------------------------------------------------
 
-def test_apply_all_refuses_violated_dependency_untouched():
+def test_normalize_refuses_violated_dependency_untouched():
     g = person_graph()
     g.set_prop("p2", "zip", 999)  # now city does not determine zip
     frozen = dump_graph(g)
     with pytest.raises(UnsatisfiedDependency):
-        apply_all(g, [gofd(PERSON, [pv("x", "city")], [pv("x", "zip")])])
+        normalize_one(g, gofd(PERSON, [pv("x", "city")], [pv("x", "zip")]))
     assert dump_graph(g) == frozen
 
 
@@ -382,7 +391,7 @@ def test_executor_refuses_generated_id_collision():
     g = person_graph()
     g.add_node({"Squatter"}, {}, node_id='sk:val|Person|city="Rome"')
     with pytest.raises(InvariantError):
-        apply_all(g, [gofd(PERSON, [pv("x", "city")], [pv("x", "zip")])])
+        normalize_one(g, gofd(PERSON, [pv("x", "city")], [pv("x", "zip")]))
 
 
 def test_build_plans_reports_leftovers():
@@ -438,7 +447,7 @@ def test_split_parts_carry_the_ops_each_part_plans_alone(seed, shape):
 def test_verify_lossless_fails_after_tampering():
     g = person_graph()
     dep = gofd(PERSON, [pv("x", "city")], [pv("x", "zip")])
-    out, plans = apply_all(g, [dep])
+    out, plans = normalize_one(g, dep)
     plan = plans[0]
 
     broken = out.copy()
@@ -458,7 +467,7 @@ def test_verify_lossless_fails_after_tampering():
 def test_verify_lossless_sees_damage_outside_the_scope():
     g = person_graph()
     g.add_node({"Pet"}, {"name": "Rex"}, node_id="d1")
-    out, plans = apply_all(g, [gofd(PERSON, [pv("x", "city")], [pv("x", "zip")])])
+    out, plans = normalize_one(g, gofd(PERSON, [pv("x", "city")], [pv("x", "zip")]))
     assert verify_lossless(g, out, plans[0])
     out.set_prop("d1", "name", "Max")
     assert not verify_lossless(g, out, plans[0])
@@ -528,7 +537,7 @@ def test_random_satisfying_cases_stay_lossless(seed, kind):
     rng = random.Random(seed)
     graph, dep = random_satisfying_case(rng, kind)
     assert satisfies(graph, dep).holds
-    out, plans = apply_all(graph, [dep])
+    out, plans = normalize_one(graph, dep)
     for plan in plans:
         others = [p for p in plans if p is not plan]
         assert verify_lossless(graph, out, plan, others)
