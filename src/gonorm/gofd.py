@@ -76,8 +76,14 @@ def gofd(scope: Pattern, lhs: Iterable[Variable], rhs: Iterable[Variable]) -> Go
 
 
 def restrict(dep: GoFd, scope: Pattern, mapping: dict[str, str] | None = None) -> GoFd:
-    """Carry the descriptor over to another scope by positional renaming."""
+    """Carry the descriptor over to another scope by positional renaming.
+
+    Onto a scope equal to its own, without a ``mapping``, the dependency
+    itself is returned.
+    """
     if mapping is None:
+        if dep.scope == scope:
+            return dep
         mapping = rename_map(dep.scope, scope)
     return gofd(scope,
                 (rename_variable(v, mapping) for v in dep.lhs),

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import Iterable
 
 from .errors import SizeLimit
@@ -67,23 +66,45 @@ def is_superkey(candidate: Iterable[Variable], scope: Pattern, deps: Iterable[Go
 
 def candidate_keys(scope: Pattern, deps: Iterable[GoFd],
                    max_attrs: int = DEFAULT_MAX_ATTRS) -> tuple[frozenset[Variable], ...]:
-    """All subset-minimal superkeys of the scope's attribute set.
+    """All subset-minimal non-empty superkeys of the scope's attribute set.
 
-    Enumerates subsets by size, skipping supersets of keys already found;
-    scopes with more than ``max_attrs`` attributes are refused.
+    Scopes with more than ``max_attrs`` attributes are refused.
     """
     _check_size(scope, max_attrs)
     kernel = ClosureKernel.for_scope(scope, deps)
-    bits = [1 << i for i in range(len(kernel.variables))]
-    keys: list[int] = []
-    for size in range(1, len(bits) + 1):
-        for combo in combinations(bits, size):
-            candidate = sum(combo)
-            if any(key & candidate == key for key in keys):
-                continue
-            if kernel.close(candidate) == kernel.full:
-                keys.append(candidate)
-    return tuple(frozenset(kernel.unmask(key)) for key in sorted(keys, key=_bits))
+    return tuple(frozenset(kernel.unmask(key)) for key in _keys(kernel))
+
+
+def _keys(kernel: ClosureKernel) -> list[int]:
+    """The minimal non-empty superkeys, ordered by their variables.
+
+    Lucchesi & Osborn (1978): shrink the full set to one key; then for each
+    key ``K`` and rule ``X => Y``, the superkey ``X | (K - Y)`` shrinks to a
+    new key unless it contains a known one.  Each shrink finds a new key and
+    closes at most one set per variable, so the cost grows with the keys, not
+    with the subsets.  When the empty set is a superkey, the non-empty
+    minimal ones are the single variables.
+    """
+    full = kernel.full
+    if kernel.close(0) == full:
+        return [1 << i for i in range(len(kernel.variables))]
+
+    def shrink(mask: int) -> int:
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if kernel.close(mask & ~bit) == full:
+                mask &= ~bit
+        return mask
+
+    keys = [shrink(full)]
+    for key in keys:  # grows while it is walked
+        for lhs, rhs in kernel.rules:
+            candidate = lhs | key & ~rhs
+            if not any(known & candidate == known for known in keys):
+                keys.append(shrink(candidate))
+    return sorted(keys, key=_bits)
 
 
 def check_gn1nf(graph: Graph) -> NormalFormReport:
@@ -94,14 +115,33 @@ def check_gn1nf(graph: Graph) -> NormalFormReport:
     return NormalFormReport(NormalForm.GN1NF, True)
 
 
-def _lhs_candidates(kernel: ClosureKernel, deps: list[GoFd]) -> list[int]:
-    """Left sides worth testing: unions of schema left sides plus single variables."""
-    unions: set[int] = set()
+def _lhs_candidates(kernel: ClosureKernel, deps: list[GoFd]) -> list[tuple[int, int]]:
+    """Left sides that are not superkeys, each with its closure, by size and then
+    variables: unions of schema left sides, and single variables.
+
+    A union is extended only while it is not a superkey; every sub-union of a
+    non-superkey is one too, so all non-superkey unions are still reached.
+    """
+    full = kernel.full
+    closures: dict[int, int] = {}  # union -> its closure
+
+    def visit(mask: int, implied: int) -> None:
+        if mask not in closures:
+            closures[mask] = kernel.close(implied)
+
     for dep in deps:
         lhs = kernel.mask(dep.lhs)
-        unions |= {lhs} | {u | lhs for u in unions}
-    unions.update(1 << i for i in range(len(kernel.variables)))
-    return sorted(unions, key=lambda m: (m.bit_count(), _bits(m)))
+        visit(lhs, lhs)
+        implied = closures[lhs]
+        if implied == full:
+            continue  # a superkey, and so is every union with it
+        for union, union_implied in list(closures.items()):
+            if union_implied != full:
+                visit(union | lhs, union_implied | implied)
+    for i in range(len(kernel.variables)):
+        visit(1 << i, 1 << i)
+    return sorted(((mask, implied) for mask, implied in closures.items() if implied != full),
+                  key=lambda pair: (pair[0].bit_count(), _bits(pair[0])))
 
 
 def check_scoped(form: NormalForm, scope: Pattern, schema: Iterable[GoFd],
@@ -127,16 +167,13 @@ def check_scoped(form: NormalForm, scope: Pattern, schema: Iterable[GoFd],
     kernel = ClosureKernel.for_scope(scope, deps)
     prime = 0
     if form is NormalForm.GN3NF:
-        for key in candidate_keys(scope, deps, max_attrs=max_attrs):
-            prime |= kernel.mask(key)
+        for key in _keys(kernel):
+            prime |= key
     reason = (ViolationReason.NOT_SUPERKEY if form is NormalForm.GNBCNF
               else ViolationReason.NOT_PRIME)
     scope_text = render_pattern(scope)
     violations: list[Violation] = []
-    for lhs in _lhs_candidates(kernel, deps):
-        implied = kernel.close(lhs)
-        if implied == kernel.full:
-            continue  # superkey left side cannot violate
+    for lhs, implied in _lhs_candidates(kernel, deps):
         left = kernel.unmask(lhs)
         for rhs in kernel.unmask(implied & ~lhs & ~prime):
             violations.append(Violation(scope_text, gofd(scope, left, [rhs]).render(), reason))

@@ -181,8 +181,11 @@ class _Parser:
             if not self.accept(","):
                 return out
 
-    def declaration(self) -> GoFd:
+    def declaration(self, scopes: dict[Pattern, Pattern]) -> GoFd:
         scope = self.pattern()
+        # equal scopes share the first one's object, whose derived values
+        # (attributes, key, text) are then computed once
+        scope = scopes.setdefault(scope, scope)
         self.take("::")
         lhs = self.var_list()
         self.take("=>")
@@ -220,12 +223,13 @@ def parse_gofd(text: str) -> GoFd:
 
 def _declarations(text: str) -> list[tuple[GoFd, int]]:
     out: list[tuple[GoFd, int]] = []
+    scopes: dict[Pattern, Pattern] = {}
     for number, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
         if not line.strip():
             continue
         parser = _Parser(_tokenize(line, number), number)
-        out.append((parser.declaration(), number))
+        out.append((parser.declaration(scopes), number))
     return out
 
 

@@ -32,6 +32,7 @@ from gonorm import (
     minimal_cover,
     node_edge_pattern,
     node_pattern,
+    rename_map,
     render_pattern,
     restrict,
     satisfies,
@@ -55,6 +56,8 @@ from oracles import (
     random_graph,
     random_pattern,
 )
+
+from conftest import runs_of
 
 NODE3 = node_pattern("x", {"A"}, {"a", "b", "c"})
 
@@ -237,6 +240,20 @@ def test_restrict_with_explicit_mapping():
     dep = gofd(Q_GENERAL, [ObjectVar("c")], [pv("c", "a")])
     moved = restrict(dep, Q_SPECIFIC, {"c": "x"})
     assert moved.lhs == frozenset({ObjectVar("x")})
+
+
+def test_restrict_onto_an_equal_scope_returns_the_dependency_itself():
+    dep = gofd(Q_SPECIFIC, [pv("x", "a")], [ObjectVar("y")])
+    twin = replace(Q_SPECIFIC)  # equal, but another object
+    assert twin == Q_SPECIFIC and twin is not Q_SPECIFIC
+    with runs_of(rename_map) as (renamed,):
+        assert restrict(dep, twin) is dep
+        assert restrict(dep, Q_SPECIFIC) is dep
+    assert renamed == []
+    alpha = node_edge_pattern("n", {"A", "B"}, {"a", "b"}, "e", {"R"}, {"w"}, Direction.OUT)
+    moved = restrict(dep, alpha)
+    assert moved.lhs == frozenset({pv("n", "a")}) and moved.rhs == frozenset({ObjectVar("e")})
+    assert restrict(moved, Q_SPECIFIC) == dep
 
 
 # -- structural axioms and closures ----------------------------------------

@@ -28,9 +28,11 @@ from gonorm import (
     node_edge_pattern,
     node_pattern,
 )
+from gonorm.gofd import _fixpoint
 from gonorm.normalform import candidate_keys, is_superkey
+from gonorm.pattern import var_sort_key
 
-from conftest import fixture_graph
+from conftest import fixture_graph, runs_of
 from oracles import generalize, oracle_candidate_keys, oracle_check_scoped
 
 
@@ -193,15 +195,22 @@ def random_schema_dep(rng: random.Random, source):
     return gofd(source, lhs, rng.sample(rest, rng.randint(1, min(2, len(rest)))))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10**9))
-def test_check_scoped_and_candidate_keys_agree_with_oracles(seed):
+def dense_schema_dep(rng: random.Random, source):
+    """Right sides that often hold every object variable, so that most unions
+    of left sides are superkeys; now and then an empty left side, which the
+    parser refuses but ``gofd`` makes."""
+    pool = sorted(attrs(source), key=var_sort_key)
+    objects = [v for v in pool if isinstance(v, ObjectVar)]
+    lhs = [] if rng.random() < 0.1 else rng.sample(pool, rng.randint(1, min(3, len(pool))))
+    rhs = objects if rng.random() < 0.6 else rng.sample(pool, rng.randint(1, min(2, len(pool))))
+    return gofd(source, lhs, rhs)
+
+
+def random_schema(rng: random.Random, scope, make_dep, most: int):
     # dependencies come from the scope itself, from patterns that generalize
     # it, and from an unrelated pattern that never applies
-    rng = random.Random(seed)
-    scope = random_scope(rng)
     schema = []
-    for _ in range(rng.randint(1, 7)):
+    for _ in range(rng.randint(1, most)):
         roll = rng.random()
         if roll < 0.3:
             source = scope
@@ -209,12 +218,73 @@ def test_check_scoped_and_candidate_keys_agree_with_oracles(seed):
             source = generalize(rng, scope)
         else:
             source = node_pattern("z", {"Z"}, {"a"})
-        schema.append(random_schema_dep(rng, source))
+        schema.append(make_dep(rng, source))
+    return schema
+
+
+def assert_agrees_with_oracles(scope, schema):
     for form in (NormalForm.GNBCNF, NormalForm.GN3NF):
         assert check_scoped(form, scope, schema).violations == \
             oracle_check_scoped(form, scope, schema)
     deps = applicable_deps(schema, scope)
     assert candidate_keys(scope, deps) == oracle_candidate_keys(scope, deps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_check_scoped_and_candidate_keys_agree_with_oracles(seed):
+    rng = random.Random(seed)
+    scope = random_scope(rng)
+    assert_agrees_with_oracles(scope, random_schema(rng, scope, random_schema_dep, 7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_check_scoped_and_candidate_keys_agree_with_oracles_on_dense_schemas(seed):
+    rng = random.Random(seed)
+    scope = random_scope(rng)
+    assert_agrees_with_oracles(scope, random_schema(rng, scope, dense_schema_dep, 10))
+
+
+def test_empty_left_sides_agree_with_oracles():
+    scope = node_pattern("x", {"A"}, {"a", "b", "c"})
+    constant = gofd(scope, [], [pv("x", "a")])  # the empty set is not a superkey
+    everything = gofd(scope, [], [ObjectVar("x")])  # the empty set is a superkey
+    other = gofd(scope, [pv("x", "b")], [pv("x", "c")])
+    for schema in ([constant], [constant, other], [everything], [other, everything]):
+        assert_agrees_with_oracles(scope, schema)
+    # the empty set is never reported as a key; every single variable is one
+    assert candidate_keys(scope, [everything, other]) == tuple(
+        frozenset({v}) for v in sorted(attrs(scope), key=var_sort_key))
+    report = check_scoped(NormalForm.GNBCNF, scope, [constant])
+    assert report.violations[0].dependency == "(x:{A}:{a,b,c})::=>x.a"
+
+
+def test_normal_form_checks_close_only_left_sides_that_can_violate():
+    # every union with one of the seven key left sides is a superkey, {a} | {c}
+    # among them: of the 2^10 unions of left sides, few need a closure
+    scope = node_pattern("x", {"A"}, {"a", "b", "c", "d", "e"} | {f"k{i}" for i in range(6)})
+    deps = [gofd(scope, [pv("x", f"k{i}")], [ObjectVar("x")]) for i in range(6)] + [
+        gofd(scope, [pv("x", "a"), pv("x", "c")], [ObjectVar("x")]),
+        gofd(scope, [pv("x", "a")], [pv("x", "b")]),
+        gofd(scope, [pv("x", "c")], [pv("x", "d")]),
+        gofd(scope, [pv("x", "e")], [pv("x", "b")])]
+    size = len(attrs(scope))
+    keys = candidate_keys(scope, deps)
+    assert len(keys) == 8
+    closed = {}
+    for form in (NormalForm.GNBCNF, NormalForm.GN3NF):
+        with runs_of(_fixpoint) as (seeds,):
+            assert not check_scoped(form, scope, deps).holds
+        # a set already known to be a superkey is never closed
+        assert (1 << size) - 1 not in seeds
+        closed[form] = len(seeds)
+    # each left side and each single variable at most once, and the few
+    # unions of left sides that are not keys
+    assert closed[NormalForm.GNBCNF] <= len(deps) + size
+    # the key search: the empty set, and one shrink per key, which closes
+    # at most one set per variable
+    assert closed[NormalForm.GN3NF] <= closed[NormalForm.GNBCNF] + 1 + size * len(keys)
 
 
 def test_all_prime_scope_separates_3nf_from_bcnf():

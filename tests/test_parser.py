@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gonorm import (
     ANON_EDGE_VAR,
     Direction,
+    Graph,
     ObjectVar,
     ParseError,
     PropVar,
@@ -19,6 +20,7 @@ from gonorm import (
     edge_pattern,
     format_gofd,
     format_schema,
+    full_normalize,
     gofd,
     load_schema,
     node_edge_pattern,
@@ -27,9 +29,10 @@ from gonorm import (
     parse_pattern_text,
     parse_schema,
     save_schema,
+    scope_key,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, runs_of
 from gonorm.parser import _tokenize
 
 from oracles import oracle_tokenize, random_pattern
@@ -95,6 +98,21 @@ def test_duplicate_declarations_warn_even_across_renaming():
     assert len(doc.schema) == 1
     assert doc.warnings == [
         "line 2: duplicate dependency ignored: (v:{A}:{k})::v.k=>v"]
+
+
+def test_equal_scopes_share_one_object_and_derive_their_values_once():
+    text = ("(x:{A}:{a,b,c})::x.a=>x.b\n"
+            "(x:{A,B}:{a,b,c,d})::x.c=>x.d\n"
+            "(x:{A}:{c,b,a})::x.b=>x.c\n"  # the first scope, written another way
+            "(n:{A}:{a,b,c})::n.c=>n\n"  # an alpha variant stays apart
+            "(x:{B,A}:{a,b,c,d})::x.d=>x.a\n"
+            "(x:{A}:{a,b,c})::x.c=>x.a\n")
+    with runs_of(attrs, scope_key) as (attributed, keyed):
+        deps = list(parse_schema(text).schema)
+        full_normalize(Graph(), deps)
+    firsts = [next(i for i, d in enumerate(deps) if d.scope is dep.scope) for dep in deps]
+    assert firsts == [0, 1, 0, 3, 1, 0]
+    assert len(attributed) == len(keyed) == 3
 
 
 def test_parse_gofd_wants_exactly_one_declaration():
