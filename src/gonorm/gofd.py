@@ -203,7 +203,7 @@ def satisfies(graph: Graph, dep: GoFd, max_witnesses: int = 5, *,
     holds = True
     groups: dict[tuple, tuple] = {}
     witnesses: list[tuple[tuple, tuple]] = []
-    for row in relation.ordered:
+    for row in relation.rows:
         left = tuple([value_key(row[i]) for i in lhs_cols])
         right = tuple([value_key(row[i]) for i in rhs_cols])
         if left in groups:

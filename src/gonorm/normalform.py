@@ -182,7 +182,8 @@ def check_scoped(form: NormalForm, scope: Pattern, schema: Iterable[GoFd],
 
 def check_gn_nf(form: NormalForm, schema: Iterable[GoFd], graph: Graph | None = None,
                 max_attrs: int = DEFAULT_MAX_ATTRS) -> NormalFormReport:
-    """Whole-schema check: the conjunction of the per-scope checks."""
+    """Whole-schema check: the conjunction of the per-scope checks, each distinct
+    scope once, in first-seen order; a violation names its scope, so none repeats."""
     if form is NormalForm.GN1NF:
         if graph is None:
             raise ValueError("the first normal form is a property of the graph; pass one")
@@ -197,7 +198,5 @@ def check_gn_nf(form: NormalForm, schema: Iterable[GoFd], graph: Graph | None = 
         if key in seen:
             continue
         seen.add(key)
-        report = check_scoped(form, dep.scope, deps, max_attrs=max_attrs)
-        violations.extend(report.violations)
-    unique = tuple(dict.fromkeys(violations))
-    return NormalFormReport(form, not unique, unique)
+        violations.extend(check_scoped(form, dep.scope, deps, max_attrs=max_attrs).violations)
+    return NormalFormReport(form, not violations, tuple(violations))

@@ -22,7 +22,8 @@ from typing import Iterable
 from .errors import InvariantError, NonStrict, UnsatisfiedDependency
 from .gofd import GnSchema, GoFd, applicable_deps, gofd, minimal_cover, satisfies
 from .graph import Graph
-from .pattern import Pattern, evaluate, more_general_than, render_pattern, scope_key, var_sort_key
+from .pattern import (Pattern, Variable, evaluate, more_general_than, render_pattern, scope_key,
+                      var_sort_key)
 from .transform import (
     NewNode,
     Transformation,
@@ -113,12 +114,11 @@ def _normalize_scope(graph: Graph, schema: Iterable[GoFd], scope: Pattern,
     cover = minimal_cover(sigma)
     log.cover = [dep.render() for dep in cover]
 
-    # phase 3: plan one transformation per determined variable and execute
+    # phase 3: plan one transformation per determined variable and execute;
+    # the cover has one member per left side, so a left side names its member
     parts: list[GoFd] = []
-    part_owner: dict[int, int] = {}
-    kept_parts: dict[int, list[GoFd]] = {}
-    untouched: list[GoFd] = []
-    for pos, dep in enumerate(cover):
+    kept: dict[frozenset[Variable], list[Variable]] = {}  # left side -> right sides kept
+    for dep in cover:
         for var in sorted(dep.rhs - dep.lhs, key=var_sort_key):
             part = gofd(dep.scope, dep.lhs, [var])
             try:
@@ -126,21 +126,16 @@ def _normalize_scope(graph: Graph, schema: Iterable[GoFd], scope: Pattern,
             except (NonStrict, InvariantError) as reason:
                 log.warnings.append(
                     f"not transformable, kept as is: {part.render()} ({reason})")
-                kept_parts.setdefault(pos, []).append(part)
+                kept.setdefault(dep.lhs, []).append(var)
                 continue
-            part_owner[len(parts)] = pos
             parts.append(part)
     plans, leftovers = build_plans(graph, parts, matches=matches)
     log.transformations = plans
     for dep, kind in leftovers:
-        pos = part_owner[parts.index(dep)]
-        kept_parts.setdefault(pos, []).append(dep)
+        kept.setdefault(dep.lhs, []).extend(dep.rhs)
         if kind is not TransformationKind.NO_REDUNDANCY:
             log.zero_match.append(dep.render())
-    for pos in sorted(kept_parts):
-        merged = kept_parts[pos]
-        untouched.append(gofd(merged[0].scope, merged[0].lhs,
-                              frozenset().union(*(d.rhs for d in merged))))
+    untouched = [gofd(dep.scope, dep.lhs, kept[dep.lhs]) for dep in cover if dep.lhs in kept]
     _execute(graph, plans)
     if logger.isEnabledFor(logging.DEBUG):
         _log_pass(log.scope, len(matches), plans)

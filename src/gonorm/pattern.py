@@ -12,7 +12,7 @@ variable), no matter how the variables are named.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, wraps
+from functools import wraps
 from enum import Enum
 from operator import itemgetter
 from typing import Iterable, Union
@@ -158,21 +158,13 @@ def variable_roles(pattern: Pattern) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class Relation:
-    """A set of rows over a fixed tuple of variables (sorted canonically)."""
+    """One row per match over a fixed tuple of variables (sorted canonically),
+    sorted by the object-id columns.  Matches always differ in some id, and rows
+    with equal ids hold the same values, so no row repeats and no value is compared for order."""
 
     variables: tuple[Variable, ...]
-    rows: frozenset[tuple[Atomic, ...]]
+    rows: tuple[tuple[Atomic, ...], ...]
     scope: Pattern | None = field(default=None, compare=False)  # pattern matched, if any
-
-    @cached_property
-    def ordered(self) -> tuple[tuple[Atomic, ...], ...]:
-        """The rows sorted by their object-id columns, once per relation.
-
-        Two matches always differ in some id, and rows with equal ids hold
-        the same values, so values are never compared for order.
-        """
-        ids = [i for i, var in enumerate(self.variables) if isinstance(var, ObjectVar)]
-        return tuple(sorted(self.rows, key=itemgetter(*ids)))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -205,9 +197,12 @@ def evaluate(pattern: Pattern, graph: Graph) -> Relation:
                    if _matches(record, pattern.labels, pattern.keys)]
     variables = tuple(sorted(attrs(pattern), key=var_sort_key))
     slots = [(names.index(v.name), v.key if isinstance(v, PropVar) else None) for v in variables]
-    rows = frozenset(tuple(match[i][0] if key is None else match[i][1].props[key]
-                           for i, key in slots) for match in matches)
-    return Relation(variables, rows, pattern)
+    rows = [tuple(match[i][0] if key is None else match[i][1].props[key] for i, key in slots)
+            for match in matches]
+    del matches  # before the sort makes its keys
+    rows.sort(key=itemgetter(*[pos for pos, var in enumerate(variables)
+                               if isinstance(var, ObjectVar)]))
+    return Relation(variables, tuple(rows), pattern)
 
 
 # -- generality and renaming ---------------------------------------------

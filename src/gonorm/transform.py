@@ -5,9 +5,10 @@ that can be removed by restructuring the graph: repeated property
 combinations are pulled out into shared value nodes, and edges whose
 properties move away are reified into nodes so nothing is lost.  Each
 transformation is planned as a list of primitive operations computed against
-the untouched input graph; plans are then executed together, all creations
-before all removals, so transformations sharing objects cannot read each
-other's partial writes.
+the untouched input graph; plans are then executed together, each op object
+once, all creations before all removals, so transformations sharing objects
+cannot read each other's partial writes.  The parts of one sweep share op
+objects; an equal op of another plan runs again and changes nothing.
 
 Skolem naming makes the output deterministic: value nodes are named by the
 defining left-side values, reifier nodes by the edge they replace.  The plans
@@ -164,7 +165,6 @@ def created_edge_id(label: str, src: str, tgt: str) -> str:
 class NewNode(NamedTuple):
     node: str
     labels: tuple[str, ...]
-    props: tuple[tuple[str, Atomic], ...] = ()
 
 
 class NewEdge(NamedTuple):
@@ -190,8 +190,7 @@ Op = Union[NewNode, NewEdge, MoveProp, DelEdge]
 
 def op_to_dict(op: Op) -> dict:
     if isinstance(op, NewNode):
-        return {"op": "new-node", "id": op.node, "labels": list(op.labels),
-                "props": dict(op.props)}
+        return {"op": "new-node", "id": op.node, "labels": list(op.labels), "props": {}}
     if isinstance(op, NewEdge):
         return {"op": "new-edge", "id": op.edge, "src": op.src, "tgt": op.tgt,
                 "labels": list(op.labels)}
@@ -270,7 +269,7 @@ def _key_dependency(val_label: str, lhs_keys: Iterable[str],
 class _Sweep(NamedTuple):
     """What every part with one scope and left side plans alike.
 
-    One row per match, in ``relation.ordered`` order: the match, the ops
+    One row per match, in ``relation.rows`` order: the match, the ops
     planned before the part's own right-side move (the value node when its
     name is new, the reification, the left-side moves), the value node's
     id, and the link edge planned after that move.
@@ -296,7 +295,7 @@ def _sweep(graph: Graph, dep: GoFd, relation: Relation, roles: dict[str, str],
 
     names: dict[tuple[str, ...], str] = {}
     rows = []
-    for values in relation.ordered:
+    for values in relation.rows:
         lhs_values = tuple([values[pos] for pos in lhs_columns])
         name_key = tuple(map(value_key, lhs_values))
         vid = names.get(name_key)
@@ -334,8 +333,8 @@ def _instantiate(graph: Graph, dep: GoFd, matches: Relation | None,
     if kind is TransformationKind.BETWEEN_N_EP:
         edge, node, value = owner["edge"], owner["node"], column[rhs]
         ops = [MoveProp(values[edge], rhs.key, values[node], values[value])
-               for values in relation.ordered]
-        return Transformation(dep, kind, len(relation.rows), list(dict.fromkeys(ops)))
+               for values in relation.rows]  # one per matched edge
+        return Transformation(dep, kind, len(relation.rows), ops)
 
     sweep = sweeps.get((dep.scope, dep.lhs))
     if sweep is None:
@@ -418,15 +417,6 @@ def build_plans(graph: Graph, deps: Iterable[GoFd], *, matches: Relation | None 
 
 # -- execution ------------------------------------------------------------
 
-def _op_key(op: Op) -> tuple:
-    """Equal for two ops exactly when their fields are equal, values by ``value_key``."""
-    if isinstance(op, MoveProp):
-        return op, value_key(op.value)
-    if isinstance(op, NewNode) and op.props:
-        return op, tuple([value_key(value) for _, value in op.props])
-    return op
-
-
 class _Executor:
     def __init__(self, graph: Graph) -> None:
         self.out = graph
@@ -459,8 +449,6 @@ class _Executor:
             else:
                 self.out.add_node(op.labels, node_id=op.node)
                 self.created_nodes.add(op.node)
-            for key, value in op.props:
-                self.assign(op.node, key, value)
         elif isinstance(op, NewEdge):
             if op.edge in self.created_edges:
                 self.out.edges[op.edge].labels.update(op.labels)
@@ -484,8 +472,9 @@ class _Executor:
 def execute_plans(graph: Graph, plans: Iterable[Transformation]) -> Graph:
     """Run plans against a copy of the graph; the graph itself is unchanged.
 
-    Each distinct op runs once, all creations first, then all removals,
-    each in the order the ops first appear in the plans.
+    Each op object runs once, all creations first, then all removals, each
+    in the order the ops first appear in the plans.  Values that differ as
+    JSON text, like ``1`` and ``True`` moved to one slot, conflict.
     """
     return _execute(graph.copy(), plans)
 
@@ -502,28 +491,8 @@ def _execute(graph: Graph, plans: Iterable[Transformation]) -> Graph:
 
 
 def _distinct_ops(plans: Iterable[Transformation]) -> list[Op]:
-    """The plans' ops, each once, in the order they first appear.
-
-    Two ops are the same when their fields are equal, values by
-    ``value_key``: a ``1`` and a ``True`` moved to one slot are two ops, so
-    the executor still sees them conflict.  Plans of one sweep share their
-    op objects, so most repeats are caught by identity.
-    """
-    first: dict[Op, Op] = {}  # the first op of each class Python equality makes
-    others: set[tuple] = set()  # ops that class holds beyond its first, by _op_key
-    out: list[Op] = []
-    for plan in plans:
-        for op in plan.ops:
-            seen = first.get(op)
-            if seen is None:
-                first[op] = op
-                out.append(op)
-            elif seen is not op:
-                key = _op_key(op)
-                if key != _op_key(seen) and key not in others:
-                    others.add(key)
-                    out.append(op)
-    return out
+    """The plans' ops, each op object once, in the order they first appear."""
+    return list({id(op): op for plan in plans for op in plan.ops}.values())
 
 
 # -- inverse and lossless check --------------------------------------------

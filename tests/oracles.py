@@ -313,7 +313,7 @@ def oracle_instantiate(graph: Graph, dep: GoFd, rows) -> list[Op]:
             ops.append(op)
 
     if kind is TransformationKind.BETWEEN_N_EP:
-        for values in rows.ordered:
+        for values in rows.rows:
             add(MoveProp(values[owner["edge"]], rhs.key, values[owner["node"]],
                          values[column[rhs]]))
         return ops
@@ -329,7 +329,7 @@ def oracle_instantiate(graph: Graph, dep: GoFd, rows) -> list[Op]:
     prefix = reification_prefix(owner_labels)
     link_label = f"{prefix}_det" if lhs_role == "edge" else val_label
     names: dict[tuple[str, ...], str] = {}
-    for values in rows.ordered:
+    for values in rows.rows:
         lhs_values = [values[column[var]] for var in lhs_vars]
         name_key = tuple(value_key(value) for value in lhs_values)
         if name_key not in names:
@@ -554,8 +554,12 @@ def random_graph(rng: random.Random, max_nodes: int = 10,
     return graph
 
 
-def random_pattern(rng: random.Random) -> Pattern:
-    shape = rng.choice(("node", "edge", "node-edge"))
+PATTERN_SHAPES = ("node", "edge", "node-edge")
+
+
+def random_pattern(rng: random.Random, shape: str | None = None) -> Pattern:
+    """A pattern over the shared vocabulary, of ``shape`` or of a random one."""
+    shape = shape or rng.choice(PATTERN_SHAPES)
     if shape == "node":
         return node_pattern("x", _some(rng, NODE_LABELS + ("Extra",)),
                             _some(rng, ("na", "nb", "nz")))

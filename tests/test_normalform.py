@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gonorm import (
     Direction,
     FormatError,
+    GnSchema,
     Graph,
     NormalForm,
     ObjectVar,
@@ -29,7 +30,7 @@ from gonorm import (
     node_pattern,
 )
 from gonorm.gofd import _fixpoint
-from gonorm.normalform import candidate_keys, is_superkey
+from gonorm.normalform import NormalFormReport, candidate_keys, is_superkey
 from gonorm.pattern import var_sort_key
 
 from conftest import fixture_graph, runs_of
@@ -324,3 +325,18 @@ def test_whole_schema_check_visits_each_scope_once():
     again = check_gn_nf(NormalForm.GNBCNF, ALL_PRIME_DEPS + [alias])
     assert len(again.violations) == len(report.violations)  # alpha-variant scope not revisited
     assert check_gn_nf(NormalForm.GNBCNF, [fine]).holds
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_whole_schema_violations_are_the_per_scope_lists_in_scope_order(seed):
+    # several scopes, the generalized ones often alpha-renamed copies of each other
+    rng = random.Random(seed)
+    deps = [dep for _ in range(rng.randint(2, 4))
+            for dep in random_schema(rng, random_scope(rng), random_schema_dep, 4)]
+    scopes = GnSchema(deps).scopes()
+    for form in (NormalForm.GNBCNF, NormalForm.GN3NF):
+        expected = [violation for scope in scopes
+                    for violation in check_scoped(form, scope, deps).violations]
+        assert len(set(expected)) == len(expected)
+        assert check_gn_nf(form, deps) == NormalFormReport(form, not expected, tuple(expected))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -35,6 +36,7 @@ from gonorm import (
 from gonorm.pattern import var_sort_key
 
 from oracles import (
+    PATTERN_SHAPES,
     generalize,
     naive_matches,
     projection,
@@ -98,9 +100,9 @@ def test_rows_are_ordered_by_object_ids():
     for pattern, expected in cases:
         relation = evaluate(pattern, g)
         ids = [i for i, var in enumerate(relation.variables) if isinstance(var, ObjectVar)]
-        assert [tuple(row[i] for i in ids) for row in relation.ordered] == expected
-        assert relation.ordered == tuple(sorted(relation.rows,
-                                                key=lambda row: [row[i] for i in ids]))
+        assert [tuple(row[i] for i in ids) for row in relation.rows] == expected
+        assert relation.rows == tuple(sorted(relation.rows,
+                                             key=lambda row: [row[i] for i in ids]))
 
 
 # -- evaluation semantics --------------------------------------------------
@@ -157,12 +159,20 @@ def test_node_edge_pattern_self_loop_counts_once_per_row():
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10**9))
 def test_evaluate_agrees_with_brute_force(seed):
+    # one row per match, none repeated, in object-id order; values compared
+    # as JSON text, so 1, 1.0 and True stay apart
     rng = random.Random(seed)
     g = random_graph(rng)
-    pattern = random_pattern(rng)
-    expected = {frozenset(row.items()) for row in naive_matches(g, pattern)}
-    actual = {frozenset(row.items()) for row in rows_as_maps(evaluate(pattern, g))}
-    assert actual == expected
+    for shape in PATTERN_SHAPES:
+        pattern = random_pattern(rng, shape)
+        relation = evaluate(pattern, g)
+        ids = [i for i, var in enumerate(relation.variables) if isinstance(var, ObjectVar)]
+        keys = [[row[i] for i in ids] for row in relation.rows]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        expected = [tuple(json.dumps(row[var]) for var in relation.variables)
+                    for row in naive_matches(g, pattern)]
+        actual = [tuple(json.dumps(value) for value in row) for row in relation.rows]
+        assert sorted(actual) == sorted(expected)
 
 
 # -- relations -------------------------------------------------------------

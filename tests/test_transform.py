@@ -45,6 +45,7 @@ from gonorm.transform import (
     NewEdge,
     NewNode,
     Transformation,
+    _distinct_ops,
     created_edge_id,
     op_to_dict,
     reification_prefix,
@@ -128,8 +129,8 @@ def test_skolem_names_exact():
 
 
 def test_op_to_dict_frozen_layout():
-    assert op_to_dict(NewNode("v", ("L",), (("k", 1),))) == {
-        "op": "new-node", "id": "v", "labels": ["L"], "props": {"k": 1}}
+    assert op_to_dict(NewNode("v", ("L",))) == {
+        "op": "new-node", "id": "v", "labels": ["L"], "props": {}}
     assert op_to_dict(NewEdge("e", "a", "b", ("L",))) == {
         "op": "new-edge", "id": "e", "src": "a", "tgt": "b", "labels": ["L"]}
     assert op_to_dict(MoveProp("a", "k", "v", 3)) == {
@@ -212,7 +213,7 @@ def test_value_node_names_keep_apart_equal_but_distinct_values(edge_only):
     relation = evaluate(scope, holding(objects))
     column = relation.variables.index(ObjectVar(var))
     expected: list = []
-    for row in relation.ordered:
+    for row in relation.rows:
         (alone,), _ = build_plans(holding({row[column]: objects[row[column]]}), [dep])
         expected += [op for op in alone.ops if op not in expected]
     assert plan.ops == expected
@@ -370,11 +371,48 @@ def test_executor_detects_conflicting_assignments():
                  for value in (first, second)]
         with pytest.raises(InvariantError, match="conflicting values"):
             execute_plans(g, plans)
-        plans = [Transformation(dep, TransformationKind.WITHIN_N, 1,
-                                [NewNode("v", ("L",), (("zip", value),))])
-                 for value in (first, second)]
-        with pytest.raises(InvariantError, match="conflicting values"):
-            execute_plans(g, plans)
+
+
+def test_plans_of_two_left_sides_run_each_op_object_once():
+    # two left sides on one edge-only scope: both sweeps reify every edge, so
+    # the a-plans share their reification op objects and the b-plan holds
+    # equal copies of them
+    g = Graph()
+    for nid in ("n1", "n2"):
+        g.add_node({"A"}, node_id=nid)
+    g.add_edge("n1", "n2", {"R"}, {"a": 1, "b": "x", "c": 5, "d": 7}, edge_id="e1")
+    g.add_edge("n2", "n1", {"R"}, {"a": True, "b": "x", "c": 5, "d": 8}, edge_id="e2")
+    scope = edge_pattern("y", {"R"}, {"a", "b", "c", "d"})
+    deps = [gofd(scope, [pv("y", lhs)], [pv("y", rhs)])
+            for lhs, rhs in (("a", "c"), ("a", "d"), ("b", "c"))]
+    plans, leftovers = build_plans(g, deps)
+    assert leftovers == [] and len(plans) == 3
+    dels = [[op for op in plan.ops if isinstance(op, DelEdge)] for plan in plans]
+    assert dels[0] == dels[1] == dels[2] == [DelEdge("e1"), DelEdge("e2")]
+    assert all(x is y for x, y in zip(dels[0], dels[1]))
+    assert not any(x is y for x, y in zip(dels[0], dels[2]))
+
+    ops = _distinct_ops(plans)
+    assert [id(op) for op in ops] == list(dict.fromkeys(id(op) for plan in plans
+                                                          for op in plan.ops))
+    assert sum(isinstance(op, DelEdge) for op in ops) == 4
+
+    r1, r2 = reifier_id("e1"), reifier_id("e2")
+    a1, a_true, bx = (skolem_node_id("val", {"R"}, [kv])
+                      for kv in (("a", 1), ("a", True), ("b", "x")))
+    expected = Graph()
+    for nid, label, props in (("n1", "A", {}), ("n2", "A", {}), (r1, "R", {}), (r2, "R", {}),
+                              (a1, "Sk_RA", {"a": 1, "c": 5, "d": 7}),
+                              (a_true, "Sk_RA", {"a": True, "c": 5, "d": 8}),
+                              (bx, "Sk_RB", {"b": "x", "c": 5})):
+        expected.add_node({label}, props, node_id=nid)
+    for label, src, tgt in (("R_src", "n1", r1), ("R_tgt", r1, "n2"), ("R_src", "n2", r2),
+                            ("R_tgt", r2, "n1"), ("R_det", r1, a1), ("R_det", r1, bx),
+                            ("R_det", r2, a_true), ("R_det", r2, bx)):
+        expected.add_edge(src, tgt, {label}, edge_id=created_edge_id(label, src, tgt))
+    out = execute_plans(g, plans)
+    assert dump_graph(out) == dump_graph(expected)
+    assert verify_lossless(g, out, plans[0], plans[1:])
 
 
 def test_executor_refuses_overwriting_existing_property():
