@@ -1,7 +1,9 @@
 """In-memory labeled property graph with a JSON file format.
 
 Nodes and edges are objects drawn from one id space (the two sets stay
-disjoint), each carrying a label set and a property map.  Property values are
+disjoint), each carrying a label set and a property map.  Label sets are
+immutable ``frozenset``s, so records may share one: the loader keeps one per
+distinct label list, and copies share the original's.  Property values are
 atomic: strings, numbers, or booleans.  Nested values are rejected so that
 every graph is first-normal-form by construction.
 """
@@ -38,15 +40,20 @@ def check_atomic(value: Any) -> Atomic:
 
 @dataclass(slots=True)
 class NodeRecord:
-    labels: set[str] = field(default_factory=set)
+    """A node's labels and properties; the label set is immutable and may be shared."""
+
+    labels: frozenset[str] = frozenset()
     props: dict[str, Atomic] = field(default_factory=dict)
 
 
 @dataclass(slots=True)
 class EdgeRecord:
+    """An edge's endpoints, labels and properties; the label set is immutable
+    and may be shared."""
+
     src: str
     tgt: str
-    labels: set[str] = field(default_factory=set)
+    labels: frozenset[str] = frozenset()
     props: dict[str, Atomic] = field(default_factory=dict)
 
 
@@ -55,7 +62,9 @@ class Graph:
 
     ``nodes`` and ``edges`` map object ids to records; treat them as
     read-only and mutate through the methods, which maintain the invariants
-    (disjoint id spaces, total endpoints, atomic values).  No locking is done;
+    (disjoint id spaces, total endpoints, atomic values).  Records share
+    their immutable label sets, with each other and with copies of the
+    graph; a label change replaces the record's set.  No locking is done;
     a graph instance is not safe for concurrent mutation.
     """
 
@@ -86,7 +95,7 @@ class Graph:
             node_id = self._fresh_id("n")
         elif node_id in self.nodes or node_id in self.edges:
             raise InvariantError(f"duplicate id: object {node_id!r} already exists")
-        record = NodeRecord(labels=set(labels))
+        record = NodeRecord(frozenset(labels))
         for key, value in (props or {}).items():
             record.props[key] = check_atomic(value)
         self.nodes[node_id] = record
@@ -101,7 +110,7 @@ class Graph:
             edge_id = self._fresh_id("e")
         elif edge_id in self.nodes or edge_id in self.edges:
             raise InvariantError(f"duplicate id: object {edge_id!r} already exists")
-        record = EdgeRecord(src=src, tgt=tgt, labels=set(labels))
+        record = EdgeRecord(src, tgt, frozenset(labels))
         for key, value in (props or {}).items():
             record.props[key] = check_atomic(value)
         self.edges[edge_id] = record
@@ -136,7 +145,7 @@ class Graph:
         self._record(obj_id).props.pop(key, None)
 
     def labels(self, obj_id: str) -> frozenset[str]:
-        return frozenset(self._record(obj_id).labels)
+        return self._record(obj_id).labels
 
     def props(self, obj_id: str) -> dict[str, Atomic]:
         return dict(self._record(obj_id).props)
@@ -151,10 +160,9 @@ class Graph:
         dup = Graph()
         dup._node_counter = self._node_counter
         dup._edge_counter = self._edge_counter
-        for nid, n in self.nodes.items():
-            dup.nodes[nid] = NodeRecord(labels=set(n.labels), props=dict(n.props))
-        for eid, e in self.edges.items():
-            dup.edges[eid] = EdgeRecord(src=e.src, tgt=e.tgt, labels=set(e.labels), props=dict(e.props))
+        dup.nodes = {nid: NodeRecord(n.labels, dict(n.props)) for nid, n in self.nodes.items()}
+        dup.edges = {eid: EdgeRecord(e.src, e.tgt, e.labels, dict(e.props))
+                     for eid, e in self.edges.items()}
         return dup
 
     def __len__(self) -> int:
@@ -191,21 +199,39 @@ def graph_to_dict(graph: Graph) -> dict[str, Any]:
     }
 
 
-def _labels_of(entry: dict, oid: str) -> set[str]:
+def shared_labels(kept: dict[tuple[str, ...], frozenset[str]],
+                  labels: tuple[str, ...]) -> frozenset[str]:
+    """The one set ``kept`` holds for ``labels``, made on first use."""
+    found = kept.get(labels)
+    if found is None:
+        found = kept[labels] = frozenset(labels)
+    return found
+
+
+_STR_TYPE = frozenset((str,))
+_ATOMIC_TYPES = frozenset((str, int, float, bool))
+
+
+def _labels_of(entry: dict, oid: str,
+               interned: dict[tuple[str, ...], frozenset[str]]) -> frozenset[str]:
+    """The entry's labels, checked, as the one set ``interned`` keeps for them."""
     labels = entry.get("labels", [])
-    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+    if not isinstance(labels, list) or not (
+            _STR_TYPE.issuperset(map(type, labels))  # exact types, in one pass in C
+            or all(isinstance(label, str) for label in labels)):
         raise InvariantError(f"labels of {oid!r} must be a list of strings")
-    return set(labels)
+    return shared_labels(interned, tuple(labels))
 
 
 def _props_of(entry: dict, oid: str) -> dict[str, Atomic]:
     props = entry.get("properties", {})
     if not isinstance(props, dict):
         raise InvariantError(f"properties of {oid!r} must be an object")
-    for key, value in props.items():
-        if not isinstance(value, (str, int, float, bool)):
-            raise InvariantError(
-                f"property {key!r} of {oid!r} must be an atomic string/number/boolean")
+    if not _ATOMIC_TYPES.issuperset(map(type, props.values())):  # exact types, in C
+        for key, value in props.items():  # subclasses pass; name the first bad key
+            if not isinstance(value, (str, int, float, bool)):
+                raise InvariantError(
+                    f"property {key!r} of {oid!r} must be an atomic string/number/boolean")
     return dict(props)
 
 
@@ -225,6 +251,7 @@ def graph_from_dict(doc: Any) -> Graph:
         raise InvariantError('"edges" must be a list')
     graph = Graph()
     nodes, edges = graph.nodes, graph.edges
+    interned: dict[tuple[str, ...], frozenset[str]] = {}  # one set per label list
     for entry in node_docs:
         if not isinstance(entry, dict):
             raise InvariantError("node entries must be objects")
@@ -233,7 +260,7 @@ def graph_from_dict(doc: Any) -> Graph:
             raise InvariantError("node ids must be strings")
         if nid in nodes:
             raise InvariantError(f"duplicate id: {nid!r}")
-        nodes[nid] = NodeRecord(_labels_of(entry, nid), _props_of(entry, nid))
+        nodes[nid] = NodeRecord(_labels_of(entry, nid, interned), _props_of(entry, nid))
     for entry in edge_docs:
         if not isinstance(entry, dict):
             raise InvariantError("edge entries must be objects")
@@ -249,7 +276,8 @@ def graph_from_dict(doc: Any) -> Graph:
             raise InvariantError(f"dangling endpoint: edge {eid!r} src {src!r} is not a node")
         if tgt not in nodes:
             raise InvariantError(f"dangling endpoint: edge {eid!r} tgt {tgt!r} is not a node")
-        edges[eid] = EdgeRecord(src, tgt, _labels_of(entry, eid), _props_of(entry, eid))
+        edges[eid] = EdgeRecord(src, tgt, _labels_of(entry, eid, interned),
+                                _props_of(entry, eid))
     return graph
 
 
@@ -273,7 +301,7 @@ def _scalar(value: Atomic) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _labels_text(labels: set[str]) -> str:
+def _labels_text(labels: frozenset[str]) -> str:
     if not labels:
         return "[]"
     return "[\n        " + ",\n        ".join(map(_encode_str, sorted(labels))) + "\n      ]"
@@ -297,15 +325,19 @@ def dump_graph(graph: Graph) -> str:
     The layout is written here because ``indent`` makes ``json.dumps`` use
     its pure-Python encoder.  Ids, labels and keys are strings, as the
     loader and ``Graph`` keep them.  A non-finite float raises ``ValueError``.
+    Each distinct label set's text is written once.
     """
+    distinct = {record.labels for record in graph.nodes.values()}
+    distinct.update(record.labels for record in graph.edges.values())
+    labels_text = {labels: _labels_text(labels) for labels in distinct}
     nodes = [f'    {{\n      "id": {_encode_str(nid)},\n'
-             f'      "labels": {_labels_text(record.labels)},\n'
+             f'      "labels": {labels_text[record.labels]},\n'
              f'      "properties": {_props_text(record.props)}\n    }}'
              for nid, record in sorted(graph.nodes.items())]
     edges = [f'    {{\n      "id": {_encode_str(eid)},\n'
              f'      "src": {_encode_str(record.src)},\n'
              f'      "tgt": {_encode_str(record.tgt)},\n'
-             f'      "labels": {_labels_text(record.labels)},\n'
+             f'      "labels": {labels_text[record.labels]},\n'
              f'      "properties": {_props_text(record.props)}\n    }}'
              for eid, record in sorted(graph.edges.items())]
     return f'{{\n  "nodes": {_list_text(nodes)},\n  "edges": {_list_text(edges)}\n}}\n'

@@ -12,6 +12,10 @@ variable, written on either side of the arrow: ``(c)<-[t:...]-()`` and
 ``()-[t:...]->(c)`` mean the same thing.  ``∅`` is accepted for ``{}`` and
 ``⇒`` for ``=>``.  Formatting always emits the compact canonical spelling,
 so parse-format round-trips are stable.
+
+Within one call, each distinct scope text (all of a line before its first
+``::``) is parsed once per schema text; a line that repeats it is parsed
+from ``::`` on.
 """
 from __future__ import annotations
 
@@ -51,9 +55,9 @@ class _Token(NamedTuple):
     column: int
 
 
-def _tokenize(text: str, line: int) -> list[_Token]:
+def _tokenize(text: str, line: int, column: int = 1) -> list[_Token]:
+    """The tokens of ``text``, whose first character is at ``column``."""
     out: list[_Token] = []
-    column = 1
     for piece in _PIECE.findall(text):
         kind = _KIND.get(piece)
         if kind is None:
@@ -66,7 +70,7 @@ def _tokenize(text: str, line: int) -> list[_Token]:
                 raise ParseError(f"unexpected character {piece!r}", line, column)
         out.append(_Token(kind, piece, column))
         column += len(piece)
-    out.append(_Token("end", "", len(text) + 1))
+    out.append(_Token("end", "", column))
     return out
 
 
@@ -181,11 +185,8 @@ class _Parser:
             if not self.accept(","):
                 return out
 
-    def declaration(self, scopes: dict[Pattern, Pattern]) -> GoFd:
-        scope = self.pattern()
-        # equal scopes share the first one's object, whose derived values
-        # (attributes, key, text) are then computed once
-        scope = scopes.setdefault(scope, scope)
+    def dependency(self, scope: Pattern) -> GoFd:
+        """A declaration's text from ``::`` on, over the parsed ``scope``."""
         self.take("::")
         lhs = self.var_list()
         self.take("=>")
@@ -224,12 +225,23 @@ def parse_gofd(text: str) -> GoFd:
 def _declarations(text: str) -> list[tuple[GoFd, int]]:
     out: list[tuple[GoFd, int]] = []
     scopes: dict[Pattern, Pattern] = {}
+    parsed: dict[str, Pattern] = {}  # scope text of a parsed line -> its scope
     for number, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
         if not line.strip():
             continue
-        parser = _Parser(_tokenize(line, number), number)
-        out.append((parser.declaration(scopes), number))
+        head, arrow, _ = line.partition("::")
+        scope = parsed.get(head) if arrow else None
+        if scope is None:
+            parser = _Parser(_tokenize(line, number), number)
+            scope = parser.pattern()
+            # equal scopes share the first one's object, whose derived values
+            # (attributes, key, text) are then computed once
+            scope = scopes.setdefault(scope, scope)
+        else:  # only the text from "::" on is new
+            parser = _Parser(_tokenize(line[len(head):], number, len(head) + 1), number)
+        out.append((parser.dependency(scope), number))
+        parsed[head] = scope  # the whole line parsed, so its head did
     return out
 
 

@@ -31,7 +31,7 @@ from .errors import (
     NothingToDo,
 )
 from .gofd import GoFd, check_bound, gofd, scope_matches
-from .graph import Atomic, Graph, dump_graph, value_key
+from .graph import Atomic, Graph, dump_graph, shared_labels, value_key
 from .pattern import (
     Direction,
     NodeEdgePattern,
@@ -353,8 +353,9 @@ def _instantiate(graph: Graph, dep: GoFd, matches: Relation | None,
             ops += head
             ops.append(link)
     key_dep = _key_dependency(sweep.val_label, sweep.lhs_keys, val_keys)
-    return Transformation(dep, kind, len(relation.rows), list(dict.fromkeys(ops)),
-                          key_dep, sweep.val_label)
+    if isinstance(dep.scope, NodeEdgePattern):  # a node sits in several rows
+        ops = list(dict.fromkeys(ops))
+    return Transformation(dep, kind, len(relation.rows), ops, key_dep, sweep.val_label)
 
 
 def instantiate(graph: Graph, dep: GoFd, *, matches: Relation | None = None) -> Transformation:
@@ -423,6 +424,7 @@ class _Executor:
         self.created_nodes: set[str] = set()
         self.created_edges: set[str] = set()
         self.assigned: dict[tuple[str, str], Atomic] = {}
+        self.label_sets: dict[tuple[str, ...], frozenset[str]] = {}  # of created objects
 
     def assign(self, obj: str, key: str, value: Atomic) -> None:
         slot = (obj, key)
@@ -443,19 +445,22 @@ class _Executor:
     def create(self, op: Op) -> None:
         if isinstance(op, NewNode):
             if op.node in self.created_nodes:
-                self.out.nodes[op.node].labels.update(op.labels)
+                record = self.out.nodes[op.node]
+                record.labels = record.labels.union(op.labels)
             elif op.node in self.out.nodes or op.node in self.out.edges:
                 raise InvariantError(f"generated node id {op.node!r} already taken")
             else:
-                self.out.add_node(op.labels, node_id=op.node)
+                self.out.add_node(shared_labels(self.label_sets, op.labels), node_id=op.node)
                 self.created_nodes.add(op.node)
         elif isinstance(op, NewEdge):
             if op.edge in self.created_edges:
-                self.out.edges[op.edge].labels.update(op.labels)
+                record = self.out.edges[op.edge]
+                record.labels = record.labels.union(op.labels)
             elif op.edge in self.out.nodes or op.edge in self.out.edges:
                 raise InvariantError(f"generated edge id {op.edge!r} already taken")
             else:
-                self.out.add_edge(op.src, op.tgt, op.labels, edge_id=op.edge)
+                self.out.add_edge(op.src, op.tgt, shared_labels(self.label_sets, op.labels),
+                                  edge_id=op.edge)
                 self.created_edges.add(op.edge)
         elif isinstance(op, MoveProp):
             self.assign(op.target, op.key, op.value)

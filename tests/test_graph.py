@@ -19,6 +19,7 @@ from gonorm import (
     NotFoundError,
     ParseError,
     dump_graph,
+    full_normalize,
     graph_from_dict,
     graph_to_dict,
     load_graph,
@@ -27,6 +28,7 @@ from gonorm import (
 from gonorm.cli import main
 from gonorm.graph import check_atomic, value_key
 
+from conftest import fixture_graph, fixture_schema
 from oracles import oracle_dump_graph, random_graph
 
 
@@ -128,11 +130,18 @@ def test_copy_is_independent():
     g = small_graph()
     dup = g.copy()
     dup.set_prop("n1", "k", 99)
-    dup.nodes["n2"].labels.add("Z")
-    assert g.nodes["n1"].props["k"] == 1
-    assert g.labels("n2") == frozenset({"B"})
+    dup.set_prop("e1", "w", "y")
+    # label sets are shared and immutable: a change replaces the copy's set
+    with pytest.raises(AttributeError):
+        dup.nodes["n2"].labels.add("Z")  # type: ignore[attr-defined]
+    dup.nodes["n2"].labels = dup.nodes["n2"].labels | {"Z"}
+    dup.edges["e1"].labels = frozenset()
+    assert g.nodes["n1"].props["k"] == 1 and g.edges["e1"].props["w"] == "x"
+    assert g.labels("n2") == frozenset({"B"}) and g.labels("e1") == frozenset({"R"})
+    assert dup.labels("n2") == frozenset({"B", "Z"})
     # fresh ids in the copy do not collide with originals
     assert dup.add_node() not in g.nodes
+    assert dup.add_edge("n1", "n2") not in g.edges
 
 
 def test_len_and_iter_objects():
@@ -346,6 +355,84 @@ def test_from_dict_error_table(doc, error, message, capsys, tmp_path):
     assert main(["convert", "--graph", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
+
+
+# (case, document, message): an entry whose labels or values break a rule,
+# after entries whose labels the loader already keeps; the kept sets must
+# never let it through
+_MANY = [_node(f"n{i}", labels=["A"], properties={"k": i, "s": "v", "b": i % 2 == 0})
+         for i in range(300)]
+INTERNED_LABEL_TRAPS = [
+    ("labels-string-after-list", _doc([_node("a", labels=["A", "B"]), _node("b", labels="AB")]),
+     "labels of 'b' must be a list of strings"),
+    ("edge-labels-string-after-list", _doc([_node(labels=["R"])], [_edge(labels="R")]),
+     "labels of 'e' must be a list of strings"),
+    ("labels-holding-list", _doc([_node("a", labels=["A", "B"]),
+                                  _node("b", labels=["A", ["B"]])]),
+     "labels of 'b' must be a list of strings"),
+    ("labels-holding-number", _doc([_node("a", labels=["A", "1"]),
+                                    _node("b", labels=["A", 1])]),
+     "labels of 'b' must be a list of strings"),
+    ("nested-value-after-many", _doc(_MANY + [_node("z", labels=["A"],
+                                                    properties={"k": 1, "j": {"x": 1}})]),
+     "property 'j' of 'z' must be an atomic string/number/boolean"),
+    ("edge-nested-value-after-many",
+     _doc(_MANY, [_edge(src="n0", tgt="n1", properties={"w": [1]})]),
+     "property 'w' of 'e' must be an atomic string/number/boolean"),
+]
+
+
+@pytest.mark.parametrize("doc, message", [case[1:] for case in INTERNED_LABEL_TRAPS],
+                         ids=[case[0] for case in INTERNED_LABEL_TRAPS])
+def test_kept_label_sets_skip_no_check(doc, message, capsys, tmp_path):
+    with pytest.raises(GonormError) as caught:
+        graph_from_dict(doc)
+    assert type(caught.value) is InvariantError and str(caught.value) == message
+    graph_path, schema_path = tmp_path / "bad.graph.json", tmp_path / "s.gofd"
+    graph_path.write_text(json.dumps(doc), encoding="utf-8")
+    schema_path.write_text("(x:{A}:{k})::x.k=>x\n", encoding="utf-8")
+    assert main(["check", "--graph", str(graph_path), "--schema", str(schema_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_atomic_value_subclasses_still_load():
+    class Name(str):
+        pass
+
+    graph = graph_from_dict(_doc([_node(labels=[Name("A")], properties={"k": Name("v")})]))
+    assert graph.labels("a") == frozenset({"A"}) and graph.props("a") == {"k": "v"}
+
+
+def test_equal_label_lists_share_one_set_and_copies_share_it():
+    doc = _doc([_node("a", labels=["A", "B"]), _node("b", labels=["A", "B"]),
+                _node("c", labels=[]), _node("d")],
+               [_edge("e", labels=["A", "B"]), _edge("f", "c", "d")])
+    graph = graph_from_dict(doc)
+    shared = graph.nodes["a"].labels
+    assert type(shared) is frozenset and shared == {"A", "B"}
+    assert graph.nodes["b"].labels is shared and graph.edges["e"].labels is shared
+    assert graph.nodes["c"].labels is graph.nodes["d"].labels is graph.edges["f"].labels
+    dup = graph.copy()
+    for records, copied in ((graph.nodes, dup.nodes), (graph.edges, dup.edges)):
+        assert all(copied[oid].labels is record.labels for oid, record in records.items())
+    assert graph_from_dict(doc).nodes["a"].labels is not shared  # kept for one call only
+
+
+def _snapshot(graph: Graph) -> dict:
+    return {oid: (record.labels, frozenset(record.labels), dict(record.props))
+            for records in (graph.nodes, graph.edges) for oid, record in records.items()}
+
+
+@pytest.mark.parametrize("name", ["university", "students", "metrics_example", "shipping"])
+def test_normalizing_leaves_every_input_record_unchanged(name):
+    graph = fixture_graph(f"{name}.graph.json")
+    before = _snapshot(graph)
+    result = full_normalize(graph, list(fixture_schema(f"{name}.schema.gofd").schema))
+    after = _snapshot(graph)
+    assert after == before
+    assert all(after[oid][0] is labels for oid, (labels, _, _) in before.items())
+    assert dump_graph(result.graph) != dump_graph(graph)
 
 
 def test_from_dict_dangling_endpoint():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import random
 
@@ -33,7 +34,7 @@ from gonorm import (
 )
 
 from conftest import FIXTURES, runs_of
-from gonorm.parser import _tokenize
+from gonorm.parser import _declarations, _Parser, _tokenize
 
 from oracles import oracle_tokenize, random_pattern
 
@@ -152,6 +153,86 @@ def test_error_message_carries_location_text():
     with pytest.raises(ParseError) as caught:
         parse_schema("(x:{A}:{k})::x.k=>x\n(x:{A}:{k})::x.k=>$\n")
     assert "line 2" in str(caught.value)
+
+
+# -- one parse per scope text -----------------------------------------------
+
+def each_line_alone(text: str) -> list:
+    """``_declarations(text)`` as ``parse_gofd`` gives it line by line."""
+    return [(parse_gofd(line), number) for number, line in enumerate(text.splitlines(), 1)
+            if line.split("#")[0].strip()]
+
+
+# 8 distinct texts before "::": indentation, spacing, ∅ and {} count apart
+REPEATED_SCOPES = """\
+(x:{A}:{a,b,c})::x.a=>x.b
+  (x:{A}:{a,b,c})::x.b=>x.c   # indented, with a comment
+(x:{A}:{a,b,c}) :: x.c ⇒ x.a
+(x:{A}:{a,b,c})::x.a=>x.b
+(x:∅:{a})::x.a=>x
+(x:{}:{a})::x.a=>x
+\t(x:∅:{a})  ::  x.a => x # again
+(x:{A}:{k})-[y:{R}:{w}]->()::x.k=>y.w
+()-[y:{R}:{w}]->(x:{A}:{k})::y.w=>x.k
+(x:{A}:{k})-[y:{R}:{w}]->()::y.w⇒x
+
+# (x:{A}:{a,b,c})::x.q=>x  a comment that would not parse
+(x:{A}:{k})-[y:{R}:{w}]->():: x.k=>y.w
+(x:{A}:{a,b,c})::x.c=>x #:: a second arrow, in the comment
+"""
+
+
+def test_each_scope_text_is_parsed_once_and_as_on_its_own_line():
+    with runs_of(_Parser.pattern) as (patterns,):
+        declared = _declarations(REPEATED_SCOPES)
+        doc = parse_schema(REPEATED_SCOPES)
+    assert declared == each_line_alone(REPEATED_SCOPES)
+    assert len(patterns) == 2 * 8
+    assert list(doc.schema) == list(dict.fromkeys(dep for dep, _ in declared))
+    assert doc.warnings == [
+        "line 4: duplicate dependency ignored: (x:{A}:{a,b,c})::x.a=>x.b",
+        "line 6: duplicate dependency ignored: (x:{}:{a})::x.a=>x",
+        "line 7: duplicate dependency ignored: (x:{}:{a})::x.a=>x",
+        "line 13: duplicate dependency ignored: (x:{A}:{k})-[y:{R}:{w}]->()::x.k=>y.w"]
+
+
+@pytest.mark.parametrize("head", ["(x:{A}:{a,b})", "  (x:{A}:{a,b}) ",
+                                  "()-[x:{R}:{a,b}]->()"])
+@pytest.mark.parametrize("rest, fragment", [
+    ("x.a=>x.q", "not bound by the pattern"),
+    ("x.a=>x.b$x", "unexpected character '$'"),
+    ("x.a x.b", "unexpected 'x'"),
+    ("x.a,=>x.b", "unexpected '=>'"),
+    ("x.a=>", "unexpected 'end of line'"),
+    ("x.a=>  ", "unexpected 'end of line'"),
+], ids=["unbound", "bad-character", "no-arrow", "dangling-comma", "empty-rhs",
+        "empty-rhs-spaces"])
+def test_errors_after_a_parsed_scope_keep_line_and_column(head, rest, fragment):
+    bad = f"{head}::{rest}"
+    with pytest.raises(ParseError) as alone:
+        parse_gofd(bad)
+    with runs_of(_Parser.pattern) as (patterns,), pytest.raises(ParseError) as caught:
+        parse_schema(f"{head}::x.a=>x.b\n\n{bad}\n")
+    assert len(patterns) == 1  # the bad line reused the first line's scope
+    assert fragment in alone.value.message
+    assert (caught.value.message, caught.value.expected) == (alone.value.message,
+                                                             alone.value.expected)
+    assert (caught.value.line, caught.value.column) == (3, alone.value.column)
+
+
+def _benchmark_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_workloads", FIXTURES.parents[1] / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_schemas_parse_as_each_line_alone(seed):
+    for generate in _benchmark_workloads().GENERATORS.values():
+        text = generate(seed)["schema.gofd"]
+        assert _declarations(text) == each_line_alone(text)
 
 
 # Token pieces, each spelling of a token, and characters that are none: a
