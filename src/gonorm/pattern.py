@@ -189,17 +189,22 @@ def evaluate(pattern: Pattern, graph: Graph) -> Relation:
             node = graph.nodes[nid]
             if (_matches(edge, pattern.edge_labels, pattern.edge_keys)
                     and _matches(node, pattern.node_labels, pattern.node_keys)):
-                matches.append(((nid, node), (eid, edge)))
+                matches.append((nid, node.props, eid, edge.props))
     else:
         names = (pattern.var,)
         records = graph.nodes if isinstance(pattern, NodePattern) else graph.edges
-        matches = [((oid, record),) for oid, record in records.items()
+        matches = [(oid, record.props) for oid, record in records.items()
                    if _matches(record, pattern.labels, pattern.keys)]
     variables = tuple(sorted(attrs(pattern), key=var_sort_key))
-    slots = [(names.index(v.name), v.key if isinstance(v, PropVar) else None) for v in variables]
-    rows = [tuple(match[i][0] if key is None else match[i][1].props[key] for i, key in slots)
-            for match in matches]
-    del matches  # before the sort makes its keys
+    columns = []  # one lazy column per variable, all read in C as zip builds the rows
+    for var in variables:
+        pos = 2 * names.index(var.name)  # of the object's id; its props follow
+        if isinstance(var, ObjectVar):
+            columns.append(map(itemgetter(pos), matches))
+        else:
+            columns.append(map(itemgetter(var.key), map(itemgetter(pos + 1), matches)))
+    rows = list(zip(*columns))
+    del matches, columns  # before the sort makes its keys
     rows.sort(key=itemgetter(*[pos for pos, var in enumerate(variables)
                                if isinstance(var, ObjectVar)]))
     return Relation(variables, tuple(rows), pattern)

@@ -22,16 +22,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Union
 
 from .errors import (
+    EndpointError,
     GonormError,
     InvariantError,
     NonStrict,
     NothingToDo,
 )
 from .gofd import GoFd, check_bound, gofd, scope_matches
-from .graph import Atomic, Graph, dump_graph, shared_labels, value_key
+from .graph import (Atomic, EdgeRecord, Graph, NodeRecord, check_atomic, dump_graph,
+                    shared_labels, value_key)
 from .pattern import (
     Direction,
     NodeEdgePattern,
@@ -128,10 +131,13 @@ def check_transformable(graph: Graph, dep: GoFd, *,
 # -- deterministic names --------------------------------------------------
 
 EDGE_ID_PREFIX = "ske:"
+_encode_str = json.encoder.encode_basestring_ascii  # what json.dumps writes a str with
 
 
 def skolem_string(tag: str, labels: Iterable[str], kv: Iterable[tuple[str, Atomic]]) -> str:
-    pairs = ",".join(f"{k}={json.dumps(v)}" for k, v in sorted(kv, key=lambda p: p[0]))
+    """``tag|labels|pairs``, sorted, each value written as ``json.dumps`` writes it."""
+    pairs = ",".join(f"{k}={_encode_str(v) if isinstance(v, str) else json.dumps(v)}"
+                     for k, v in sorted(kv, key=itemgetter(0)))
     return f"{tag}|{','.join(sorted(labels))}|{pairs}"
 
 
@@ -145,7 +151,7 @@ def skolem_label(labels: Iterable[str], keys: Iterable[str]) -> str:
 
 
 def reifier_id(edge_id: str) -> str:
-    return skolem_node_id("reif", (), [("edge", edge_id)])
+    return "sk:reif||edge=" + _encode_str(edge_id)  # as skolem_node_id would write it
 
 
 def reification_prefix(edge_labels: Iterable[str]) -> str:
@@ -418,62 +424,6 @@ def build_plans(graph: Graph, deps: Iterable[GoFd], *, matches: Relation | None 
 
 # -- execution ------------------------------------------------------------
 
-class _Executor:
-    def __init__(self, graph: Graph) -> None:
-        self.out = graph
-        self.created_nodes: set[str] = set()
-        self.created_edges: set[str] = set()
-        self.assigned: dict[tuple[str, str], Atomic] = {}
-        self.label_sets: dict[tuple[str, ...], frozenset[str]] = {}  # of created objects
-
-    def assign(self, obj: str, key: str, value: Atomic) -> None:
-        slot = (obj, key)
-        if slot in self.assigned:
-            if value_key(self.assigned[slot]) != value_key(value):
-                raise InvariantError(
-                    f"conflicting values for {obj}.{key}: "
-                    f"{self.assigned[slot]!r} vs {value!r}")
-            return
-        current = self.out.nodes[obj].props  # values only ever move onto nodes
-        if key in current:  # even an equal value: the output could not tell them apart
-            raise InvariantError(
-                f"transformation would overwrite {obj}.{key}: "
-                f"{current[key]!r} vs {value!r}")
-        self.out.set_prop(obj, key, value)
-        self.assigned[slot] = value
-
-    def create(self, op: Op) -> None:
-        if isinstance(op, NewNode):
-            if op.node in self.created_nodes:
-                record = self.out.nodes[op.node]
-                record.labels = record.labels.union(op.labels)
-            elif op.node in self.out.nodes or op.node in self.out.edges:
-                raise InvariantError(f"generated node id {op.node!r} already taken")
-            else:
-                self.out.add_node(shared_labels(self.label_sets, op.labels), node_id=op.node)
-                self.created_nodes.add(op.node)
-        elif isinstance(op, NewEdge):
-            if op.edge in self.created_edges:
-                record = self.out.edges[op.edge]
-                record.labels = record.labels.union(op.labels)
-            elif op.edge in self.out.nodes or op.edge in self.out.edges:
-                raise InvariantError(f"generated edge id {op.edge!r} already taken")
-            else:
-                self.out.add_edge(op.src, op.tgt, shared_labels(self.label_sets, op.labels),
-                                  edge_id=op.edge)
-                self.created_edges.add(op.edge)
-        elif isinstance(op, MoveProp):
-            self.assign(op.target, op.key, op.value)
-
-    def remove(self, op: Op) -> None:
-        if isinstance(op, MoveProp):
-            if self.out.is_node(op.source) or self.out.is_edge(op.source):
-                self.out.remove_prop(op.source, op.key)
-        elif isinstance(op, DelEdge):
-            if op.edge in self.out.edges:
-                self.out.remove_object(op.edge)
-
-
 def execute_plans(graph: Graph, plans: Iterable[Transformation]) -> Graph:
     """Run plans against a copy of the graph; the graph itself is unchanged.
 
@@ -485,13 +435,68 @@ def execute_plans(graph: Graph, plans: Iterable[Transformation]) -> Graph:
 
 
 def _execute(graph: Graph, plans: Iterable[Transformation]) -> Graph:
-    """``execute_plans`` on ``graph`` itself, which it changes and returns."""
-    executor = _Executor(graph)
-    ops = _distinct_ops(plans)
-    for op in ops:
-        executor.create(op)
-    for op in ops:
-        executor.remove(op)
+    """``execute_plans`` on ``graph`` itself, which it changes and returns.
+
+    One loop creates and assigns, and collects the removals it runs after.
+    A value moves only onto a node, and only onto a key it does not have yet.
+    """
+    nodes, edges = graph.nodes, graph.edges
+    created_nodes, created_edges = set(), set()  # two sets: an edge may not take a new node's id
+    assigned: dict[tuple[str, str], Atomic] = {}
+    label_sets: dict[tuple[str, ...], frozenset[str]] = {}  # of created objects
+    removals: list[Op] = []
+    for op in _distinct_ops(plans):
+        kind = type(op)
+        if kind is MoveProp:
+            _, key, obj, value = op
+            slot = (obj, key)
+            if slot in assigned:
+                if value_key(assigned[slot]) != value_key(value):
+                    raise InvariantError(f"conflicting values for {obj}.{key}: "
+                                         f"{assigned[slot]!r} vs {value!r}")
+            else:
+                record = nodes.get(obj)
+                if record is None:
+                    raise InvariantError(f"move target {obj!r} is not a node")
+                if key in record.props:  # even an equal value: the output could not tell them apart
+                    raise InvariantError(f"transformation would overwrite {obj}.{key}: "
+                                         f"{record.props[key]!r} vs {value!r}")
+                record.props[key] = check_atomic(value)
+                assigned[slot] = value
+            removals.append(op)
+        elif kind is NewNode:
+            nid, labels = op
+            if nid in created_nodes:
+                record = nodes[nid]
+                record.labels = record.labels.union(labels)
+            elif nid in nodes or nid in edges:
+                raise InvariantError(f"generated node id {nid!r} already taken")
+            else:
+                nodes[nid] = NodeRecord(shared_labels(label_sets, labels))
+                created_nodes.add(nid)
+        elif kind is NewEdge:
+            eid, src, tgt, labels = op
+            if eid in created_edges:
+                record = edges[eid]
+                record.labels = record.labels.union(labels)
+            elif eid in nodes or eid in edges:
+                raise InvariantError(f"generated edge id {eid!r} already taken")
+            elif src not in nodes or tgt not in nodes:
+                raise EndpointError(f"endpoint {(tgt if src in nodes else src)!r} "
+                                    "is not a node of the graph")
+            else:
+                edges[eid] = EdgeRecord(src, tgt, shared_labels(label_sets, labels))
+                created_edges.add(eid)
+        elif kind is DelEdge:
+            removals.append(op)
+    for op in removals:
+        if type(op) is DelEdge:
+            if op.edge in edges:
+                graph.remove_object(op.edge)
+        else:
+            record = nodes.get(op.source) or edges.get(op.source)
+            if record is not None:
+                record.props.pop(op.key, None)
     return graph
 
 

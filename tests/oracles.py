@@ -246,6 +246,14 @@ def oracle_dump_graph(graph: Graph) -> str:
                       allow_nan=False) + "\n"
 
 
+def oracle_skolem_node_id(tag: str, labels: Iterable[str],
+                          kv: Iterable[tuple[str, Atomic]]) -> str:
+    """A Skolem node id from its definition: pairs sorted by key, each value
+    as ``json.dumps`` text."""
+    pairs = [f"{key}={json.dumps(value)}" for key, value in sorted(kv, key=lambda p: p[0])]
+    return f"sk:{tag}|{','.join(sorted(labels))}|{','.join(pairs)}"
+
+
 # -- tokenizer ---------------------------------------------------------------
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

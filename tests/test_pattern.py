@@ -18,6 +18,7 @@ from gonorm import (
     NodeEdgePattern,
     NodePattern,
     ObjectVar,
+    Pattern,
     PropVar,
     Relation,
     attrs,
@@ -149,11 +150,37 @@ def test_node_edge_pattern_direction():
         assert actual == expected and len(actual) == 3  # e1, e4, e5 all carry w
 
 
+def test_rows_follow_variable_order_with_the_edge_family_first():
+    g = playground()
+    g.set_prop("n1", "k", "n1k")
+    g.set_prop("e1", "v", "e1v")
+    pattern = node_edge_pattern("x", {"A"}, {"k"}, "", {"R"}, {"v", "w"}, Direction.OUT)
+    rel = evaluate(pattern, g)
+    assert rel.variables == (ObjectVar(ANON_EDGE_VAR), PropVar(ANON_EDGE_VAR, "v"),
+                             PropVar(ANON_EDGE_VAR, "w"), ObjectVar("x"), PropVar("x", "k"))
+    assert rel.rows == (("e1", "e1v", 5, "n1", "n1k"),)
+
+
 def test_node_edge_pattern_self_loop_counts_once_per_row():
     g = playground()
     rel = evaluate(node_edge_pattern("x", {"B"}, (), "y", {"S"}, {"w"}, Direction.OUT), g)
     assert [(m[ObjectVar("x")], m[ObjectVar("y")], m[PropVar("y", "w")])
             for m in rows_as_maps(rel)] == [("n3", "e3", 6)]
+
+
+def renamed_pattern(rng: random.Random, shape: str) -> Pattern:
+    """A random pattern whose edge family sorts before or after its node
+    family ("" is the anonymous ``_e``), each with zero, one or several keys."""
+    base = random_pattern(rng, shape)
+    node_var, edge_var = rng.choice(("m", "x")), rng.choice(("", "a", "y", "z"))
+    node_keys = rng.sample(("na", "nb", "nz"), rng.randint(0, 3))
+    edge_keys = rng.sample(("ea", "eb", "ez"), rng.randint(0, 3))
+    if isinstance(base, NodePattern):
+        return node_pattern(node_var, base.labels, node_keys)
+    if isinstance(base, EdgeOnlyPattern):
+        return edge_pattern(edge_var, base.labels, edge_keys)
+    return node_edge_pattern(node_var, base.node_labels, node_keys, edge_var,
+                             base.edge_labels, edge_keys, base.direction)
 
 
 @settings(max_examples=80, deadline=None)
@@ -164,8 +191,9 @@ def test_evaluate_agrees_with_brute_force(seed):
     rng = random.Random(seed)
     g = random_graph(rng)
     for shape in PATTERN_SHAPES:
-        pattern = random_pattern(rng, shape)
+        pattern = renamed_pattern(rng, shape)
         relation = evaluate(pattern, g)
+        assert relation.variables == tuple(sorted(attrs(pattern), key=var_sort_key))
         ids = [i for i, var in enumerate(relation.variables) if isinstance(var, ObjectVar)]
         keys = [[row[i] for i in ids] for row in relation.rows]
         assert all(a < b for a, b in zip(keys, keys[1:]))

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from gonorm import (
     Direction,
+    EndpointError,
+    FormatError,
     Graph,
     InvariantError,
     NonStrict,
@@ -50,9 +52,17 @@ from gonorm.transform import (
     op_to_dict,
     reification_prefix,
     reifier_id,
+    skolem_string,
 )
 
-from oracles import CASE_KINDS, LHS_POOL, oracle_build_plans, random_graph, random_satisfying_case
+from oracles import (
+    CASE_KINDS,
+    LHS_POOL,
+    oracle_build_plans,
+    oracle_skolem_node_id,
+    random_graph,
+    random_satisfying_case,
+)
 
 
 def pv(name: str, key: str) -> PropVar:
@@ -126,6 +136,34 @@ def test_skolem_names_exact():
     assert created_edge_id("L", "n1", "n2") == "ske:L|n1|n2"
     assert reification_prefix({"S", "R"}) == "R_S"
     assert reification_prefix(()) == "edge"
+
+
+class Text(str):
+    pass
+
+
+TRICKY_TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=())),  # lone surrogates and control characters too
+    st.text(st.sampled_from('"\\\x00\x1f\x7f\ud800\udfffé€\U0001d11e/ |=,')),
+)
+SKOLEM_VALUES = st.one_of(
+    TRICKY_TEXT, TRICKY_TEXT.map(Text), st.booleans(), st.integers(),
+    st.integers(2**64, 2**200), st.integers(-2**200, -2**64),
+    st.sampled_from([-0.0, 0.0, 1e16, 5e-324, 1.0, -1.5e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["val", "reif"]), st.lists(TRICKY_TEXT, max_size=3),
+       st.lists(st.tuples(TRICKY_TEXT, SKOLEM_VALUES), max_size=4),
+       st.one_of(TRICKY_TEXT, TRICKY_TEXT.map(Text)))
+def test_skolem_ids_write_values_as_json_dumps(tag, labels, kv, edge_id):
+    expected = oracle_skolem_node_id(tag, labels, kv)
+    assert skolem_node_id(tag, labels, kv) == expected
+    assert skolem_node_id(tag, labels, iter(kv)) == expected
+    assert "sk:" + skolem_string(tag, labels, kv) == expected
+    assert reifier_id(edge_id) == oracle_skolem_node_id("reif", (), [("edge", edge_id)])
 
 
 def test_op_to_dict_frozen_layout():
@@ -430,6 +468,53 @@ def test_executor_refuses_generated_id_collision():
     g.add_node({"Squatter"}, {}, node_id='sk:val|Person|city="Rome"')
     with pytest.raises(InvariantError):
         normalize_one(g, gofd(PERSON, [pv("x", "city")], [pv("x", "zip")]))
+
+
+V = NewNode("v", ("L",))
+BAD_PLANS = [  # (ops of each plan, exception class, message)
+    ([[V, MoveProp("p1", "zip", "v", 1), MoveProp("p3", "zip", "v", True)]],
+     InvariantError, "conflicting values for v.zip: 1 vs True"),
+    ([[V, MoveProp("p1", "zip", "v", 1)], [V, MoveProp("p1", "zip", "v", True)]],
+     InvariantError, "conflicting values for v.zip: 1 vs True"),
+    ([[MoveProp("p1", "zip", "p3", 100)]],
+     InvariantError, "transformation would overwrite p3.zip: 200 vs 100"),
+    ([[V, MoveProp("p1", "zip", "v", 100), MoveProp("p2", "zip", "v", 100),
+       MoveProp("p1", "city", "v", "Rome"), MoveProp("p3", "zip", "p2", 200)]],
+     InvariantError, "transformation would overwrite p2.zip: 100 vs 200"),
+    ([[NewNode("p2", ("L",))]], InvariantError, "generated node id 'p2' already taken"),
+    ([[NewNode("e1", ("L",))]], InvariantError, "generated node id 'e1' already taken"),
+    ([[NewEdge("e1", "p1", "p3", ("L",))]],
+     InvariantError, "generated edge id 'e1' already taken"),
+    ([[NewEdge("p3", "p1", "p3", ("L",))]],
+     InvariantError, "generated edge id 'p3' already taken"),
+    ([[V, NewEdge("v", "p1", "p3", ("L",))]],
+     InvariantError, "generated edge id 'v' already taken"),
+    ([[NewEdge("f", "p1", "p3", ("L",))], [NewNode("f", ("L",))]],
+     InvariantError, "generated node id 'f' already taken"),
+    ([[NewEdge("f", "p1", "ghost", ("L",))]],
+     EndpointError, "endpoint 'ghost' is not a node of the graph"),
+    ([[NewEdge("f", "ghost", "e1", ("L",))]],
+     EndpointError, "endpoint 'ghost' is not a node of the graph"),
+    ([[NewEdge("f", "p1", "e1", ("L",))]],
+     EndpointError, "endpoint 'e1' is not a node of the graph"),
+    ([[V, MoveProp("p1", "extra", "v", [1])]],
+     FormatError, "property values must be string/number/boolean, got list"),
+    ([[MoveProp("p1", "a", "nope", 1)]], InvariantError, "move target 'nope' is not a node"),
+    ([[MoveProp("p1", "zip", "e1", 100)]], InvariantError, "move target 'e1' is not a node"),
+]
+
+
+@pytest.mark.parametrize("ops, error, message", BAD_PLANS)
+def test_executor_refuses_bad_plans_with_exact_errors(ops, error, message):
+    g = person_graph()
+    g.add_edge("p1", "p2", {"R"}, {"w": 1}, edge_id="e1")
+    frozen = dump_graph(g)
+    dep = gofd(PERSON, [pv("x", "city")], [pv("x", "zip")])
+    plans = [Transformation(dep, TransformationKind.WITHIN_N, 1, list(part)) for part in ops]
+    with pytest.raises(error) as caught:
+        execute_plans(g, plans)
+    assert type(caught.value) is error and str(caught.value) == message
+    assert dump_graph(g) == frozen
 
 
 def test_build_plans_reports_leftovers():
