@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import eq
 from typing import Callable, Iterable, Iterator
 
 from .errors import ScopeMismatch, UnboundVariable
-from .graph import Atomic, Graph, value_key
+from .graph import Atomic, Graph, column_keys, value_keys
 from .pattern import (
     NodeEdgePattern,
     ObjectVar,
@@ -193,27 +194,36 @@ def satisfies(graph: Graph, dep: GoFd, max_witnesses: int = 5, *,
               matches: Relation | None = None) -> Satisfaction:
     """Check the dependency on the graph; collects up to ``max_witnesses`` violating pairs.
 
-    ``matches`` may pass the scope's already evaluated matches on ``graph``.
+    Rows agree on a variable when its values' ``value_key``s are equal.  A
+    witness is the first row of a left-side group and a later row of that
+    group with other right-side values, in row order.  ``matches`` may pass
+    the scope's already evaluated matches on ``graph``.
     """
     check_bound(dep)
     relation = scope_matches(graph, dep, matches)
+    rows = relation.rows
+    if not rows:
+        return Satisfaction(True, (), relation.variables)
     index = {v: i for i, v in enumerate(relation.variables)}
     lhs_cols = [index[v] for v in sorted(dep.lhs, key=var_sort_key)]
     rhs_cols = [index[v] for v in sorted(dep.rhs, key=var_sort_key)]
+    lefts = list(value_keys(rows, lhs_cols))
     holds = True
-    groups: dict[tuple, tuple] = {}
+    for column in rhs_cols:  # one right-side column at a time, each checked in C
+        rights = column_keys(rows, column)
+        last = dict(zip(lefts, rights))
+        if not all(map(eq, map(last.__getitem__, lefts), rights)):
+            holds = False
+            break
     witnesses: list[tuple[tuple, tuple]] = []
-    for row in relation.rows:
-        left = tuple([value_key(row[i]) for i in lhs_cols])
-        right = tuple([value_key(row[i]) for i in rhs_cols])
-        if left in groups:
-            prev_right, prev_row = groups[left]
+    if not holds and max_witnesses > 0:
+        first: dict[tuple, tuple] = {}  # left keys -> (right keys, first row)
+        for left, right, row in zip(lefts, value_keys(rows, rhs_cols), rows):
+            prev_right, prev_row = first.setdefault(left, (right, row))
             if prev_right != right:
-                holds = False
-                if len(witnesses) < max_witnesses:
-                    witnesses.append((prev_row, row))
-        else:
-            groups[left] = (right, row)
+                witnesses.append((prev_row, row))
+                if len(witnesses) == max_witnesses:
+                    break
     return Satisfaction(holds, tuple(witnesses), relation.variables)
 
 

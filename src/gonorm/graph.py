@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, IO, Iterable, Iterator, Union
+from itertools import repeat
+from operator import itemgetter
+from typing import Any, IO, Iterable, Iterator, Sequence, Union
 
 from .errors import (
     EndpointError,
@@ -26,9 +28,44 @@ Atomic = Union[str, int, float, bool]
 
 # The one rule for property values: two values are the same exactly when
 # their JSON texts are equal.  Python equality does not follow it, since it
-# merges 1, 1.0 and True, and 0.0 with -0.0.  On atomic values the repr
-# tells apart exactly what the JSON text tells apart.
-value_key = repr
+# merges 1, 1.0 and True, and 0.0 with -0.0.  Each exact type here maps to a
+# C callable that writes any of its values as ``json.dumps`` does; ``repr``
+# is that text for an int.  Floats (non-finite ones are ``NaN`` and
+# ``Infinity`` in JSON) and subclasses go through ``json.dumps``.
+_ENCODERS = {str: json.encoder.encode_basestring_ascii, int: repr,
+             bool: {True: "true", False: "false"}.__getitem__}
+
+
+def value_key(value: Atomic) -> str:
+    """The value's identity: exactly ``json.dumps(value)``, ASCII escapes,
+    subclasses and non-finite floats included."""
+    return _ENCODERS.get(type(value), json.dumps)(value)
+
+
+def column_keys(rows: Sequence[Sequence[Atomic]], column: int) -> list[str]:
+    """The ``value_key`` of each row's value at ``column``.
+
+    No Python call is made per value where the values share one exact
+    type: its encoder is mapped over them, ``repr`` over finite floats.  A
+    mixed column looks up each value's encoder.
+    """
+    values = list(map(itemgetter(column), rows))
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind in _ENCODERS:
+        return list(map(_ENCODERS[kind], values))
+    if kind is float and all(map(math.isfinite, values)):
+        return list(map(repr, values))  # a finite float's JSON text
+    return [_ENCODERS.get(type(value), json.dumps)(value) for value in values]
+
+
+def value_keys(rows: Sequence[Sequence[Atomic]],
+               columns: Sequence[int]) -> Iterator[tuple[str, ...]]:
+    """Each row's ``value_key``s at ``columns``, one tuple per row, in row
+    order, built a column at a time by ``column_keys``."""
+    if not columns:
+        return repeat((), len(rows))
+    return zip(*[column_keys(rows, column) for column in columns])
 
 
 def check_atomic(value: Any) -> Atomic:
@@ -143,9 +180,6 @@ class Graph:
     def remove_prop(self, obj_id: str, key: str) -> None:
         """Delete a property; removing an absent key is a no-op."""
         self._record(obj_id).props.pop(key, None)
-
-    def labels(self, obj_id: str) -> frozenset[str]:
-        return self._record(obj_id).labels
 
     def props(self, obj_id: str) -> dict[str, Atomic]:
         return dict(self._record(obj_id).props)

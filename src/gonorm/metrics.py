@@ -9,14 +9,14 @@ fractions internally and rounded half-up to two decimals for reports.
 """
 from __future__ import annotations
 
-import json
+from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from typing import Iterable, Union
 
 from .gofd import DepClass, GoFd, check_bound, classify, map_per_scope, scope_matches
-from .graph import Graph, value_key
+from .graph import Graph, value_keys
 from .pattern import Relation, var_sort_key
 
 
@@ -52,10 +52,12 @@ class DepProfile:
 def profile(graph: Graph, dep: GoFd, *, matches: Relation | None = None) -> DepProfile:
     """Group sizes and minimality of one dependency on one graph.
 
-    Matches are grouped by their values for all descriptor variables, left
-    and right side together, object identities included.  Group order in the
-    result is by the serialized group key, so it is stable across runs.
-    ``matches`` may pass the scope's already evaluated matches on ``graph``.
+    Matches are grouped by the ``value_key``s of all descriptor variables,
+    left and right side together, object identities included.  Groups are
+    ordered by ``json.dumps`` of their values as a list, which is the keys
+    joined as ``"[" + ", ".join(keys) + "]"``, so the order is stable
+    across runs.  ``matches`` may pass the scope's already evaluated
+    matches on ``graph``.
     """
     check_bound(dep)
     relation = scope_matches(graph, dep, matches)
@@ -63,12 +65,9 @@ def profile(graph: Graph, dep: GoFd, *, matches: Relation | None = None) -> DepP
         return DepProfile((), 0, Fraction(0), Fraction(1), True)
     index = {v: i for i, v in enumerate(relation.variables)}
     cols = [index[v] for v in sorted(dep.lhs | dep.rhs, key=var_sort_key)]
-    groups: dict[tuple, list] = {}  # value keys -> [values, count]
-    for row in relation.rows:
-        values = [row[i] for i in cols]
-        groups.setdefault(tuple(map(value_key, values)), [values, 0])[1] += 1
-    ordered = sorted(groups.values(), key=lambda group: json.dumps(group[0]))
-    sizes = tuple(count for _, count in ordered)
+    groups = Counter(value_keys(relation.rows, cols))
+    texts = [f"[{', '.join(keys)}]" for keys in groups]
+    sizes = tuple(count for _, count in sorted(zip(texts, groups.values())))
     total = sum(sizes)
     minimality = Fraction(1) if total <= 1 else Fraction(len(sizes) - 1, total - 1)
     return DepProfile(sizes, max(sizes), Fraction(total, len(sizes)), minimality, False)

@@ -19,7 +19,6 @@ rebuild with the input byte for byte.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
@@ -34,7 +33,7 @@ from .errors import (
 )
 from .gofd import GoFd, check_bound, gofd, scope_matches
 from .graph import (Atomic, EdgeRecord, Graph, NodeRecord, check_atomic, dump_graph,
-                    shared_labels, value_key)
+                    shared_labels, value_key, value_keys)
 from .pattern import (
     Direction,
     NodeEdgePattern,
@@ -131,14 +130,18 @@ def check_transformable(graph: Graph, dep: GoFd, *,
 # -- deterministic names --------------------------------------------------
 
 EDGE_ID_PREFIX = "ske:"
-_encode_str = json.encoder.encode_basestring_ascii  # what json.dumps writes a str with
+
+
+def _skolem_text(tag: str, labels: Iterable[str], texts: Iterable[tuple[str, str]]) -> str:
+    """``tag|labels|pairs``, sorted, from each key's value already written as text."""
+    pairs = ",".join(f"{k}={text}" for k, text in sorted(texts, key=itemgetter(0)))
+    return f"{tag}|{','.join(sorted(labels))}|{pairs}"
 
 
 def skolem_string(tag: str, labels: Iterable[str], kv: Iterable[tuple[str, Atomic]]) -> str:
-    """``tag|labels|pairs``, sorted, each value written as ``json.dumps`` writes it."""
-    pairs = ",".join(f"{k}={_encode_str(v) if isinstance(v, str) else json.dumps(v)}"
-                     for k, v in sorted(kv, key=itemgetter(0)))
-    return f"{tag}|{','.join(sorted(labels))}|{pairs}"
+    """``tag|labels|pairs``, sorted, each value written as its ``value_key``,
+    which is its ``json.dumps`` text."""
+    return _skolem_text(tag, labels, [(k, value_key(v)) for k, v in kv])
 
 
 def skolem_node_id(tag: str, labels: Iterable[str], kv: Iterable[tuple[str, Atomic]]) -> str:
@@ -151,7 +154,7 @@ def skolem_label(labels: Iterable[str], keys: Iterable[str]) -> str:
 
 
 def reifier_id(edge_id: str) -> str:
-    return "sk:reif||edge=" + _encode_str(edge_id)  # as skolem_node_id would write it
+    return "sk:reif||edge=" + value_key(edge_id)  # as skolem_node_id would write it
 
 
 def reification_prefix(edge_labels: Iterable[str]) -> str:
@@ -301,19 +304,18 @@ def _sweep(graph: Graph, dep: GoFd, relation: Relation, roles: dict[str, str],
 
     names: dict[tuple[str, ...], str] = {}
     rows = []
-    for values in relation.rows:
-        lhs_values = tuple([values[pos] for pos in lhs_columns])
-        name_key = tuple(map(value_key, lhs_values))
+    for values, name_key in zip(relation.rows, value_keys(relation.rows, lhs_columns)):
         vid = names.get(name_key)
         head: list[Op] = []
         if vid is None:
-            vid = names[name_key] = skolem_node_id("val", owner_labels, zip(lhs_keys, lhs_values))
+            vid = names[name_key] = "sk:" + _skolem_text("val", owner_labels,
+                                                          zip(lhs_keys, name_key))
             head.append(NewNode(vid, (val_label,)))
         link = obj = values[source]
         if reified:
             reification, link = _reify(graph, obj, prefix)
             head += reification
-        head += [MoveProp(obj, key, vid, value) for key, value in zip(lhs_keys, lhs_values)]
+        head += [MoveProp(obj, key, vid, values[pos]) for key, pos in zip(lhs_keys, lhs_columns)]
         rows.append((values, head, vid,
                      NewEdge(created_edge_id(link_label, link, vid), link, vid, (link_label,))))
     return _Sweep(rows, lhs_keys, val_label)
@@ -442,7 +444,7 @@ def _execute(graph: Graph, plans: Iterable[Transformation]) -> Graph:
     """
     nodes, edges = graph.nodes, graph.edges
     created_nodes, created_edges = set(), set()  # two sets: an edge may not take a new node's id
-    assigned: dict[tuple[str, str], Atomic] = {}
+    assigned: dict[tuple[str, str], str] = {}  # value_key of each written slot's value
     label_sets: dict[tuple[str, ...], frozenset[str]] = {}  # of created objects
     removals: list[Op] = []
     for op in _distinct_ops(plans):
@@ -451,9 +453,9 @@ def _execute(graph: Graph, plans: Iterable[Transformation]) -> Graph:
             _, key, obj, value = op
             slot = (obj, key)
             if slot in assigned:
-                if value_key(assigned[slot]) != value_key(value):
+                if assigned[slot] != value_key(value):
                     raise InvariantError(f"conflicting values for {obj}.{key}: "
-                                         f"{assigned[slot]!r} vs {value!r}")
+                                         f"{nodes[obj].props[key]!r} vs {value!r}")
             else:
                 record = nodes.get(obj)
                 if record is None:
@@ -462,7 +464,7 @@ def _execute(graph: Graph, plans: Iterable[Transformation]) -> Graph:
                     raise InvariantError(f"transformation would overwrite {obj}.{key}: "
                                          f"{record.props[key]!r} vs {value!r}")
                 record.props[key] = check_atomic(value)
-                assigned[slot] = value
+                assigned[slot] = value_key(value)
             removals.append(op)
         elif kind is NewNode:
             nid, labels = op

@@ -46,7 +46,7 @@ from gonorm import (
     variable_roles,
     structurally_implied,
 )
-from gonorm.graph import Atomic, graph_to_dict, value_key
+from gonorm.graph import Atomic, graph_to_dict
 from gonorm.transform import (
     DelEdge,
     MoveProp,
@@ -144,31 +144,42 @@ def projection(rows: Iterable[Row], onto: Iterable[Variable]) -> set[frozenset]:
 
 # -- pairwise functional-dependency check ---------------------------------
 
-def fd_violation(rows: Iterable[Row], lhs: Iterable[Variable],
-                 rhs: Iterable[Variable]) -> tuple[Row, Row] | None:
-    """First pair of rows that agree on ``lhs`` but differ on ``rhs``.
+def fd_violations(rows: Iterable[Row], lhs: Iterable[Variable],
+                  rhs: Iterable[Variable]) -> list[tuple[Row, Row]]:
+    """In row order, each row that agrees with an earlier one on ``lhs`` but
+    differs from the first such row on ``rhs``, paired with that first row.
 
     Values are compared by their JSON text, so 1, 1.0 and True differ.
     """
     lhs_order = sorted(lhs, key=_vkey)
     rhs_order = sorted(rhs, key=_vkey)
     seen: dict[tuple, tuple] = {}
+    pairs: list[tuple[Row, Row]] = []
     for row in rows:
         left = tuple(json.dumps(row[v]) for v in lhs_order)
         right = tuple(json.dumps(row[v]) for v in rhs_order)
         if left in seen and seen[left][0] != right:
-            return (seen[left][1], row)
+            pairs.append((seen[left][1], row))
         seen.setdefault(left, (right, row))
-    return None
+    return pairs
 
 
 def fd_holds(rows: Iterable[Row], lhs: Iterable[Variable],
              rhs: Iterable[Variable]) -> bool:
-    return fd_violation(rows, lhs, rhs) is None
+    return not fd_violations(rows, lhs, rhs)
 
 
 def oracle_satisfies(graph: Graph, dep: GoFd) -> bool:
     return fd_holds(naive_matches(graph, dep.scope), dep.lhs, dep.rhs)
+
+
+def oracle_witnesses(graph: Graph, dep: GoFd, max_witnesses: int = 5) -> list[tuple[Row, Row]]:
+    """The first ``max_witnesses`` of ``fd_violations`` over the matches
+    sorted by their object ids, object variables in (name, key) order."""
+    rows = naive_matches(graph, dep.scope)
+    ids = sorted({var for row in rows for var in row if isinstance(var, ObjectVar)}, key=_vkey)
+    rows.sort(key=lambda row: [row[var] for var in ids])
+    return fd_violations(rows, dep.lhs, dep.rhs)[:max(max_witnesses, 0)]
 
 
 # -- text, keys and attributes, recomputed on every call --------------------
@@ -339,7 +350,7 @@ def oracle_instantiate(graph: Graph, dep: GoFd, rows) -> list[Op]:
     names: dict[tuple[str, ...], str] = {}
     for values in rows.rows:
         lhs_values = [values[column[var]] for var in lhs_vars]
-        name_key = tuple(value_key(value) for value in lhs_values)
+        name_key = tuple(json.dumps(value) for value in lhs_values)
         if name_key not in names:
             names[name_key] = skolem_node_id(
                 "val", owner_labels, [(var.key, value) for var, value in zip(lhs_vars, lhs_values)])
@@ -528,14 +539,21 @@ def oracle_minimal_cover(deps: Iterable[GoFd]) -> tuple[GoFd, ...]:
 
 # -- redundancy-potential oracle ------------------------------------------
 
+def oracle_group_sizes(graph: Graph, dep: GoFd) -> list[int]:
+    """Group sizes over the dependency's variables, the groups in the order
+    of ``json.dumps`` of their values as a list, variables in (name, key)
+    order."""
+    order = sorted(set(dep.lhs) | set(dep.rhs), key=_vkey)
+    counts: dict[str, int] = {}
+    for row in naive_matches(graph, dep.scope):
+        text = json.dumps([row[v] for v in order])
+        counts[text] = counts.get(text, 0) + 1
+    return [counts[text] for text in sorted(counts)]
+
+
 def oracle_potentials(graph: Graph, dep: GoFd) -> list[int]:
     """Sorted multiset of group sizes over the dependency's variables."""
-    order = sorted(set(dep.lhs) | set(dep.rhs), key=_vkey)
-    counts: dict[tuple, int] = {}
-    for row in naive_matches(graph, dep.scope):
-        key = tuple(json.dumps(row[v]) for v in order)
-        counts[key] = counts.get(key, 0) + 1
-    return sorted(counts.values())
+    return sorted(oracle_group_sizes(graph, dep))
 
 
 # -- generic random graphs and patterns -----------------------------------
@@ -545,18 +563,19 @@ def _some(rng: random.Random, pool: tuple[str, ...], p: float = 0.4) -> set[str]
 
 
 def random_graph(rng: random.Random, max_nodes: int = 10,
-                 max_edges: int = 14) -> Graph:
-    """Unconstrained graph over the shared vocabulary."""
+                 max_edges: int = 14, values: tuple[Atomic, ...] = LHS_POOL + OUT_POOL) -> Graph:
+    """Unconstrained graph over the shared vocabulary, its property values
+    drawn from ``values``."""
     graph = Graph()
     for _ in range(rng.randint(1, max_nodes)):
         labels = _some(rng, NODE_LABELS + ("Extra",))
-        props = {k: rng.choice(LHS_POOL + OUT_POOL)
+        props = {k: rng.choice(values)
                  for k in ("na", "nb", "nz") if rng.random() < 0.45}
         graph.add_node(labels, props)
     ids = list(graph.nodes)
     for _ in range(rng.randint(0, max_edges)):
         labels = _some(rng, EDGE_LABELS + ("T",), p=0.5)
-        props = {k: rng.choice(LHS_POOL + OUT_POOL)
+        props = {k: rng.choice(values)
                  for k in ("ea", "eb", "ez") if rng.random() < 0.45}
         graph.add_edge(rng.choice(ids), rng.choice(ids), labels, props)
     return graph

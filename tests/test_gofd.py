@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import copy
+import json
 import pickle
 import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gonorm import (
@@ -41,10 +42,13 @@ from gonorm import (
     structurally_implied,
 )
 
+from gonorm import cli
 from gonorm.gofd import Descriptor
+from gonorm.graph import value_key
 from gonorm.pattern import var_sort_key
 
 from oracles import (
+    PATTERN_SHAPES,
     oracle_attrs,
     oracle_canonical,
     oracle_closure,
@@ -53,11 +57,12 @@ from oracles import (
     oracle_render_pattern,
     oracle_satisfies,
     oracle_scope_key,
+    oracle_witnesses,
     random_graph,
     random_pattern,
 )
 
-from conftest import runs_of
+from conftest import REPR_TRAPS, VALUE_POOLS, Level, SameRepr, runs_of
 
 NODE3 = node_pattern("x", {"A"}, {"a", "b", "c"})
 
@@ -219,6 +224,87 @@ def test_satisfies_agrees_with_pairwise_oracle(seed):
     g = random_graph(rng)
     dep = random_dep(rng)
     assert satisfies(g, dep).holds == oracle_satisfies(g, dep)
+
+
+def dep_of_shape(rng: random.Random, shape: str):
+    """A dependency on a random scope of ``shape``, sides drawn as ``random_dep``'s."""
+    scope = random_pattern(rng, shape)
+    pool = sorted(attrs(scope), key=var_sort_key)
+    lhs = rng.sample(pool, rng.randint(0, min(2, len(pool))))
+    rhs = rng.sample(pool, rng.randint(1, min(2, len(pool))))
+    return gofd(scope, lhs, rhs)
+
+
+def as_texts(variables, row) -> dict:
+    """A row as a map from variable to the JSON text of its value."""
+    return {var: json.dumps(value) for var, value in zip(variables, row)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9), VALUE_POOLS, st.one_of(st.none(), st.integers(-1, 4)))
+@example(26, REPR_TRAPS, 2)  # one example per scope shape that repr keys get wrong
+@example(51, REPR_TRAPS, 2)
+@example(81, REPR_TRAPS, 2)
+def test_witnesses_agree_with_the_oracle_on_every_scope_shape(seed, values, cap):
+    rng = random.Random(seed)
+    graph = random_graph(rng, values=values)
+    for shape in PATTERN_SHAPES:
+        dep = dep_of_shape(rng, shape)
+        if cap is None:
+            verdict, expected = satisfies(graph, dep), oracle_witnesses(graph, dep)
+        else:
+            verdict = satisfies(graph, dep, max_witnesses=cap)
+            expected = oracle_witnesses(graph, dep, cap)
+        got = [(as_texts(verdict.variables, a), as_texts(verdict.variables, b))
+               for a, b in verdict.witnesses]
+        assert got == [({v: json.dumps(x) for v, x in a.items()},
+                        {v: json.dumps(x) for v, x in b.items()}) for a, b in expected]
+        assert verdict.holds == oracle_satisfies(graph, dep)
+
+
+def subclass_graph(first, second) -> Graph:
+    g = Graph()
+    g.add_node({"C"}, {"k": "k1", "v": first}, node_id="c1")
+    g.add_node({"C"}, {"k": "k1", "v": second}, node_id="c2")
+    return g
+
+
+C_K_V = gofd(node_pattern("c", {"C"}, {"k", "v"}), [pv("c", "k")], [pv("c", "v")])
+
+
+def test_a_str_subclass_is_compared_by_its_json_text_not_its_repr(tmp_path, monkeypatch,
+                                                                   capsys):
+    x, y = SameRepr("x"), SameRepr("y")
+    assert repr(x) == repr(y)
+    graph = subclass_graph(x, y)
+    verdict = satisfies(graph, C_K_V)
+    assert not verdict.holds
+    assert verdict.witnesses == (((("c1", "k1", x)), ("c2", "k1", y)),)
+    schema = tmp_path / "s.gofd"
+    schema.write_text("(c:{C}:{k,v}) :: c.k => c.v\n")
+    monkeypatch.setattr(cli, "load_graph", lambda path: graph)
+    assert cli.main(["check", "--graph", "g.json", "--schema", str(schema),
+                     "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["holds"] is False
+    assert report["results"][0]["witnesses"] == [[["c1", "k1", "x"], ["c2", "k1", "y"]]]
+
+
+def test_an_int_enum_member_is_the_int_its_json_text_says():
+    assert satisfies(subclass_graph(Level.ONE, 1), C_K_V).holds
+    assert not satisfies(subclass_graph(Level.TWO, 1), C_K_V).holds
+
+
+@pytest.mark.parametrize("values", [(1, True, "a", "é", 10**20), (1.5, -0.0, 0.0, 1e16)],
+                         ids=["mixed", "finite-floats"])
+def test_satisfies_makes_no_python_call_per_value(values):
+    graph = random_graph(random.Random(7), values=values)
+    for shape in PATTERN_SHAPES:
+        dep = dep_of_shape(random.Random(shape), shape)
+        with runs_of(value_key, json.dumps) as (keyed, dumped):
+            verdict = satisfies(graph, dep)
+        assert keyed == [] and dumped == []
+        assert verdict.holds == oracle_satisfies(graph, dep)
 
 
 # -- restriction -----------------------------------------------------------

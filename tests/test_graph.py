@@ -26,9 +26,9 @@ from gonorm import (
     save_graph,
 )
 from gonorm.cli import main
-from gonorm.graph import check_atomic, value_key
+from gonorm.graph import check_atomic, column_keys, value_key, value_keys
 
-from conftest import fixture_graph, fixture_schema
+from conftest import TRICKY_VALUES, Real, SameRepr, fixture_graph, fixture_schema
 from oracles import oracle_dump_graph, random_graph
 
 
@@ -54,7 +54,7 @@ def test_add_node_copies_labels_and_props():
     nid = g.add_node(labels, props)
     labels.add("B")
     props["k"] = 2
-    assert g.labels(nid) == frozenset({"A"})
+    assert g.nodes[nid].labels == frozenset({"A"})
     assert g.props(nid) == {"k": 1}
 
 
@@ -137,8 +137,8 @@ def test_copy_is_independent():
     dup.nodes["n2"].labels = dup.nodes["n2"].labels | {"Z"}
     dup.edges["e1"].labels = frozenset()
     assert g.nodes["n1"].props["k"] == 1 and g.edges["e1"].props["w"] == "x"
-    assert g.labels("n2") == frozenset({"B"}) and g.labels("e1") == frozenset({"R"})
-    assert dup.labels("n2") == frozenset({"B", "Z"})
+    assert g.nodes["n2"].labels == frozenset({"B"}) and g.edges["e1"].labels == frozenset({"R"})
+    assert dup.nodes["n2"].labels == frozenset({"B", "Z"})
     # fresh ids in the copy do not collide with originals
     assert dup.add_node() not in g.nodes
     assert dup.add_edge("n1", "n2") not in g.edges
@@ -233,10 +233,31 @@ ATOMIC_VALUES = st.one_of(
 )
 
 
+KEYED_VALUES = st.one_of(
+    ATOMIC_VALUES,
+    st.sampled_from(TRICKY_VALUES + (float("-inf"),)),
+    st.text(st.characters(exclude_categories=())).map(SameRepr),
+    st.floats().map(Real),
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(ATOMIC_VALUES, ATOMIC_VALUES)
+@given(KEYED_VALUES, KEYED_VALUES)
 def test_value_key_is_identity_by_json_text(a, b):
+    assert value_key(a) == json.dumps(a) and value_key(b) == json.dumps(b)
     assert (value_key(a) == value_key(b)) == (json.dumps(a) == json.dumps(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(KEYED_VALUES, KEYED_VALUES), max_size=8),
+       st.lists(st.sampled_from([0, 1, 1, 0]), max_size=3))
+def test_value_keys_are_the_value_key_of_each_column(rows, columns):
+    assert list(value_keys(rows, columns)) == [tuple(value_key(row[c]) for c in columns)
+                                               for row in rows]
+    for column in (0, 1):  # one exact type per column: the mapped encoder
+        for kind in (str, int, float, bool):
+            same = [row for row in rows if type(row[column]) is kind]
+            assert column_keys(same, column) == [json.dumps(row[column]) for row in same]
 
 
 def test_save_and_load_path_and_file(tmp_path):
@@ -401,7 +422,7 @@ def test_atomic_value_subclasses_still_load():
         pass
 
     graph = graph_from_dict(_doc([_node(labels=[Name("A")], properties={"k": Name("v")})]))
-    assert graph.labels("a") == frozenset({"A"}) and graph.props("a") == {"k": "v"}
+    assert graph.nodes["a"].labels == frozenset({"A"}) and graph.props("a") == {"k": "v"}
 
 
 def test_equal_label_lists_share_one_set_and_copies_share_it():

@@ -7,7 +7,8 @@ import math
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gonorm import (
@@ -28,8 +29,16 @@ from gonorm import (
     two_decimals,
 )
 
-from conftest import fixture_graph, fixture_schema
-from oracles import oracle_potentials, random_graph, random_pattern
+from gonorm.graph import value_key
+
+from conftest import REPR_TRAPS, VALUE_POOLS, fixture_graph, fixture_schema, runs_of
+from oracles import (
+    PATTERN_SHAPES,
+    oracle_group_sizes,
+    oracle_potentials,
+    random_graph,
+    random_pattern,
+)
 
 
 def pv(name: str, key: str) -> PropVar:
@@ -119,6 +128,38 @@ def test_profile_group_sizes_agree_with_oracle(seed):
     rhs = rng.sample(pool, 1)
     dep = gofd(scope, lhs, rhs)
     assert sorted(profile(g, dep).group_sizes) == oracle_potentials(g, dep)
+
+
+def dep_of_shape(rng: random.Random, shape: str):
+    scope = random_pattern(rng, shape)
+    pool = sorted(attrs(scope), key=lambda v: (v.name, getattr(v, "key", "")))
+    lhs = rng.sample(pool, rng.randint(0, min(2, len(pool))))
+    rhs = rng.sample(pool, rng.randint(0, 1))
+    return gofd(scope, lhs, rhs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9), VALUE_POOLS)
+@example(64, REPR_TRAPS)  # an edge and a node scope that repr keys get wrong
+@example(83, REPR_TRAPS)
+def test_profile_groups_follow_the_json_order_of_their_values(seed, values):
+    rng = random.Random(seed)
+    graph = random_graph(rng, values=values)
+    for shape in PATTERN_SHAPES:
+        dep = dep_of_shape(rng, shape)
+        assert list(profile(graph, dep).group_sizes) == oracle_group_sizes(graph, dep)
+
+
+@pytest.mark.parametrize("values", [(1, True, "a", "é", 10**20), (1.5, -0.0, 0.0, 1e16)],
+                         ids=["mixed", "finite-floats"])
+def test_profile_makes_no_python_call_per_value(values):
+    graph = random_graph(random.Random(11), values=values)
+    for shape in PATTERN_SHAPES:
+        dep = dep_of_shape(random.Random(shape), shape)
+        with runs_of(value_key, json.dumps) as (keyed, dumped):
+            sizes = profile(graph, dep).group_sizes
+        assert keyed == [] and dumped == []
+        assert list(sizes) == oracle_group_sizes(graph, dep)
 
 
 def test_redundancy_potentials_preserves_schema_order():

@@ -39,7 +39,9 @@ import gonorm.pattern as pattern_module
 from gonorm.pattern import var_sort_key
 from gonorm.transform import check_transformable
 
-from conftest import fixture_graph, fixture_schema, runs_of
+from gonorm import cli
+
+from conftest import Level, SameRepr, fixture_graph, fixture_schema, runs_of
 from oracles import CASE_KINDS, generalize, random_pattern, random_satisfying_case
 
 
@@ -321,6 +323,42 @@ def test_full_normalize_propagates_violations():
     g.set_prop("p3", "city", "Rome")
     with pytest.raises(UnsatisfiedDependency):
         full_normalize(g, [gofd(PERSON, [pv("x", "city")], [pv("x", "zip")])])
+
+
+C_K_V = gofd(node_pattern("c", {"C"}, {"k", "v"}), [pv("c", "k")], [pv("c", "v")])
+
+
+def test_a_violation_hidden_by_repr_is_refused_and_nothing_is_written(tmp_path, monkeypatch,
+                                                                      capsys):
+    g = Graph()
+    g.add_node({"C"}, {"k": "k1", "v": SameRepr("x")}, node_id="c1")
+    g.add_node({"C"}, {"k": "k1", "v": SameRepr("y")}, node_id="c2")
+    frozen = dump_graph(g)
+    with pytest.raises(UnsatisfiedDependency):
+        full_normalize(g, [C_K_V])
+    assert dump_graph(g) == frozen
+    schema = tmp_path / "s.gofd"
+    schema.write_text("(c:{C}:{k,v}) :: c.k => c.v\n")
+    monkeypatch.setattr(cli, "load_graph", lambda path: g)
+    assert cli.main(["normalize", "--graph", "g.json", "--schema", str(schema),
+                     "--out", str(tmp_path / "out"), "--explain"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["s.gofd"]
+
+
+def test_int_enum_members_join_the_value_nodes_of_their_ints():
+    g = Graph()
+    for nid, k, v in (("c1", "k1", Level.ONE), ("c2", "k1", 1),
+                      ("c3", Level.TWO, 5), ("c4", 2, 5)):
+        g.add_node({"C"}, {"k": k, "v": v}, node_id=nid)
+    result = full_normalize(g, [C_K_V])
+    made = sorted(set(result.graph.nodes) - set(g.nodes))
+    assert made == ['sk:val|C|k="k1"', "sk:val|C|k=2"]
+    assert result.graph.nodes['sk:val|C|k="k1"'].props == {"k": "k1", "v": 1}
+    assert result.graph.nodes["sk:val|C|k=2"].props == {"k": 2, "v": 5}
+    assert all(not result.graph.nodes[nid].props for nid in ("c1", "c2", "c3", "c4"))
+    plans = [plan for log in result.logs for plan in log.transformations]
+    assert dump_graph(invert(result.graph, plans)) == dump_graph(g)
 
 
 # -- the caller's graph is never changed -------------------------------------

@@ -40,6 +40,7 @@ from gonorm import (
     skolem_node_id,
     verify_lossless,
 )
+from gonorm.graph import value_key
 from gonorm.pattern import var_sort_key
 from gonorm.transform import (
     DelEdge,
@@ -55,6 +56,7 @@ from gonorm.transform import (
     skolem_string,
 )
 
+from conftest import runs_of
 from oracles import (
     CASE_KINDS,
     LHS_POOL,
@@ -266,7 +268,7 @@ def test_within_node_execution_moves_values_once():
     oslo = 'sk:val|Person|city="Oslo"'
     assert out.props(rome) == {"city": "Rome", "zip": 100}
     assert out.props(oslo) == {"city": "Oslo", "zip": 200}
-    assert out.labels(rome) == frozenset({"Sk_PersonCity"})
+    assert out.nodes[rome].labels == frozenset({"Sk_PersonCity"})
     for nid in ("p1", "p2", "p3"):
         assert out.props(nid) == {}
     assert out.edges[created_edge_id("Sk_PersonCity", "p1", rome)].tgt == rome
@@ -293,8 +295,8 @@ def test_within_edge_execution_reifies_and_migrates_leftovers():
     r1, r2 = reifier_id("e1"), reifier_id("e2")
     val = "sk:val|R|u=1"
     assert out.props(val) == {"u": 1, "v": 2}
-    assert out.labels(val) == frozenset({"Sk_RU"})
-    assert out.labels(r1) == frozenset({"R"})
+    assert out.nodes[val].labels == frozenset({"Sk_RU"})
+    assert out.nodes[r1].labels == frozenset({"R"})
     # unclaimed edge property survives on the reifier node
     assert out.props(r1) == {"note": "keep"}
     assert out.props(r2) == {}
@@ -409,6 +411,20 @@ def test_executor_detects_conflicting_assignments():
                  for value in (first, second)]
         with pytest.raises(InvariantError, match="conflicting values"):
             execute_plans(g, plans)
+
+
+def test_executor_keys_each_moved_value_once():
+    g = Graph()
+    for i in range(6):
+        g.add_node({"P"}, {"city": "Rome", "zip": 100}, node_id=f"p{i}")
+    dep = gofd(node_pattern("x", {"P"}, {"city", "zip"}), [pv("x", "city")], [pv("x", "zip")])
+    (plan,), _ = build_plans(g, [dep])
+    moves = [op for op in plan.ops if isinstance(op, MoveProp)]
+    assert len(moves) == 12 and len({(op.target, op.key) for op in moves}) == 2
+    with runs_of(value_key) as (keyed,):
+        out = execute_plans(g, [plan])
+    assert keyed == [op.value for op in moves]  # not the slot's first value again
+    assert out.nodes['sk:val|P|city="Rome"'].props == {"city": "Rome", "zip": 100}
 
 
 def test_plans_of_two_left_sides_run_each_op_object_once():
