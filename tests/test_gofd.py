@@ -187,6 +187,11 @@ def test_satisfies_holds_and_violates():
     assert satisfies(two_row_graph("same", "same"), dep).holds
     verdict = satisfies(two_row_graph("same", "other"), dep)
     assert not verdict.holds and len(verdict.witnesses) == 1
+    # only the last right-side column differs
+    g = two_row_graph("same", "same")
+    g.set_prop("n2", "c", 1)
+    verdict = satisfies(g, gofd(NODE3, [pv("x", "a")], [pv("x", "b"), pv("x", "c")]))
+    assert not verdict.holds and len(verdict.witnesses) == 1
 
 
 def test_witnesses_decode_to_agreeing_lhs_and_differing_rhs():
@@ -235,9 +240,9 @@ def dep_of_shape(rng: random.Random, shape: str):
     return gofd(scope, lhs, rhs)
 
 
-def as_texts(variables, row) -> dict:
-    """A row as a map from variable to the JSON text of its value."""
-    return {var: json.dumps(value) for var, value in zip(variables, row)}
+def as_texts(row: dict) -> dict:
+    """A row with each value replaced by its JSON text."""
+    return {var: json.dumps(value) for var, value in row.items()}
 
 
 @settings(max_examples=150, deadline=None)
@@ -250,15 +255,13 @@ def test_witnesses_agree_with_the_oracle_on_every_scope_shape(seed, values, cap)
     graph = random_graph(rng, values=values)
     for shape in PATTERN_SHAPES:
         dep = dep_of_shape(rng, shape)
-        if cap is None:
-            verdict, expected = satisfies(graph, dep), oracle_witnesses(graph, dep)
-        else:
-            verdict = satisfies(graph, dep, max_witnesses=cap)
-            expected = oracle_witnesses(graph, dep, cap)
-        got = [(as_texts(verdict.variables, a), as_texts(verdict.variables, b))
+        capped = {} if cap is None else {"max_witnesses": cap}
+        verdict = satisfies(graph, dep, **capped)
+        names = verdict.variables
+        got = [(as_texts(dict(zip(names, a))), as_texts(dict(zip(names, b))))
                for a, b in verdict.witnesses]
-        assert got == [({v: json.dumps(x) for v, x in a.items()},
-                        {v: json.dumps(x) for v, x in b.items()}) for a, b in expected]
+        assert got == [(as_texts(a), as_texts(b))
+                       for a, b in oracle_witnesses(graph, dep, **capped)]
         assert verdict.holds == oracle_satisfies(graph, dep)
 
 
@@ -279,7 +282,7 @@ def test_a_str_subclass_is_compared_by_its_json_text_not_its_repr(tmp_path, monk
     graph = subclass_graph(x, y)
     verdict = satisfies(graph, C_K_V)
     assert not verdict.holds
-    assert verdict.witnesses == (((("c1", "k1", x)), ("c2", "k1", y)),)
+    assert verdict.witnesses == ((("c1", "k1", x), ("c2", "k1", y)),)
     schema = tmp_path / "s.gofd"
     schema.write_text("(c:{C}:{k,v}) :: c.k => c.v\n")
     monkeypatch.setattr(cli, "load_graph", lambda path: graph)
