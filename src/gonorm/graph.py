@@ -26,13 +26,20 @@ from .errors import (
 
 Atomic = Union[str, int, float, bool]
 
+
+def _float_text(value: float) -> str:
+    """A float's ``json.dumps`` text: its repr when finite, else ``NaN`` or
+    ``Infinity``."""
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+
 # The one rule for property values: two values are the same exactly when
 # their JSON texts are equal.  Python equality does not follow it, since it
 # merges 1, 1.0 and True, and 0.0 with -0.0.  Each exact type here maps to a
-# C callable that writes any of its values as ``json.dumps`` does; ``repr``
-# is that text for an int.  Floats (non-finite ones are ``NaN`` and
-# ``Infinity`` in JSON) and subclasses go through ``json.dumps``.
-_ENCODERS = {str: json.encoder.encode_basestring_ascii, int: repr,
+# callable that writes any of its values as ``json.dumps`` does; ``repr``
+# is that text for an int.  All but the float's run in C.  Subclasses go
+# through ``json.dumps``.
+_ENCODERS = {str: json.encoder.encode_basestring_ascii, int: repr, float: _float_text,
              bool: {True: "true", False: "false"}.__getitem__}
 
 
@@ -52,10 +59,10 @@ def column_keys(rows: Sequence[Sequence[Atomic]], column: int) -> list[str]:
     values = list(map(itemgetter(column), rows))
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
-    if kind in _ENCODERS:
-        return list(map(_ENCODERS[kind], values))
     if kind is float and all(map(math.isfinite, values)):
         return list(map(repr, values))  # a finite float's JSON text
+    if kind in _ENCODERS:
+        return list(map(_ENCODERS[kind], values))
     return [_ENCODERS.get(type(value), json.dumps)(value) for value in values]
 
 

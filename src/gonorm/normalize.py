@@ -25,9 +25,9 @@ from .graph import Graph
 from .pattern import (Pattern, Variable, evaluate, more_general_than, render_pattern, scope_key,
                       var_sort_key)
 from .transform import (
-    NewNode,
     Transformation,
     TransformationKind,
+    _VIEWS,
     _execute,
     build_plans,
     check_transformable,
@@ -156,9 +156,9 @@ def _normalize_scope(graph: Graph, schema: Iterable[GoFd], scope: Pattern,
 
 
 def _log_pass(scope: str, matches: int, plans: list[Transformation]) -> None:
-    ops = Counter(type(op).__name__ for plan in plans for op in plan.ops)
-    value_nodes = {op.node for plan in plans for op in plan.ops
-                   if isinstance(op, NewNode) and op.labels == (plan.val_label,)}
+    ops = Counter(_VIEWS[row[0]].__name__ for plan in plans for row in plan.rows)
+    value_nodes = {row[1] for plan in plans for row in plan.rows
+                   if row[0] == "new-node" and row[2:] == (plan.val_label,)}
     logger.debug("normalized %s: %d matches, %d plans, ops %s, %d value nodes created",
                   scope, matches, len(plans),
                   " ".join(f"{kind}={count}" for kind, count in sorted(ops.items())) or "none",

@@ -7,8 +7,13 @@ properties move away are reified into nodes so nothing is lost.  Each
 transformation is planned as a list of primitive operations computed against
 the untouched input graph; plans are then executed together, each op object
 once, all creations before all removals, so transformations sharing objects
-cannot read each other's partial writes.  The parts of one sweep share op
-objects; an equal op of another plan runs again and changes nothing.
+cannot read each other's partial writes.  A plan stores each op as a row: an
+exact tuple of strings and values whose first item names the kind, like
+``("move-prop", source, key, target, value)``, which the garbage collector
+stops tracking.  The parts of one sweep share row objects; an equal op of
+another plan runs again and changes nothing.  ``Transformation.ops`` reads
+the rows as the named tuples ``NewNode``, ``NewEdge``, ``MoveProp`` and
+``DelEdge``.
 
 Skolem naming makes the output deterministic: value nodes are named by the
 defining left-side values, reifier nodes by the edge they replace.  The plans
@@ -19,7 +24,7 @@ rebuild with the input byte for byte.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Union
@@ -167,9 +172,15 @@ def created_edge_id(label: str, src: str, tgt: str) -> str:
 
 # -- primitive operations -------------------------------------------------
 
-# Named tuples, so that planning and execution hash and compare them in C.
-# No two op types can be equal: a ``NewEdge``'s labels are a tuple where a
-# ``MoveProp``'s value is atomic, and the other two differ in length.
+# A plan stores each op as a row, an exact tuple with the kind's tag first
+# and then the fields of the kind's named tuple below, a trailing ``labels``
+# tuple spread out: ``("new-edge", edge, src, tgt, *labels)``.  Building a
+# tuple display runs no Python code, and the collector untracks an exact
+# tuple of atomic values at the first collection that sees it, which it
+# never does for a tuple subclass, nor while an inner tuple is tracked.  The
+# tags are the ``op`` names of the ``--explain`` log.  The named tuples are
+# the public view: ``Transformation`` takes them and ``plan.ops`` gives them
+# back.
 
 class NewNode(NamedTuple):
     node: str
@@ -195,42 +206,79 @@ class DelEdge(NamedTuple):
 
 
 Op = Union[NewNode, NewEdge, MoveProp, DelEdge]
+Row = tuple  # ``(tag, *fields of the op)``, labels spread out
+_TAGS = {NewNode: "new-node", NewEdge: "new-edge", MoveProp: "move-prop", DelEdge: "del-edge"}
+_VIEWS = {tag: kind for kind, tag in _TAGS.items()}
 
 
-def op_to_dict(op: Op) -> dict:
-    if isinstance(op, NewNode):
-        return {"op": "new-node", "id": op.node, "labels": list(op.labels), "props": {}}
-    if isinstance(op, NewEdge):
-        return {"op": "new-edge", "id": op.edge, "src": op.src, "tgt": op.tgt,
-                "labels": list(op.labels)}
-    if isinstance(op, MoveProp):
-        return {"op": "move-prop", "from": op.source, "key": op.key,
-                "to": op.target, "value": op.value}
-    return {"op": "del-edge", "id": op.edge}
+def _row(op: Op) -> Row:
+    if isinstance(op, (NewNode, NewEdge)):
+        return (_TAGS[type(op)], *op[:-1], *op.labels)
+    return (_TAGS[type(op)], *op)
 
 
-@dataclass
+def _view(row: Row) -> Op:
+    tag = row[0]
+    if tag == "move-prop":
+        return MoveProp._make(row[1:])
+    if tag == "new-edge":
+        return NewEdge(row[1], row[2], row[3], row[4:])
+    if tag == "new-node":
+        return NewNode(row[1], row[2:])
+    return DelEdge(row[1])
+
+
+def op_to_dict(op: Op | Row) -> dict:
+    """An op, as a named tuple or a row, in the ``--explain`` log's layout."""
+    row = op if type(op) is tuple else _row(op)
+    tag = row[0]
+    if tag == "move-prop":
+        return {"op": tag, "from": row[1], "key": row[2], "to": row[3], "value": row[4]}
+    if tag == "new-edge":
+        return {"op": tag, "id": row[1], "src": row[2], "tgt": row[3], "labels": list(row[4:])}
+    if tag == "new-node":
+        return {"op": tag, "id": row[1], "labels": list(row[2:]), "props": {}}
+    return {"op": tag, "id": row[1]}
+
+
+@dataclass(init=False)
 class Transformation:
-    """One planned transformation: the dependency, its shape, and the ops."""
+    """One planned transformation: the dependency, its shape, and the ops.
+
+    ``rows`` holds the ops as rows; split parts share row objects.  ``ops``
+    is a fresh list of named tuples on each access, so changing it changes
+    nothing.
+    """
 
     dependency: GoFd
     kind: TransformationKind
     match_count: int
-    ops: list[Op] = field(default_factory=list)
+    rows: list[Row]
     key_dependency: GoFd | None = None
     val_label: str | None = None
 
+    def __init__(self, dependency: GoFd, kind: TransformationKind, match_count: int,
+                 ops: Iterable[Op] = (), key_dependency: GoFd | None = None,
+                 val_label: str | None = None) -> None:
+        self.dependency, self.kind, self.match_count = dependency, kind, match_count
+        self.rows = list(map(_row, ops))
+        self.key_dependency, self.val_label = key_dependency, val_label
+
+    @property
+    def ops(self) -> list[Op]:
+        return list(map(_view, self.rows))
+
     @property
     def deleted_edges(self) -> frozenset[str]:
-        return frozenset(op.edge for op in self.ops if isinstance(op, DelEdge))
+        return frozenset(row[1] for row in self.rows if row[0] == "del-edge")
 
     @property
     def claimed(self) -> dict[str, frozenset[str]]:
         """Keys moved off each source object by this plan."""
         out: dict[str, set[str]] = {}
-        for op in self.ops:
-            if isinstance(op, MoveProp):
-                out.setdefault(op.source, set()).add(op.key)
+        for row in self.rows:
+            if row[0] == "move-prop":
+                out.setdefault(row[1], set()).add(row[2])
         return {obj: frozenset(keys) for obj, keys in out.items()}
 
     def to_dict(self) -> dict:
@@ -238,11 +286,19 @@ class Transformation:
             "dependency": self.dependency.render(),
             "kind": self.kind.value,
             "matches": self.match_count,
-            "ops": [op_to_dict(op) for op in self.ops],
+            "ops": [op_to_dict(row) for row in self.rows],
         }
         if self.key_dependency is not None:
             doc["keyDependency"] = self.key_dependency.render()
         return doc
+
+
+def _plan(dependency: GoFd, kind: TransformationKind, match_count: int, rows: list[Row],
+          key_dependency: GoFd | None = None, val_label: str | None = None) -> Transformation:
+    """A ``Transformation`` holding ``rows`` itself."""
+    plan = Transformation(dependency, kind, match_count, (), key_dependency, val_label)
+    plan.rows = rows
+    return plan
 
 
 # -- plan construction ----------------------------------------------------
@@ -256,16 +312,16 @@ def _family_parts(scope: Pattern, role: str) -> tuple[frozenset[str], frozenset[
     return scope.edge_labels, scope.edge_keys
 
 
-def _reify(graph: Graph, eid: str, prefix: str) -> tuple[tuple[Op, ...], str]:
-    """The ops that replace an edge by a node wired to both endpoints, and the node's id."""
+def _reify(graph: Graph, eid: str, prefix: str) -> tuple[tuple[Row, ...], str]:
+    """The rows that replace an edge by a node wired to both endpoints, and the node's id."""
     record = graph.edges[eid]
     rid = reifier_id(eid)
-    return (NewNode(rid, tuple(sorted(record.labels))),
-            NewEdge(created_edge_id(f"{prefix}_src", record.src, rid),
-                    record.src, rid, (f"{prefix}_src",)),
-            NewEdge(created_edge_id(f"{prefix}_tgt", rid, record.tgt),
-                    rid, record.tgt, (f"{prefix}_tgt",)),
-            DelEdge(eid)), rid
+    return (("new-node", rid, *sorted(record.labels)),
+            ("new-edge", created_edge_id(f"{prefix}_src", record.src, rid),
+             record.src, rid, f"{prefix}_src"),
+            ("new-edge", created_edge_id(f"{prefix}_tgt", rid, record.tgt),
+             rid, record.tgt, f"{prefix}_tgt"),
+            ("del-edge", eid)), rid
 
 
 def _key_dependency(val_label: str, lhs_keys: Iterable[str],
@@ -278,13 +334,13 @@ def _key_dependency(val_label: str, lhs_keys: Iterable[str],
 class _Sweep(NamedTuple):
     """What every part with one scope and left side plans alike.
 
-    One row per match, in ``relation.rows`` order: the match, the ops
-    planned before the part's own right-side move (the value node when its
-    name is new, the reification, the left-side moves), the value node's
-    id, and the link edge planned after that move.
+    One entry per match, in ``relation.rows`` order: the match, the op
+    rows planned before the part's own right-side move (the value node when
+    its name is new, the reification, the left-side moves), the value
+    node's id, and the link edge's row, planned after that move.
     """
 
-    rows: list[tuple[tuple[Atomic, ...], list[Op], str, NewEdge]]
+    rows: list[tuple[tuple[Atomic, ...], list[Row], str, Row]]
     lhs_keys: list[str]
     val_label: str
 
@@ -306,18 +362,19 @@ def _sweep(graph: Graph, dep: GoFd, relation: Relation, roles: dict[str, str],
     rows = []
     for values, name_key in zip(relation.rows, value_keys(relation.rows, lhs_columns)):
         vid = names.get(name_key)
-        head: list[Op] = []
+        head: list[Row] = []
         if vid is None:
             vid = names[name_key] = "sk:" + _skolem_text("val", owner_labels,
                                                           zip(lhs_keys, name_key))
-            head.append(NewNode(vid, (val_label,)))
+            head.append(("new-node", vid, val_label))
         link = obj = values[source]
         if reified:
             reification, link = _reify(graph, obj, prefix)
             head += reification
-        head += [MoveProp(obj, key, vid, values[pos]) for key, pos in zip(lhs_keys, lhs_columns)]
-        rows.append((values, head, vid,
-                     NewEdge(created_edge_id(link_label, link, vid), link, vid, (link_label,))))
+        head += [("move-prop", obj, key, vid, values[pos])
+                 for key, pos in zip(lhs_keys, lhs_columns)]
+        rows.append((values, head, vid, ("new-edge", created_edge_id(link_label, link, vid),
+                                         link, vid, link_label)))
     return _Sweep(rows, lhs_keys, val_label)
 
 
@@ -340,9 +397,9 @@ def _instantiate(graph: Graph, dep: GoFd, matches: Relation | None,
     rhs = next(iter(dep.rhs))
     if kind is TransformationKind.BETWEEN_N_EP:
         edge, node, value = owner["edge"], owner["node"], column[rhs]
-        ops = [MoveProp(values[edge], rhs.key, values[node], values[value])
+        ops = [("move-prop", values[edge], rhs.key, values[node], values[value])
                for values in relation.rows]  # one per matched edge
-        return Transformation(dep, kind, len(relation.rows), ops)
+        return _plan(dep, kind, len(relation.rows), ops)
 
     sweep = sweeps.get((dep.scope, dep.lhs))
     if sweep is None:
@@ -354,7 +411,7 @@ def _instantiate(graph: Graph, dep: GoFd, matches: Relation | None,
         source, value = owner[roles[rhs.name]], column[rhs]
         for values, head, vid, link in sweep.rows:
             ops += head
-            ops.append(MoveProp(values[source], rhs.key, vid, values[value]))
+            ops.append(("move-prop", values[source], rhs.key, vid, values[value]))
             ops.append(link)
     else:
         for _, head, _, link in sweep.rows:
@@ -363,7 +420,7 @@ def _instantiate(graph: Graph, dep: GoFd, matches: Relation | None,
     key_dep = _key_dependency(sweep.val_label, sweep.lhs_keys, val_keys)
     if isinstance(dep.scope, NodeEdgePattern):  # a node sits in several rows
         ops = list(dict.fromkeys(ops))
-    return Transformation(dep, kind, len(relation.rows), ops, key_dep, sweep.val_label)
+    return _plan(dep, kind, len(relation.rows), ops, key_dep, sweep.val_label)
 
 
 def instantiate(graph: Graph, dep: GoFd, *, matches: Relation | None = None) -> Transformation:
@@ -410,9 +467,9 @@ def build_plans(graph: Graph, deps: Iterable[GoFd], *, matches: Relation | None 
     claimed: dict[str, set[str]] = {eid: set() for eid in doomed}  # keys moved off
     if doomed:
         for plan in plans:
-            for op in plan.ops:
-                if isinstance(op, MoveProp) and op.source in doomed:
-                    claimed[op.source].add(op.key)
+            for row in plan.rows:
+                if row[0] == "move-prop" and row[1] in doomed:
+                    claimed[row[1]].add(row[2])
     migrated: set[str] = set()
     for plan, edges in zip(plans, deleted):
         for eid in sorted(edges - migrated):
@@ -420,7 +477,7 @@ def build_plans(graph: Graph, deps: Iterable[GoFd], *, matches: Relation | None 
             rid = reifier_id(eid)
             record = graph.edges[eid]
             for key in sorted(set(record.props) - claimed[eid]):
-                plan.ops.append(MoveProp(eid, key, rid, record.props[key]))
+                plan.rows.append(("move-prop", eid, key, rid, record.props[key]))
     return plans, leftovers
 
 
@@ -436,6 +493,11 @@ def execute_plans(graph: Graph, plans: Iterable[Transformation]) -> Graph:
     return _execute(graph.copy(), plans)
 
 
+# Exact types whose equal values have equal JSON texts; a float's do not
+# (``0.0 == -0.0``, ``nan != nan``), nor, in general, a subclass's.
+_EQUAL_IS_SAME = frozenset({str, int, bool})
+
+
 def _execute(graph: Graph, plans: Iterable[Transformation]) -> Graph:
     """``execute_plans`` on ``graph`` itself, which it changes and returns.
 
@@ -444,18 +506,20 @@ def _execute(graph: Graph, plans: Iterable[Transformation]) -> Graph:
     """
     nodes, edges = graph.nodes, graph.edges
     created_nodes, created_edges = set(), set()  # two sets: an edge may not take a new node's id
-    assigned: dict[tuple[str, str], str] = {}  # value_key of each written slot's value
+    assigned: dict[tuple[str, str], Atomic] = {}  # each written slot's value
     label_sets: dict[tuple[str, ...], frozenset[str]] = {}  # of created objects
-    removals: list[Op] = []
+    removals: list[Row] = []
     for op in _distinct_ops(plans):
-        kind = type(op)
-        if kind is MoveProp:
-            _, key, obj, value = op
+        tag = op[0]
+        if tag == "move-prop":
+            _, _, key, obj, value = op
             slot = (obj, key)
-            if slot in assigned:
-                if assigned[slot] != value_key(value):
+            first = assigned.get(slot)  # never None: the first write checked it
+            if first is not None:
+                if not (type(first) is type(value) and type(value) in _EQUAL_IS_SAME
+                        and first == value) and value_key(first) != value_key(value):
                     raise InvariantError(f"conflicting values for {obj}.{key}: "
-                                         f"{nodes[obj].props[key]!r} vs {value!r}")
+                                         f"{first!r} vs {value!r}")
             else:
                 record = nodes.get(obj)
                 if record is None:
@@ -463,11 +527,10 @@ def _execute(graph: Graph, plans: Iterable[Transformation]) -> Graph:
                 if key in record.props:  # even an equal value: the output could not tell them apart
                     raise InvariantError(f"transformation would overwrite {obj}.{key}: "
                                          f"{record.props[key]!r} vs {value!r}")
-                record.props[key] = check_atomic(value)
-                assigned[slot] = value_key(value)
+                record.props[key] = assigned[slot] = check_atomic(value)
             removals.append(op)
-        elif kind is NewNode:
-            nid, labels = op
+        elif tag == "new-node":
+            nid, labels = op[1], op[2:]
             if nid in created_nodes:
                 record = nodes[nid]
                 record.labels = record.labels.union(labels)
@@ -476,8 +539,8 @@ def _execute(graph: Graph, plans: Iterable[Transformation]) -> Graph:
             else:
                 nodes[nid] = NodeRecord(shared_labels(label_sets, labels))
                 created_nodes.add(nid)
-        elif kind is NewEdge:
-            eid, src, tgt, labels = op
+        elif tag == "new-edge":
+            eid, src, tgt, labels = op[1], op[2], op[3], op[4:]
             if eid in created_edges:
                 record = edges[eid]
                 record.labels = record.labels.union(labels)
@@ -489,22 +552,22 @@ def _execute(graph: Graph, plans: Iterable[Transformation]) -> Graph:
             else:
                 edges[eid] = EdgeRecord(src, tgt, shared_labels(label_sets, labels))
                 created_edges.add(eid)
-        elif kind is DelEdge:
+        elif tag == "del-edge":
             removals.append(op)
     for op in removals:
-        if type(op) is DelEdge:
-            if op.edge in edges:
-                graph.remove_object(op.edge)
+        if op[0] == "del-edge":
+            if op[1] in edges:
+                graph.remove_object(op[1])
         else:
-            record = nodes.get(op.source) or edges.get(op.source)
+            record = nodes.get(op[1]) or edges.get(op[1])
             if record is not None:
-                record.props.pop(op.key, None)
+                record.props.pop(op[2], None)
     return graph
 
 
-def _distinct_ops(plans: Iterable[Transformation]) -> list[Op]:
-    """The plans' ops, each op object once, in the order they first appear."""
-    return list({id(op): op for plan in plans for op in plan.ops}.values())
+def _distinct_ops(plans: Iterable[Transformation]) -> list[Row]:
+    """The plans' rows, each row object once, in the order they first appear."""
+    return list({id(row): row for plan in plans for row in plan.rows}.values())
 
 
 # -- inverse and lossless check --------------------------------------------
@@ -530,15 +593,16 @@ def invert(after: Graph, plans: Iterable[Transformation]) -> Graph:
     moves: dict[tuple[str, str], set[str]] = {}
     replaced: dict[str, str] = {}  # reifier node id -> id of the edge it replaced
     for plan in plans:
-        for op in plan.ops:
-            if isinstance(op, NewNode):
-                new_nodes.add(op.node)
-            elif isinstance(op, NewEdge):
-                new_edges[op.edge] = op
-            elif isinstance(op, MoveProp):
-                moves.setdefault((op.source, op.key), set()).add(op.target)
+        for row in plan.rows:
+            tag = row[0]
+            if tag == "move-prop":
+                moves.setdefault((row[1], row[2]), set()).add(row[3])
+            elif tag == "new-edge":
+                new_edges[row[1]] = _view(row)
+            elif tag == "new-node":
+                new_nodes.add(row[1])
             else:
-                replaced[reifier_id(op.edge)] = op.edge
+                replaced[reifier_id(row[1])] = row[1]
 
     written = {(target, key) for (_, key), targets in moves.items() for target in targets}
     for nid in new_nodes.union(target for target, _ in written):

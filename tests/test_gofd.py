@@ -310,6 +310,18 @@ def test_satisfies_makes_no_python_call_per_value(values):
         assert verdict.holds == oracle_satisfies(graph, dep)
 
 
+def test_a_failing_check_over_ints_and_floats_dumps_no_value():
+    # JSON numbers such as 1 and 1.5 in one key load as exactly this mix
+    g = Graph()
+    for i in range(1000):
+        g.add_node({"C"}, {"k": i % 10, "v": i % 7 if i % 2 else i / 4}, node_id=f"c{i}")
+    with runs_of(json.dumps) as (dumped,):
+        verdict = satisfies(g, C_K_V)
+    assert dumped == []
+    assert not verdict.holds and verdict.witnesses
+    assert not oracle_satisfies(g, C_K_V)
+
+
 # -- restriction -----------------------------------------------------------
 
 Q_GENERAL = node_pattern("c", {"A"}, {"a", "b"})

@@ -37,7 +37,8 @@ from gonorm import (
 import gonorm.normalize as normalize_module
 import gonorm.pattern as pattern_module
 from gonorm.pattern import var_sort_key
-from gonorm.transform import check_transformable
+from gonorm.transform import (DelEdge, MoveProp, NewEdge, NewNode, Transformation,
+                              check_transformable)
 
 from gonorm import cli
 
@@ -306,6 +307,30 @@ def test_bundled_fixtures_invert_with_plans_in_any_order(name):
     assert plans
     for order in (plans, plans[::-1]):
         assert dump_graph(invert(result.graph, order)) == dump_graph(graph)
+
+
+VIEWS = {"new-node": lambda nid, *labels: NewNode(nid, labels),
+         "new-edge": lambda eid, src, tgt, *labels: NewEdge(eid, src, tgt, labels),
+         "move-prop": MoveProp, "del-edge": DelEdge}
+
+
+@pytest.mark.parametrize("name", ["university", "students", "metrics_example", "shipping"])
+def test_plan_ops_are_a_fresh_view_of_the_stored_rows(name):
+    graph = fixture_graph(f"{name}.graph.json")
+    result = full_normalize(graph, fixture_schema(f"{name}.schema.gofd").schema)
+    before = graph
+    for log in result.logs:
+        for plan in log.transformations:
+            view, expected = plan.ops, [VIEWS[row[0]](*row[1:]) for row in plan.rows]
+            assert view == expected and list(map(type, view)) == list(map(type, expected))
+            assert plan.ops is not view and all(type(row) is tuple for row in plan.rows)
+        # plans rebuilt from the view run as the planner's own
+        rebuilt = [Transformation(plan.dependency, plan.kind, plan.match_count, plan.ops)
+                   for plan in log.transformations]
+        after = execute_plans(before, log.transformations)
+        assert dump_graph(execute_plans(before, rebuilt)) == dump_graph(after)
+        before = after
+    assert dump_graph(before) == dump_graph(result.graph)
 
 
 @settings(max_examples=40, deadline=None)

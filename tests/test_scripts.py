@@ -5,7 +5,11 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
+
+from gonorm import build_plans, gofd, load_graph, load_schema
+from gonorm.pattern import var_sort_key
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -42,3 +46,24 @@ def test_every_traced_name_resolves_in_gonorm(monkeypatch):
             # a method is wrapped where its class defines it, as the tracer does
             found = vars(getattr(module, owner)).get(attr) if owner else getattr(module, name, None)
             assert callable(found), f"{module_name}.{name}"
+
+
+def test_tracer_counts_the_ops_of_each_kind_from_the_plans(monkeypatch):
+    # ``transform.ops.*`` are benchmark metrics: an op the tracer cannot name
+    # would be counted as ``transform.ops.tuple`` and the kinds would read 0
+    tracer = load_script(monkeypatch, "tracing", ROOT / "perfbench").Tracer()
+    fixtures = ROOT / "tests" / "fixtures"
+    graph = load_graph(str(fixtures / "shipping.graph.json"))
+    parts = [gofd(dep.scope, dep.lhs, [var])
+             for dep in load_schema(str(fixtures / "shipping.schema.gofd")).schema
+             for var in sorted(dep.rhs - dep.lhs, key=var_sort_key)]
+    result = build_plans(graph, parts)
+    counts = Counter()
+    tracer._observe_build_plans(counts, 0, (graph, parts), result)
+    rows = [row for plan in result[0] for row in plan.rows]
+    expected = Counter("transform.ops." + row[0].replace("-", "_") for row in rows)
+    assert len(expected) == 4
+    expected["transform.value_nodes"] = len({row[1] for row in rows if row[0] == "new-node"
+                                             and row[1].startswith("sk:val|")})
+    expected["transform.edges_reified"] = len({row[1] for row in rows if row[0] == "del-edge"})
+    assert counts == expected

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +44,7 @@ from gonorm import (
     verify_lossless,
 )
 from gonorm.graph import value_key
-from gonorm.pattern import var_sort_key
+from gonorm.pattern import NodeEdgePattern, var_sort_key
 from gonorm.transform import (
     DelEdge,
     MoveProp,
@@ -56,7 +59,7 @@ from gonorm.transform import (
     skolem_string,
 )
 
-from conftest import runs_of
+from conftest import TRICKY_VALUES, fixture_graph, fixture_schema, runs_of
 from oracles import (
     CASE_KINDS,
     LHS_POOL,
@@ -423,14 +426,15 @@ def test_executor_keys_each_moved_value_once():
     assert len(moves) == 12 and len({(op.target, op.key) for op in moves}) == 2
     with runs_of(value_key) as (keyed,):
         out = execute_plans(g, [plan])
-    assert keyed == [op.value for op in moves]  # not the slot's first value again
+    assert keyed == []  # equal values of one exact str or int type need no key
     assert out.nodes['sk:val|P|city="Rome"'].props == {"city": "Rome", "zip": 100}
 
 
 def test_plans_of_two_left_sides_run_each_op_object_once():
     # two left sides on one edge-only scope: both sweeps reify every edge, so
-    # the a-plans share their reification op objects and the b-plan holds
-    # equal copies of them
+    # the a-plans share their reification rows and the b-plan holds equal
+    # copies of them; the ops view is built fresh, so identity is read off
+    # the stored rows
     g = Graph()
     for nid in ("n1", "n2"):
         g.add_node({"A"}, node_id=nid)
@@ -441,15 +445,17 @@ def test_plans_of_two_left_sides_run_each_op_object_once():
             for lhs, rhs in (("a", "c"), ("a", "d"), ("b", "c"))]
     plans, leftovers = build_plans(g, deps)
     assert leftovers == [] and len(plans) == 3
-    dels = [[op for op in plan.ops if isinstance(op, DelEdge)] for plan in plans]
-    assert dels[0] == dels[1] == dels[2] == [DelEdge("e1"), DelEdge("e2")]
+    assert all([op for op in plan.ops if isinstance(op, DelEdge)] ==
+               [DelEdge("e1"), DelEdge("e2")] for plan in plans)
+    dels = [[row for row in plan.rows if row[0] == "del-edge"] for plan in plans]
+    assert dels[0] == dels[1] == dels[2] == [("del-edge", "e1"), ("del-edge", "e2")]
     assert all(x is y for x, y in zip(dels[0], dels[1]))
     assert not any(x is y for x, y in zip(dels[0], dels[2]))
 
     ops = _distinct_ops(plans)
-    assert [id(op) for op in ops] == list(dict.fromkeys(id(op) for plan in plans
-                                                          for op in plan.ops))
-    assert sum(isinstance(op, DelEdge) for op in ops) == 4
+    assert [id(op) for op in ops] == list(dict.fromkeys(id(row) for plan in plans
+                                                          for row in plan.rows))
+    assert sum(op[0] == "del-edge" for op in ops) == 4
 
     r1, r2 = reifier_id("e1"), reifier_id("e2")
     a1, a_true, bx = (skolem_node_id("val", {"R"}, [kv])
@@ -531,6 +537,58 @@ def test_executor_refuses_bad_plans_with_exact_errors(ops, error, message):
         execute_plans(g, plans)
     assert type(caught.value) is error and str(caught.value) == message
     assert dump_graph(g) == frozen
+
+
+def test_executor_conflicts_exactly_when_json_texts_differ():
+    g = person_graph()
+    dep = gofd(PERSON, [pv("x", "city")], [pv("x", "zip")])
+    for first, second in product(TRICKY_VALUES, repeat=2):
+        plans = [Transformation(dep, TransformationKind.WITHIN_N, 1,
+                                [NewNode("v", ("L",)), MoveProp(source, "zip", "v", value)])
+                 for source, value in (("p1", first), ("p3", second))]
+        if json.dumps(first) == json.dumps(second):
+            assert execute_plans(g, plans).nodes["v"].props["zip"] is first
+        else:
+            with pytest.raises(InvariantError, match="conflicting values"):
+                execute_plans(g, plans)
+
+
+# -- stored layout: exact tuples the collector does not track ----------------
+
+def split_parts(schema) -> list:
+    """Every dependency split to one right-side variable, as a pass plans it."""
+    return [gofd(dep.scope, dep.lhs, [var])
+            for dep in schema for var in sorted(dep.rhs - dep.lhs, key=var_sort_key)]
+
+
+def assert_rows_untracked(plans) -> None:
+    gc.collect()
+    rows = [row for plan in plans for row in plan.rows]
+    assert rows and all(type(row) is tuple for row in rows)
+    assert not any(gc.is_tracked(row) for row in rows)
+
+
+def test_stored_rows_of_shipping_are_untracked_after_a_collection():
+    graph = fixture_graph("shipping.graph.json")
+    plans, leftovers = build_plans(graph, split_parts(fixture_schema("shipping.schema.gofd").schema))
+    assert leftovers == []
+    assert {row[0] for plan in plans for row in plan.rows} == {
+        "new-node", "new-edge", "move-prop", "del-edge"}
+    assert any(isinstance(plan.dependency.scope, NodeEdgePattern) for plan in plans)
+    assert_rows_untracked(plans)
+
+
+def test_stored_rows_of_a_node_edge_scope_are_untracked_after_a_collection():
+    # a between-n-ep part and a between-np-ep part of one node+edge scope
+    g = person_graph()
+    for eid, (src, tgt) in enumerate((("p1", "p2"), ("p1", "p3"), ("p3", "p1"))):
+        g.add_edge(src, tgt, {"R"}, {"w": 1.5 * eid, "t": "x"}, edge_id=f"e{eid}")
+    scope = node_edge_pattern("x", {"Person"}, {"city"}, "y", {"R"}, {"t"}, Direction.OUT)
+    plans, leftovers = build_plans(g, [gofd(scope, [ObjectVar("x")], [pv("y", "t")]),
+                                       gofd(scope, [pv("x", "city")], [pv("y", "t")])])
+    assert leftovers == [] and [plan.kind for plan in plans] == [
+        TransformationKind.BETWEEN_N_EP, TransformationKind.BETWEEN_NP_EP]
+    assert_rows_untracked(plans)
 
 
 def test_build_plans_reports_leftovers():
