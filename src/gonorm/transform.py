@@ -172,15 +172,11 @@ def created_edge_id(label: str, src: str, tgt: str) -> str:
 
 # -- primitive operations -------------------------------------------------
 
-# A plan stores each op as a row, an exact tuple with the kind's tag first
-# and then the fields of the kind's named tuple below, a trailing ``labels``
-# tuple spread out: ``("new-edge", edge, src, tgt, *labels)``.  Building a
-# tuple display runs no Python code, and the collector untracks an exact
-# tuple of atomic values at the first collection that sees it, which it
-# never does for a tuple subclass, nor while an inner tuple is tracked.  The
-# tags are the ``op`` names of the ``--explain`` log.  The named tuples are
-# the public view: ``Transformation`` takes them and ``plan.ops`` gives them
-# back.
+# A row is the op's named tuple below as an exact tuple, its tag (the op's
+# name in the ``--explain`` log) first and a trailing ``labels`` spread out:
+# ``("new-edge", edge, src, tgt, *labels)``.  The collector untracks an exact
+# tuple of atomic values at its first collection, but never a tuple
+# subclass, nor a tuple holding a still tracked one.
 
 class NewNode(NamedTuple):
     node: str
@@ -245,9 +241,8 @@ def op_to_dict(op: Op | Row) -> dict:
 class Transformation:
     """One planned transformation: the dependency, its shape, and the ops.
 
-    ``rows`` holds the ops as rows; split parts share row objects.  ``ops``
-    is a fresh list of named tuples on each access, so changing it changes
-    nothing.
+    ``rows`` holds the ops, shared with split parts; ``ops`` is a fresh list
+    of named tuples built from them on each access.
     """
 
     dependency: GoFd
