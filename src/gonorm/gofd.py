@@ -208,17 +208,17 @@ def satisfies(graph: Graph, dep: GoFd, max_witnesses: int = 5, *,
     lhs_cols = [index[v] for v in sorted(dep.lhs, key=var_sort_key)]
     rhs_cols = [index[v] for v in sorted(dep.rhs, key=var_sort_key)]
     lefts = list(value_keys(rows, lhs_cols))
+    rights = [column_keys(rows, column) for column in rhs_cols]  # each encoded once
     holds = True
-    for column in rhs_cols:  # one right-side column at a time, each checked in C
-        rights = column_keys(rows, column)
-        last = dict(zip(lefts, rights))
-        if not all(map(eq, map(last.__getitem__, lefts), rights)):
+    for keys in rights:  # one right-side column at a time, each checked in C
+        last = dict(zip(lefts, keys))
+        if not all(map(eq, map(last.__getitem__, lefts), keys)):
             holds = False
             break
     witnesses: list[tuple[tuple, tuple]] = []
     if not holds and max_witnesses > 0:
         first: dict[tuple, tuple] = {}  # left keys -> (right keys, first row)
-        for left, right, row in zip(lefts, value_keys(rows, rhs_cols), rows):
+        for left, right, row in zip(lefts, zip(*rights), rows):
             prev_right, prev_row = first.setdefault(left, (right, row))
             if prev_right != right:
                 witnesses.append((prev_row, row))

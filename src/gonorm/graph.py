@@ -393,18 +393,38 @@ def save_graph(graph: Graph, target: str | IO[str]) -> None:
             fh.write(text)
 
 
+def read_text(source: str | IO[str]) -> str:
+    """The text of a stream, or of the UTF-8 file at a path.
+
+    A byte that is not UTF-8 raises ``ParseError`` at its line and column.
+    """
+    if hasattr(source, "read"):
+        return source.read()  # type: ignore[union-attr]
+    with open(source, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode("utf-8")
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8", line=head.count("\n") + 1,
+                         column=len(head) - head.rfind("\n")) from exc
+
+
 def _reject_constant(name: str) -> None:
     raise ParseError(f"non-finite number {name} is not JSON")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):  # a literal beyond the float range
+        _reject_constant(text)
+    return value
+
+
 def load_graph(source: str | IO[str]) -> Graph:
-    if hasattr(source, "read"):
-        text = source.read()  # type: ignore[union-attr]
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(read_text(source), parse_constant=_reject_constant,
+                         parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
     except ValueError as exc:  # an integer literal over the int-to-str digit limit

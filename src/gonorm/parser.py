@@ -26,6 +26,7 @@ from typing import IO, Iterable, NamedTuple
 
 from .errors import ParseError
 from .gofd import GnSchema, GoFd, gofd
+from .graph import read_text
 from .pattern import (
     ANON_EDGE_VAR,
     Direction,
@@ -279,9 +280,4 @@ def save_schema(deps: Iterable[GoFd], target: str | IO[str]) -> None:
 
 
 def load_schema(source: str | IO[str]) -> SchemaDocument:
-    if hasattr(source, "read"):
-        text = source.read()  # type: ignore[union-attr]
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return parse_schema(text)
+    return parse_schema(read_text(source))

@@ -7,13 +7,13 @@ properties move away are reified into nodes so nothing is lost.  Each
 transformation is planned as a list of primitive operations computed against
 the untouched input graph; plans are then executed together, each op object
 once, all creations before all removals, so transformations sharing objects
-cannot read each other's partial writes.  A plan stores each op as a row: an
-exact tuple of strings and values whose first item names the kind, like
-``("move-prop", source, key, target, value)``, which the garbage collector
-stops tracking.  The parts of one sweep share row objects; an equal op of
-another plan runs again and changes nothing.  ``Transformation.ops`` reads
-the rows as the named tuples ``NewNode``, ``NewEdge``, ``MoveProp`` and
-``DelEdge``.
+cannot read each other's partial writes.  A plan is built from and stores
+its ops as rows: exact tuples of strings and values whose first item names
+the kind, like ``("move-prop", source, key, target, value)``, which the
+garbage collector stops tracking.  The parts of one sweep share row objects;
+an equal op of another plan runs again and changes nothing.
+``Transformation.ops`` is a read-only view of the rows as the named tuples
+``NewNode``, ``NewEdge``, ``MoveProp`` and ``DelEdge``.
 
 Skolem naming makes the output deterministic: value nodes are named by the
 defining left-side values, reifier nodes by the edge they replace.  The plans
@@ -143,14 +143,10 @@ def _skolem_text(tag: str, labels: Iterable[str], texts: Iterable[tuple[str, str
     return f"{tag}|{','.join(sorted(labels))}|{pairs}"
 
 
-def skolem_string(tag: str, labels: Iterable[str], kv: Iterable[tuple[str, Atomic]]) -> str:
-    """``tag|labels|pairs``, sorted, each value written as its ``value_key``,
-    which is its ``json.dumps`` text."""
-    return _skolem_text(tag, labels, [(k, value_key(v)) for k, v in kv])
-
-
 def skolem_node_id(tag: str, labels: Iterable[str], kv: Iterable[tuple[str, Atomic]]) -> str:
-    return "sk:" + skolem_string(tag, labels, kv)
+    """``sk:tag|labels|pairs``, sorted, each value written as its ``value_key``,
+    which is its ``json.dumps`` text."""
+    return "sk:" + _skolem_text(tag, labels, [(k, value_key(v)) for k, v in kv])
 
 
 def skolem_label(labels: Iterable[str], keys: Iterable[str]) -> str:
@@ -203,14 +199,7 @@ class DelEdge(NamedTuple):
 
 Op = Union[NewNode, NewEdge, MoveProp, DelEdge]
 Row = tuple  # ``(tag, *fields of the op)``, labels spread out
-_TAGS = {NewNode: "new-node", NewEdge: "new-edge", MoveProp: "move-prop", DelEdge: "del-edge"}
-_VIEWS = {tag: kind for kind, tag in _TAGS.items()}
-
-
-def _row(op: Op) -> Row:
-    if isinstance(op, (NewNode, NewEdge)):
-        return (_TAGS[type(op)], *op[:-1], *op.labels)
-    return (_TAGS[type(op)], *op)
+_VIEWS = {"new-node": NewNode, "new-edge": NewEdge, "move-prop": MoveProp, "del-edge": DelEdge}
 
 
 def _view(row: Row) -> Op:
@@ -224,9 +213,8 @@ def _view(row: Row) -> Op:
     return DelEdge(row[1])
 
 
-def op_to_dict(op: Op | Row) -> dict:
-    """An op, as a named tuple or a row, in the ``--explain`` log's layout."""
-    row = op if type(op) is tuple else _row(op)
+def op_to_dict(row: Row) -> dict:
+    """An op's row in the ``--explain`` log's layout."""
     tag = row[0]
     if tag == "move-prop":
         return {"op": tag, "from": row[1], "key": row[2], "to": row[3], "value": row[4]}
@@ -237,12 +225,12 @@ def op_to_dict(op: Op | Row) -> dict:
     return {"op": tag, "id": row[1]}
 
 
-@dataclass(init=False)
+@dataclass
 class Transformation:
     """One planned transformation: the dependency, its shape, and the ops.
 
     ``rows`` holds the ops, shared with split parts; ``ops`` is a fresh list
-    of named tuples built from them on each access.
+    of named tuples built from them on each access, a view to read only.
     """
 
     dependency: GoFd
@@ -252,13 +240,6 @@ class Transformation:
     key_dependency: GoFd | None = None
     val_label: str | None = None
 
-    def __init__(self, dependency: GoFd, kind: TransformationKind, match_count: int,
-                 ops: Iterable[Op] = (), key_dependency: GoFd | None = None,
-                 val_label: str | None = None) -> None:
-        self.dependency, self.kind, self.match_count = dependency, kind, match_count
-        self.rows = list(map(_row, ops))
-        self.key_dependency, self.val_label = key_dependency, val_label
-
     @property
     def ops(self) -> list[Op]:
         return list(map(_view, self.rows))
@@ -266,15 +247,6 @@ class Transformation:
     @property
     def deleted_edges(self) -> frozenset[str]:
         return frozenset(row[1] for row in self.rows if row[0] == "del-edge")
-
-    @property
-    def claimed(self) -> dict[str, frozenset[str]]:
-        """Keys moved off each source object by this plan."""
-        out: dict[str, set[str]] = {}
-        for row in self.rows:
-            if row[0] == "move-prop":
-                out.setdefault(row[1], set()).add(row[2])
-        return {obj: frozenset(keys) for obj, keys in out.items()}
 
     def to_dict(self) -> dict:
         doc = {
@@ -286,14 +258,6 @@ class Transformation:
         if self.key_dependency is not None:
             doc["keyDependency"] = self.key_dependency.render()
         return doc
-
-
-def _plan(dependency: GoFd, kind: TransformationKind, match_count: int, rows: list[Row],
-          key_dependency: GoFd | None = None, val_label: str | None = None) -> Transformation:
-    """A ``Transformation`` holding ``rows`` itself."""
-    plan = Transformation(dependency, kind, match_count, (), key_dependency, val_label)
-    plan.rows = rows
-    return plan
 
 
 # -- plan construction ----------------------------------------------------
@@ -394,7 +358,7 @@ def _instantiate(graph: Graph, dep: GoFd, matches: Relation | None,
         edge, node, value = owner["edge"], owner["node"], column[rhs]
         ops = [("move-prop", values[edge], rhs.key, values[node], values[value])
                for values in relation.rows]  # one per matched edge
-        return _plan(dep, kind, len(relation.rows), ops)
+        return Transformation(dep, kind, len(relation.rows), ops)
 
     sweep = sweeps.get((dep.scope, dep.lhs))
     if sweep is None:
@@ -415,7 +379,7 @@ def _instantiate(graph: Graph, dep: GoFd, matches: Relation | None,
     key_dep = _key_dependency(sweep.val_label, sweep.lhs_keys, val_keys)
     if isinstance(dep.scope, NodeEdgePattern):  # a node sits in several rows
         ops = list(dict.fromkeys(ops))
-    return _plan(dep, kind, len(relation.rows), ops, key_dep, sweep.val_label)
+    return Transformation(dep, kind, len(relation.rows), ops, key_dep, sweep.val_label)
 
 
 def instantiate(graph: Graph, dep: GoFd, *, matches: Relation | None = None) -> Transformation:
@@ -584,7 +548,7 @@ def invert(after: Graph, plans: Iterable[Transformation]) -> Graph:
     ``GonormError`` subclasses when other objects the plans name are gone.
     """
     new_nodes: set[str] = set()
-    new_edges: dict[str, NewEdge] = {}
+    new_edges: dict[str, Row] = {}
     moves: dict[tuple[str, str], set[str]] = {}
     replaced: dict[str, str] = {}  # reifier node id -> id of the edge it replaced
     for plan in plans:
@@ -593,7 +557,7 @@ def invert(after: Graph, plans: Iterable[Transformation]) -> Graph:
             if tag == "move-prop":
                 moves.setdefault((row[1], row[2]), set()).add(row[3])
             elif tag == "new-edge":
-                new_edges[row[1]] = _view(row)
+                new_edges[row[1]] = row
             elif tag == "new-node":
                 new_nodes.add(row[1])
             else:
@@ -603,10 +567,10 @@ def invert(after: Graph, plans: Iterable[Transformation]) -> Graph:
     for nid in new_nodes.union(target for target, _ in written):
         if nid not in after.nodes:
             raise InvariantError(f"node {nid!r} of the plans is missing")
-    for op in new_edges.values():
-        record = after.edges.get(op.edge)
-        if record is None or (record.src, record.tgt) != (op.src, op.tgt):
-            raise InvariantError(f"created edge {op.edge!r} is missing or rewired")
+    for _, eid, src, tgt, *_ in new_edges.values():
+        record = after.edges.get(eid)
+        if record is None or (record.src, record.tgt) != (src, tgt):
+            raise InvariantError(f"created edge {eid!r} is missing or rewired")
 
     def read(obj: str, key: str) -> Atomic:
         found: dict[str, Atomic] = {}
@@ -632,13 +596,12 @@ def invert(after: Graph, plans: Iterable[Transformation]) -> Graph:
         if eid not in new_edges:
             out.add_edge(edge.src, edge.tgt, edge.labels, edge.props, edge_id=eid)
     # the only created edge into a reifier node is its _src link; the _tgt
-    # link leaves it under the same prefix
-    src_links = {op.tgt: op for op in new_edges.values() if op.tgt in replaced}
-    for op in new_edges.values():
-        link = src_links.get(op.src)
-        if link is not None and op.labels == (link.labels[0].removesuffix("_src") + "_tgt",):
-            out.add_edge(link.src, op.tgt, after.nodes[op.src].labels,
-                         edge_id=replaced[op.src])
+    # link leaves it under the same prefix.  A row is (tag, edge, src, tgt, *labels).
+    src_links = {row[3]: row for row in new_edges.values() if row[3] in replaced}
+    for _, _, src, tgt, *labels in new_edges.values():
+        link = src_links.get(src)
+        if link is not None and labels == [link[4].removesuffix("_src") + "_tgt"]:
+            out.add_edge(link[2], tgt, after.nodes[src].labels, edge_id=replaced[src])
     missing = set(replaced.values()) - out.edges.keys()
     if missing:
         raise InvariantError(f"no _src/_tgt links for reified edges {sorted(missing)}")

@@ -391,25 +391,61 @@ def test_integer_beyond_float_range_round_trips(capsys, tmp_path):
     assert f'"k": {huge},' in (tmp_path / "out.graph.json").read_text()
 
 
-def test_unusable_inputs_exit_two(capsys, tmp_path):
-    code, _, err = run(capsys, "check", "--graph", str(tmp_path / "missing.json"),
-                       "--schema", UNI_SCHEMA)
-    assert code == 2 and "error:" in err
-    broken = write(tmp_path, "broken.json", "{not json")
-    code, _, err = run(capsys, "check", "--graph", broken, "--schema", UNI_SCHEMA)
-    assert code == 2
-    bad_schema = write(tmp_path, "broken.gofd", "(x:{A}:{k}::x.k=>x\n")
-    code, _, err = run(capsys, "check", "--graph", UNI_GRAPH, "--schema", bad_schema)
-    assert code == 2 and "error:" in err
-    for constant in ("NaN", "Infinity", "-Infinity"):
-        non_finite = write(tmp_path, "non_finite.json", '{"nodes": [{"id": "n1", '
-                           f'"properties": {{"k": {constant}}}}}], "edges": []}}')
-        code, out, err = run(capsys, "convert", "--graph", non_finite)
-        assert code == 2 and out == "" and f"non-finite number {constant}" in err
-    long_int = write(tmp_path, "long_int.json", '{"nodes": [{"id": "n1", '
-                     f'"properties": {{"k": {"9" * 5000}}}}}], "edges": []}}')
-    code, out, err = run(capsys, "convert", "--graph", long_int)
-    assert code == 2 and out == "" and "error:" in err and "digits" in err
+def one_node_graph(value: str) -> bytes:
+    return f'{{"nodes": [{{"id": "n1", "properties": {{"k": {value}}}}}], "edges": []}}'.encode()
+
+
+# bad file -> (its bytes, or None for no file; a piece of the error line)
+BAD_GRAPHS = {
+    "missing": (None, "No such file or directory"),
+    "broken": (b"{not json", "Expecting property name enclosed in double quotes "
+                             "at line 1, column 2"),
+    "nan": (one_node_graph("NaN"), "non-finite number NaN is not JSON"),
+    "inf": (one_node_graph("Infinity"), "non-finite number Infinity is not JSON"),
+    "minus_inf": (one_node_graph("-Infinity"), "non-finite number -Infinity is not JSON"),
+    "overflow": (one_node_graph("1e999"), "non-finite number 1e999 is not JSON"),
+    "minus_overflow": (one_node_graph("-1e999"), "non-finite number -1e999 is not JSON"),
+    "long_int": (one_node_graph("9" * 5000), "digits"),
+    "latin1": ('{"nodes": [\n  {"id": "caf\xe9"}], "edges": []}'.encode("latin-1"),
+               "byte 0xe9 is not UTF-8 at line 2, column 14"),
+}
+BAD_SCHEMAS = {
+    "missing": (None, "No such file or directory"),
+    "broken": (b"(x:{A}:{k}::x.k=>x\n", "unexpected '::' at line 1, column 11"),
+    "latin1": ("(x:{A}:{k})::x.k=>x\n(x:{Caf\xe9}:{k})::x.k=>x\n".encode("latin-1"),
+               "byte 0xe9 is not UTF-8 at line 2, column 8"),
+}
+# each verb that reads the file, writing what it writes under {out}
+GRAPH_VERBS = ["check --graph {graph} --schema {schema}",
+               "metrics --graph {graph} --schema {schema} --out {out}/report.json",
+               "nf --form 1nf --graph {graph} --schema {schema}",
+               "normalize --graph {graph} --schema {schema} --out {out}/norm --explain",
+               "convert --graph {graph} --out {out}/graph.json"]
+SCHEMA_VERBS = ["check --graph {graph} --schema {schema}",
+                "mincover --schema {schema} --out {out}/cover.gofd",
+                "metrics --graph {graph} --schema {schema} --out {out}/report.json",
+                "nf --schema {schema}",
+                "normalize --graph {graph} --schema {schema} --out {out}/norm --explain",
+                "convert --schema {schema} --out {out}/schema.gofd"]
+BAD_INPUTS = ([("graph", name, verb) for name in BAD_GRAPHS for verb in GRAPH_VERBS]
+              + [("schema", name, verb) for name in BAD_SCHEMAS for verb in SCHEMA_VERBS])
+
+
+@pytest.mark.parametrize("role, name, verb", BAD_INPUTS,
+                         ids=[f"{role}-{name}-{verb.split()[0]}"
+                              for role, name, verb in BAD_INPUTS])
+def test_unusable_inputs_exit_two(capsys, tmp_path, role, name, verb):
+    content, message = (BAD_GRAPHS if role == "graph" else BAD_SCHEMAS)[name]
+    bad = tmp_path / (f"{name}.graph.json" if role == "graph" else f"{name}.gofd")
+    if content is not None:
+        bad.write_bytes(content)
+    out = tmp_path / "out"
+    out.mkdir()
+    paths = {"graph": UNI_GRAPH, "schema": UNI_SCHEMA, role: str(bad), "out": str(out)}
+    code, printed, err = run(capsys, *(arg.format(**paths) for arg in verb.split()))
+    assert code == 2 and printed == "" and "Traceback" not in err
+    assert err.startswith("error: ") and message in err
+    assert list(out.iterdir()) == []
 
 
 def test_shared_node_and_edge_variable_exits_two(capsys, tmp_path):

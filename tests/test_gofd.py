@@ -44,7 +44,7 @@ from gonorm import (
 
 from gonorm import cli
 from gonorm.gofd import Descriptor
-from gonorm.graph import value_key
+from gonorm.graph import column_keys, value_key
 from gonorm.pattern import var_sort_key
 
 from oracles import (
@@ -320,6 +320,20 @@ def test_a_failing_check_over_ints_and_floats_dumps_no_value():
     assert dumped == []
     assert not verdict.holds and verdict.witnesses
     assert not oracle_satisfies(g, C_K_V)
+
+
+def test_a_failing_check_encodes_each_descriptor_column_once():
+    # a and b determine v but not w, the last right-side column checked
+    dep = gofd(node_pattern("c", {"C"}, {"a", "b", "v", "w"}),
+               [pv("c", "a"), pv("c", "b")], [pv("c", "v"), pv("c", "w")])
+    g = Graph()
+    for i in range(40):
+        g.add_node({"C"}, {"a": i % 3, "b": "x", "v": i % 3, "w": i}, node_id=f"c{i}")
+    with runs_of(column_keys) as (encoded,):
+        verdict = satisfies(g, dep, max_witnesses=3)
+    assert len(encoded) == 4  # a, b, v and w
+    assert not verdict.holds and len(verdict.witnesses) == 3
+    assert not oracle_satisfies(g, dep)
 
 
 # -- restriction -----------------------------------------------------------

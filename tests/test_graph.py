@@ -277,6 +277,16 @@ def test_load_rejects_malformed_json(tmp_path):
         load_graph(str(target))
 
 
+def test_float_literals_load_up_to_the_float_range():
+    doc = ('{"nodes": [{"id": "n1", "properties": '
+           '{"big": 1e308, "small": -1.7976931348623157e308, "tiny": 1e-999}}], "edges": []}')
+    props = load_graph(io.StringIO(doc)).nodes["n1"].props
+    assert props == {"big": 1e308, "small": -1.7976931348623157e308, "tiny": 0.0}
+    for literal in ("1e999", "-1e999", "1.8e308"):
+        with pytest.raises(ParseError, match=f"^non-finite number {literal} is not JSON$"):
+            load_graph(io.StringIO(doc.replace("1e308", literal)))
+
+
 def test_from_dict_validation():
     with pytest.raises(InvariantError):
         graph_from_dict([])

@@ -56,7 +56,6 @@ from gonorm.transform import (
     op_to_dict,
     reification_prefix,
     reifier_id,
-    skolem_string,
 )
 
 from conftest import TRICKY_VALUES, fixture_graph, fixture_schema, runs_of
@@ -167,18 +166,29 @@ def test_skolem_ids_write_values_as_json_dumps(tag, labels, kv, edge_id):
     expected = oracle_skolem_node_id(tag, labels, kv)
     assert skolem_node_id(tag, labels, kv) == expected
     assert skolem_node_id(tag, labels, iter(kv)) == expected
-    assert "sk:" + skolem_string(tag, labels, kv) == expected
     assert reifier_id(edge_id) == oracle_skolem_node_id("reif", (), [("edge", edge_id)])
 
 
 def test_op_to_dict_frozen_layout():
-    assert op_to_dict(NewNode("v", ("L",))) == {
+    assert op_to_dict(("new-node", "v", "L")) == {
         "op": "new-node", "id": "v", "labels": ["L"], "props": {}}
-    assert op_to_dict(NewEdge("e", "a", "b", ("L",))) == {
+    assert op_to_dict(("new-edge", "e", "a", "b", "L")) == {
         "op": "new-edge", "id": "e", "src": "a", "tgt": "b", "labels": ["L"]}
-    assert op_to_dict(MoveProp("a", "k", "v", 3)) == {
+    assert op_to_dict(("move-prop", "a", "k", "v", 3)) == {
         "op": "move-prop", "from": "a", "key": "k", "to": "v", "value": 3}
-    assert op_to_dict(DelEdge("e")) == {"op": "del-edge", "id": "e"}
+    assert op_to_dict(("del-edge", "e")) == {"op": "del-edge", "id": "e"}
+
+
+def test_a_plan_takes_rows_and_reads_them_as_named_tuples():
+    rows = [("new-node", "v", "L"), ("move-prop", "p1", "zip", "v", 1)]
+    plan = Transformation(gofd(PERSON, [pv("x", "city")], [pv("x", "zip")]),
+                          TransformationKind.WITHIN_N, 1, rows)
+    assert plan.rows == rows
+    assert plan.ops == [NewNode("v", ("L",)), MoveProp("p1", "zip", "v", 1)]
+    assert list(map(type, plan.ops)) == [NewNode, MoveProp]
+    out = execute_plans(person_graph(), [plan])
+    assert out.nodes["v"].labels == {"L"} and out.nodes["v"].props == {"zip": 1}
+    assert out.nodes["p1"].props == {"city": "Rome"}
 
 
 # -- planning --------------------------------------------------------------
@@ -212,9 +222,8 @@ def test_instantiate_within_node_plan_shape():
     assert plan.key_dependency.render() == "(x:{Sk_PersonCity}:{city,zip})::x.city=>x"
     new_nodes = {op.node for op in plan.ops if isinstance(op, NewNode)}
     assert new_nodes == {'sk:val|Person|city="Rome"', 'sk:val|Person|city="Oslo"'}
-    assert plan.claimed == {"p1": frozenset({"city", "zip"}),
-                            "p2": frozenset({"city", "zip"}),
-                            "p3": frozenset({"city", "zip"})}
+    moved_off = {(row[1], row[2]) for row in plan.rows if row[0] == "move-prop"}
+    assert moved_off == set(product(("p1", "p2", "p3"), ("city", "zip")))
     assert plan.deleted_edges == frozenset()
     doc = plan.to_dict()
     assert set(doc) == {"dependency", "kind", "matches", "ops", "keyDependency"}
@@ -403,14 +412,14 @@ def test_executor_detects_conflicting_assignments():
     # all but the first pair are equal in Python, not as JSON text
     for first, second in ((100, 200), (100, 100.0), (1, True), (0.0, -0.0)):
         bad = Transformation(dep, TransformationKind.WITHIN_N, 2,
-                             [NewNode("v", ("L",)), MoveProp("p1", "zip", "v", first),
-                              MoveProp("p3", "zip", "v", second)])
+                             [("new-node", "v", "L"), ("move-prop", "p1", "zip", "v", first),
+                              ("move-prop", "p3", "zip", "v", second)])
         with pytest.raises(InvariantError, match="conflicting values"):
             execute_plans(g, [bad])
     # the same source and slot in two plans: two ops, though == merges them
     for first, second in ((1, True), (100, 100.0), (0.0, -0.0)):
         plans = [Transformation(dep, TransformationKind.WITHIN_N, 1,
-                                [NewNode("v", ("L",)), MoveProp("p1", "zip", "v", value)])
+                                [("new-node", "v", "L"), ("move-prop", "p1", "zip", "v", value)])
                  for value in (first, second)]
         with pytest.raises(InvariantError, match="conflicting values"):
             execute_plans(g, plans)
@@ -480,7 +489,7 @@ def test_executor_refuses_overwriting_existing_property():
     bad = Transformation(
         gofd(PERSON, [pv("x", "city")], [pv("x", "zip")]),
         TransformationKind.WITHIN_N, 1,
-        [MoveProp("p1", "zip", "p3", 100)])  # p3.zip is 200
+        [("move-prop", "p1", "zip", "p3", 100)])  # p3.zip is 200
     with pytest.raises(InvariantError):
         execute_plans(g, [bad])
 
@@ -492,37 +501,37 @@ def test_executor_refuses_generated_id_collision():
         normalize_one(g, gofd(PERSON, [pv("x", "city")], [pv("x", "zip")]))
 
 
-V = NewNode("v", ("L",))
-BAD_PLANS = [  # (ops of each plan, exception class, message)
-    ([[V, MoveProp("p1", "zip", "v", 1), MoveProp("p3", "zip", "v", True)]],
+V = ("new-node", "v", "L")
+BAD_PLANS = [  # (rows of each plan, exception class, message)
+    ([[V, ("move-prop", "p1", "zip", "v", 1), ("move-prop", "p3", "zip", "v", True)]],
      InvariantError, "conflicting values for v.zip: 1 vs True"),
-    ([[V, MoveProp("p1", "zip", "v", 1)], [V, MoveProp("p1", "zip", "v", True)]],
+    ([[V, ("move-prop", "p1", "zip", "v", 1)], [V, ("move-prop", "p1", "zip", "v", True)]],
      InvariantError, "conflicting values for v.zip: 1 vs True"),
-    ([[MoveProp("p1", "zip", "p3", 100)]],
+    ([[("move-prop", "p1", "zip", "p3", 100)]],
      InvariantError, "transformation would overwrite p3.zip: 200 vs 100"),
-    ([[V, MoveProp("p1", "zip", "v", 100), MoveProp("p2", "zip", "v", 100),
-       MoveProp("p1", "city", "v", "Rome"), MoveProp("p3", "zip", "p2", 200)]],
+    ([[V, ("move-prop", "p1", "zip", "v", 100), ("move-prop", "p2", "zip", "v", 100),
+       ("move-prop", "p1", "city", "v", "Rome"), ("move-prop", "p3", "zip", "p2", 200)]],
      InvariantError, "transformation would overwrite p2.zip: 100 vs 200"),
-    ([[NewNode("p2", ("L",))]], InvariantError, "generated node id 'p2' already taken"),
-    ([[NewNode("e1", ("L",))]], InvariantError, "generated node id 'e1' already taken"),
-    ([[NewEdge("e1", "p1", "p3", ("L",))]],
+    ([[("new-node", "p2", "L")]], InvariantError, "generated node id 'p2' already taken"),
+    ([[("new-node", "e1", "L")]], InvariantError, "generated node id 'e1' already taken"),
+    ([[("new-edge", "e1", "p1", "p3", "L")]],
      InvariantError, "generated edge id 'e1' already taken"),
-    ([[NewEdge("p3", "p1", "p3", ("L",))]],
+    ([[("new-edge", "p3", "p1", "p3", "L")]],
      InvariantError, "generated edge id 'p3' already taken"),
-    ([[V, NewEdge("v", "p1", "p3", ("L",))]],
+    ([[V, ("new-edge", "v", "p1", "p3", "L")]],
      InvariantError, "generated edge id 'v' already taken"),
-    ([[NewEdge("f", "p1", "p3", ("L",))], [NewNode("f", ("L",))]],
+    ([[("new-edge", "f", "p1", "p3", "L")], [("new-node", "f", "L")]],
      InvariantError, "generated node id 'f' already taken"),
-    ([[NewEdge("f", "p1", "ghost", ("L",))]],
+    ([[("new-edge", "f", "p1", "ghost", "L")]],
      EndpointError, "endpoint 'ghost' is not a node of the graph"),
-    ([[NewEdge("f", "ghost", "e1", ("L",))]],
+    ([[("new-edge", "f", "ghost", "e1", "L")]],
      EndpointError, "endpoint 'ghost' is not a node of the graph"),
-    ([[NewEdge("f", "p1", "e1", ("L",))]],
+    ([[("new-edge", "f", "p1", "e1", "L")]],
      EndpointError, "endpoint 'e1' is not a node of the graph"),
-    ([[V, MoveProp("p1", "extra", "v", [1])]],
+    ([[V, ("move-prop", "p1", "extra", "v", [1])]],
      FormatError, "property values must be string/number/boolean, got list"),
-    ([[MoveProp("p1", "a", "nope", 1)]], InvariantError, "move target 'nope' is not a node"),
-    ([[MoveProp("p1", "zip", "e1", 100)]], InvariantError, "move target 'e1' is not a node"),
+    ([[("move-prop", "p1", "a", "nope", 1)]], InvariantError, "move target 'nope' is not a node"),
+    ([[("move-prop", "p1", "zip", "e1", 100)]], InvariantError, "move target 'e1' is not a node"),
 ]
 
 
@@ -544,7 +553,7 @@ def test_executor_conflicts_exactly_when_json_texts_differ():
     dep = gofd(PERSON, [pv("x", "city")], [pv("x", "zip")])
     for first, second in product(TRICKY_VALUES, repeat=2):
         plans = [Transformation(dep, TransformationKind.WITHIN_N, 1,
-                                [NewNode("v", ("L",)), MoveProp(source, "zip", "v", value)])
+                                [("new-node", "v", "L"), ("move-prop", source, "zip", "v", value)])
                  for source, value in (("p1", first), ("p3", second))]
         if json.dumps(first) == json.dumps(second):
             assert execute_plans(g, plans).nodes["v"].props["zip"] is first
@@ -677,8 +686,8 @@ def test_invert_rejects_a_slot_moved_to_different_values():
     g.add_node({"V"}, {"k": 1}, node_id="v2")
     plan = Transformation(gofd(PERSON, [pv("x", "city")], [pv("x", "zip")]),
                           TransformationKind.WITHIN_N, 1,
-                          [NewNode("v1", ("V",)), NewNode("v2", ("V",)),
-                           MoveProp("p1", "k", "v1", 1), MoveProp("p1", "k", "v2", 1)])
+                          [("new-node", "v1", "V"), ("new-node", "v2", "V"),
+                           ("move-prop", "p1", "k", "v1", 1), ("move-prop", "p1", "k", "v2", 1)])
     assert invert(g, [plan]).props("p1") == {"k": 1}
     g.set_prop("v2", "k", 1.0)  # equal in Python, not as JSON text
     with pytest.raises(InvariantError, match="moved to different values"):
