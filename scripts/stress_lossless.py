@@ -2,11 +2,14 @@
 """Randomized stress run: normalize generated graphs, verify losslessness.
 
 Builds random graphs that satisfy a random strict dependency of each
-redundancy shape (sharing the case builder with the test suite), normalizes
+redundancy shape (sharing the case builders with the test suite), normalizes
 them, and verifies that inverting the output with its plans rebuilds the
 input byte for byte and that every emitted key dependency holds, by the
-library's check and by the brute-force oracle of the test suite.  Prints a
-per-shape tally and timing.
+library's check and by the brute-force oracle of the test suite.  The
+``multi`` kind normalizes a graph in three passes with ``full_normalize``
+and inverts it with the plans in execution order and reversed.  Prints a
+per-kind tally, how many ``multi`` cases wrote a slot again that an earlier
+pass had emptied, and timing.
 """
 from __future__ import annotations
 
@@ -17,10 +20,26 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from gonorm import dump_graph, invert, satisfies, scoped_normalize, verify_lossless
+from gonorm import (dump_graph, full_normalize, invert, satisfies, scoped_normalize,
+                    verify_lossless)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from oracles import CASE_KINDS, oracle_satisfies, random_satisfying_case  # noqa: E402
+from oracles import (CASE_KINDS, MULTI_PASS_DEPS, oracle_satisfies,  # noqa: E402
+                     random_multi_pass_case, random_satisfying_case)
+
+KINDS = CASE_KINDS + ("multi",)
+
+
+def rewrites_an_emptied_slot(plans) -> bool:
+    """Whether a pass moves a value onto a slot an earlier pass moved one off;
+    ``plans`` are in execution order."""
+    emptied: dict[tuple[str, str], int] = {}  # slot -> first pass that moved it off
+    for plan in plans:
+        for row in plan.rows:
+            if row[0] == "move-prop":
+                emptied.setdefault((row[1], row[2]), plan.pass_index)
+    return any(row[0] == "move-prop" and emptied.get((row[3], row[2]), plan.pass_index)
+               < plan.pass_index for plan in plans for row in plan.rows)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -30,15 +49,25 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     tally: Counter[str] = Counter()
-    failures = 0
+    failures = rewrites = 0
     started = time.perf_counter()
     for i in range(args.cases):
         rng = random.Random(args.seed * 1_000_003 + i)
-        kind = CASE_KINDS[i % len(CASE_KINDS)]
-        graph, dep = random_satisfying_case(rng, kind)
-        result = scoped_normalize(graph, [dep], dep.scope)
-        plans = result.logs[0].transformations
-        ok = bool(plans) and dump_graph(invert(result.graph, plans)) == dump_graph(graph)
+        kind = KINDS[i % len(KINDS)]
+        if kind == "multi":
+            graph = random_multi_pass_case(rng)
+            result = full_normalize(graph, MULTI_PASS_DEPS)
+            plans = [plan for log in result.logs for plan in log.transformations]
+            rewrites += rewrites_an_emptied_slot(plans)
+            what = f"{len(plans)} plans"
+        else:
+            graph, dep = random_satisfying_case(rng, kind)
+            result = scoped_normalize(graph, [dep], dep.scope)
+            plans = result.logs[0].transformations
+            what = dep.render()
+        ok = bool(plans) or kind == "multi"
+        for order in (plans, plans[::-1]):
+            ok = ok and dump_graph(invert(result.graph, order)) == dump_graph(graph)
         for plan in plans:
             others = [p for p in plans if p is not plan]
             ok = ok and verify_lossless(graph, result.graph, plan, others)
@@ -48,11 +77,12 @@ def main(argv: list[str] | None = None) -> int:
         tally[kind] += 1
         if not ok:
             failures += 1
-            print(f"FAIL case {i} ({kind}): {dep.render()}")
+            print(f"FAIL case {i} ({kind}): {what}")
     elapsed = time.perf_counter() - started
 
-    for kind in CASE_KINDS:
+    for kind in KINDS:
         print(f"{kind:>8}: {tally[kind]} cases")
+    print(f"{rewrites} multi cases wrote a slot again that an earlier pass emptied")
     print(f"{args.cases} cases in {elapsed:.2f}s, {failures} failures")
     return 1 if failures else 0
 

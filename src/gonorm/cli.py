@@ -199,10 +199,9 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     doc = load_schema(args.schema)
     _warn(doc.warnings)
     if args.scope is not None:
-        result = scoped_normalize(graph, doc.schema, parse_pattern_text(args.scope),
-                                  max_witnesses=args.max_witnesses)
+        result = scoped_normalize(graph, doc.schema, parse_pattern_text(args.scope))
     else:
-        result = full_normalize(graph, doc.schema, max_witnesses=args.max_witnesses)
+        result = full_normalize(graph, doc.schema)
     texts = {f"{args.out}.graph.json": dump_graph(result.graph),
              f"{args.out}.schema.gofd": format_schema(result.schema)}
     if args.explain:
@@ -294,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="basename for <out>.graph.json and <out>.schema.gofd")
     normalize.add_argument("--explain", action="store_true",
                            help="also write <out>.log.json with full action plans")
-    normalize.add_argument("--max-witnesses", type=int, default=5)
     _add_format(normalize)
     normalize.set_defaults(func=cmd_normalize)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
@@ -190,12 +191,6 @@ class Graph:
 
     def props(self, obj_id: str) -> dict[str, Atomic]:
         return dict(self._record(obj_id).props)
-
-    def is_node(self, obj_id: str) -> bool:
-        return obj_id in self.nodes
-
-    def is_edge(self, obj_id: str) -> bool:
-        return obj_id in self.edges
 
     def copy(self) -> Graph:
         dup = Graph()
@@ -421,12 +416,33 @@ def _finite_float(text: str) -> float:
     return value
 
 
+# a string literal, or a number literal as the json scanner reads one
+_LITERAL = re.compile(r'"(?:[^"\\]|\\.)*"'
+                      r'|(NaN|-?Infinity|-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)')
+
+
+def _refused_literal(text: str, error: Exception) -> ParseError:
+    """``error``, which loading ``text`` raised, at the first number literal
+    outside a string that the loader refuses."""
+    for match in _LITERAL.finditer(text):
+        try:
+            if match.group(1):
+                json.loads(match.group(1), parse_constant=_reject_constant,
+                           parse_float=_finite_float)
+        except (ParseError, ValueError):
+            start = match.start()
+            return ParseError(getattr(error, "message", str(error)),
+                              line=text.count("\n", 0, start) + 1,
+                              column=start - text.rfind("\n", 0, start))
+    return ParseError(str(error))
+
+
 def load_graph(source: str | IO[str]) -> Graph:
+    text = read_text(source)
     try:
-        doc = json.loads(read_text(source), parse_constant=_reject_constant,
-                         parse_float=_finite_float)
+        doc = json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    except ValueError as exc:  # an integer literal over the int-to-str digit limit
-        raise ParseError(str(exc)) from exc
+    except (ParseError, ValueError) as exc:  # NaN, 1e999, or an int over the digit limit
+        raise _refused_literal(text, exc) from exc
     return graph_from_dict(doc)

@@ -75,8 +75,7 @@ class NormalizationResult:
     logs: list[PhaseLog]
 
 
-def scoped_normalize(graph: Graph, schema: Iterable[GoFd], scope: Pattern,
-                     max_witnesses: int = 5) -> NormalizationResult:
+def scoped_normalize(graph: Graph, schema: Iterable[GoFd], scope: Pattern) -> NormalizationResult:
     """Remove the redundancy one scope's dependencies describe.
 
     Raises ``UnsatisfiedDependency`` if the graph violates any dependency
@@ -88,11 +87,10 @@ def scoped_normalize(graph: Graph, schema: Iterable[GoFd], scope: Pattern,
     could not tell which edges held a property it moves off them (see
     ``check_transformable``).
     """
-    return _normalize_scope(graph.copy(), schema, scope, max_witnesses)
+    return _normalize_scope(graph.copy(), schema, scope)
 
 
-def _normalize_scope(graph: Graph, schema: Iterable[GoFd], scope: Pattern,
-                     max_witnesses: int) -> NormalizationResult:
+def _normalize_scope(graph: Graph, schema: Iterable[GoFd], scope: Pattern) -> NormalizationResult:
     """``scoped_normalize`` on ``graph`` itself, which the result holds.
 
     If it raises, ``graph`` may be left half transformed.
@@ -108,7 +106,7 @@ def _normalize_scope(graph: Graph, schema: Iterable[GoFd], scope: Pattern,
     # scope is matched once, and every phase below reads these matches
     matches = evaluate(scope, graph)
     for dep in sigma:
-        outcome = satisfies(graph, dep, max_witnesses=max_witnesses, matches=matches)
+        outcome = satisfies(graph, dep, matches=matches)
         if not outcome.holds:
             raise UnsatisfiedDependency(dep.render(), outcome.witnesses, outcome.variables)
     cover = minimal_cover(sigma)
@@ -190,8 +188,7 @@ def sort_scopes(scopes: Iterable[Pattern]) -> list[Pattern]:
     return ordered
 
 
-def full_normalize(graph: Graph, schema: Iterable[GoFd],
-                   max_witnesses: int = 5) -> NormalizationResult:
+def full_normalize(graph: Graph, schema: Iterable[GoFd]) -> NormalizationResult:
     """Normalize every scope of the schema, most specific first.
 
     The input graph is copied once and never changed; every pass works on
@@ -203,8 +200,10 @@ def full_normalize(graph: Graph, schema: Iterable[GoFd],
     order = sort_scopes(current.scopes())
     logs: list[PhaseLog] = []
     out = graph.copy()
-    for scope in order:
-        step = _normalize_scope(out, current, scope, max_witnesses)
+    for index, scope in enumerate(order):
+        step = _normalize_scope(out, current, scope)
+        for plan in step.logs[0].transformations:
+            plan.pass_index = index
         current = step.schema
         logs.extend(step.logs)
     return NormalizationResult(out, current, logs)

@@ -17,10 +17,10 @@ an equal op of another plan runs again and changes nothing.
 
 Skolem naming makes the output deterministic: value nodes are named by the
 defining left-side values, reifier nodes by the edge they replace.  The plans
-record which objects were created and where each moved value went, so
-``invert`` rebuilds the whole input graph from the output and its plans,
-reading every value from the output; ``verify_lossless`` compares that
-rebuild with the input byte for byte.
+record which objects were created, where each moved value went and which
+pass ran them, so ``invert`` rebuilds the whole input graph from the output
+by undoing the passes last to first, reading every value from the output;
+``verify_lossless`` compares that rebuild with the input byte for byte.
 """
 from __future__ import annotations
 
@@ -231,6 +231,7 @@ class Transformation:
 
     ``rows`` holds the ops, shared with split parts; ``ops`` is a fresh list
     of named tuples built from them on each access, a view to read only.
+    ``full_normalize`` sets ``pass_index``, the number of the pass that ran it.
     """
 
     dependency: GoFd
@@ -239,6 +240,7 @@ class Transformation:
     rows: list[Row]
     key_dependency: GoFd | None = None
     val_label: str | None = None
+    pass_index: int = 0
 
     @property
     def ops(self) -> list[Op]:
@@ -536,82 +538,65 @@ def invert(after: Graph, plans: Iterable[Transformation]) -> Graph:
 
     Every value is read from ``after``.  The plans give structure only:
     which objects were created, which slot ``(object, key)`` moved to which
-    target, and which edge each reifier node replaced; the edge's endpoints
-    come from the reifier's ``_src``/``_tgt`` link edges.  A value moved on
-    again, like an edge property moved onto a node and then off it to a
-    value node, is followed until a slot still holds it, so the plans of
-    several passes may be given in any order.  A slot that was moved off
-    and still holds a value was written after the move: it gets its own
-    value back.  Raises ``InvariantError`` when a node the plans create or
-    move values onto is missing, a created edge is missing or rewired, or
-    one slot moved to targets holding different values; other
-    ``GonormError`` subclasses when other objects the plans name are gone.
+    target, and which edge each reifier node replaced, whose endpoints its
+    ``_src``/``_tgt`` link edges give.  The passes are undone on a copy of
+    ``after``, the highest ``pass_index`` first, so plans may come in any
+    order.  Raises ``InvariantError`` when a node the plans create or move
+    values onto is missing, a created edge is missing or rewired, or one
+    slot moved to targets holding different values; ``EndpointError`` when
+    an edge is left without a node at an end; other ``GonormError``
+    subclasses when other objects the plans name are gone.
     """
-    new_nodes: set[str] = set()
-    new_edges: dict[str, Row] = {}
-    moves: dict[tuple[str, str], set[str]] = {}
-    replaced: dict[str, str] = {}  # reifier node id -> id of the edge it replaced
-    for plan in plans:
-        for row in plan.rows:
-            tag = row[0]
-            if tag == "move-prop":
+    plans = list(plans)
+    out = after.copy()
+    nodes, edges = out.nodes, out.edges
+    # a pass moves no value off a slot it writes: it writes only keys its
+    # targets lack, and moves values off after every write
+    for index in sorted({plan.pass_index for plan in plans}, reverse=True):
+        rows = [row for plan in plans if plan.pass_index == index for row in plan.rows]
+        moves: dict[tuple[str, str], set[str]] = {}
+        for row in rows:
+            if row[0] == "move-prop":
                 moves.setdefault((row[1], row[2]), set()).add(row[3])
-            elif tag == "new-edge":
-                new_edges[row[1]] = row
-            elif tag == "new-node":
-                new_nodes.add(row[1])
-            else:
-                replaced[reifier_id(row[1])] = row[1]
-
-    written = {(target, key) for (_, key), targets in moves.items() for target in targets}
-    for nid in new_nodes.union(target for target, _ in written):
-        if nid not in after.nodes:
-            raise InvariantError(f"node {nid!r} of the plans is missing")
-    for _, eid, src, tgt, *_ in new_edges.values():
-        record = after.edges.get(eid)
-        if record is None or (record.src, record.tgt) != (src, tgt):
-            raise InvariantError(f"created edge {eid!r} is missing or rewired")
-
-    def read(obj: str, key: str) -> Atomic:
-        found: dict[str, Atomic] = {}
-        for target in moves[(obj, key)]:
-            props = after.nodes[target].props
-            if key in props:
-                value = props[key]
-            elif (target, key) in moves:
-                value = read(target, key)
-            else:
+        written = {(target, key) for (_, key), targets in moves.items() for target in targets}
+        new_nodes = {row[1] for row in rows if row[0] == "new-node"}
+        new_edges = {row[1]: row for row in rows if row[0] == "new-edge"}
+        replaced = {reifier_id(row[1]): row[1] for row in rows if row[0] == "del-edge"}
+        for nid in new_nodes.union(target for target, _ in written):
+            if nid not in nodes:
+                raise InvariantError(f"node {nid!r} of the plans is missing")
+        for _, eid, src, tgt, *_ in new_edges.values():
+            record = edges.get(eid)
+            if record is None or (record.src, record.tgt) != (src, tgt):
+                raise InvariantError(f"created edge {eid!r} is missing or rewired")
+        # the only created edge into a reifier node is its _src link; the _tgt
+        # link leaves it under the same prefix.  A row is (tag, edge, src, tgt, *labels).
+        src_links = {row[3]: row for row in new_edges.values() if row[3] in replaced}
+        for _, _, src, tgt, *labels in new_edges.values():
+            link = src_links.get(src)
+            if link is not None and labels == [link[4].removesuffix("_src") + "_tgt"]:
+                out.add_edge(link[2], tgt, nodes[src].labels, edge_id=replaced[src])
+        missing = set(replaced.values()) - edges.keys()
+        if missing:
+            raise InvariantError(f"no _src/_tgt links for reified edges {sorted(missing)}")
+        for target, key in written:
+            if key not in nodes[target].props:
                 raise InvariantError(f"moved value {target}.{key} is missing")
-            found[value_key(value)] = value
-        if len(found) > 1:
-            raise InvariantError(f"{obj}.{key} moved to different values: "
-                                 f"{', '.join(sorted(found))}")
-        return found.popitem()[1]
-
-    out = Graph()
-    for nid, node in after.nodes.items():
-        if nid not in new_nodes:
-            out.add_node(node.labels, node.props, node_id=nid)
-    for eid, edge in after.edges.items():
-        if eid not in new_edges:
-            out.add_edge(edge.src, edge.tgt, edge.labels, edge.props, edge_id=eid)
-    # the only created edge into a reifier node is its _src link; the _tgt
-    # link leaves it under the same prefix.  A row is (tag, edge, src, tgt, *labels).
-    src_links = {row[3]: row for row in new_edges.values() if row[3] in replaced}
-    for _, _, src, tgt, *labels in new_edges.values():
-        link = src_links.get(src)
-        if link is not None and labels == [link[4].removesuffix("_src") + "_tgt"]:
-            out.add_edge(link[2], tgt, after.nodes[src].labels, edge_id=replaced[src])
-    missing = set(replaced.values()) - out.edges.keys()
-    if missing:
-        raise InvariantError(f"no _src/_tgt links for reified edges {sorted(missing)}")
-
-    for obj, key in written:
-        if obj in out.nodes:
-            out.remove_prop(obj, key)
-    for obj, key in moves:
-        if (obj, key) not in written or key in after.nodes[obj].props:
-            out.set_prop(obj, key, read(obj, key))
+        held = {(target, key): nodes[target].props.pop(key) for target, key in written}
+        for (obj, key), targets in moves.items():
+            found = {value_key(held[target, key]): held[target, key] for target in targets}
+            if len(found) > 1:
+                raise InvariantError(f"{obj}.{key} moved to different values: "
+                                     f"{', '.join(sorted(found))}")
+            out.set_prop(obj, key, found.popitem()[1])
+        for eid in new_edges:
+            del edges[eid]
+        for nid in new_nodes:
+            del nodes[nid]
+    for edge in edges.values():
+        if edge.src not in nodes or edge.tgt not in nodes:
+            raise EndpointError(f"endpoint {(edge.tgt if edge.src in nodes else edge.src)!r} "
+                                "is not a node of the graph")
     return out
 
 
@@ -620,8 +605,8 @@ def verify_lossless(before: Graph, after: Graph, plan: Transformation,
     """True when ``invert`` rebuilds ``before`` from ``after`` byte for byte.
 
     ``plan`` and ``siblings`` together are the plans that turned ``before``
-    into ``after``, of one pass or of several, in any order.  The whole
-    graph is compared, so damage outside the plans' scopes counts too.
+    into ``after``, in any order: ``invert`` undoes them by ``pass_index``.
+    The whole graph is compared, so damage outside the plans' scopes counts too.
     """
     try:
         rebuilt = invert(after, [plan, *siblings])

@@ -807,3 +807,49 @@ def random_satisfying_case(rng: random.Random,
     other = EDGE_LABELS[1] if elabel == EDGE_LABELS[0] else EDGE_LABELS[0]
     _spread_edges(rng, graph, (other,), rng.randint(0, 4))
     return graph, dep
+
+
+# -- a slot emptied, written again and emptied once more ------------------
+
+MULTI_PASS_DEPS = (
+    gofd(node_pattern("x", {"A1"}, {"c", "w"}), [PropVar("x", "c")], [PropVar("x", "w")]),
+    gofd(node_edge_pattern("x", {"A"}, (), "y", {"R"}, {"w"}, Direction.OUT),
+         [ObjectVar("x")], [PropVar("y", "w")]),
+    gofd(node_pattern("x", {"B"}, {"d", "w"}), [PropVar("x", "d")], [PropVar("x", "w")]),
+)
+
+
+def random_multi_pass_case(rng: random.Random) -> Graph:
+    """A graph that ``MULTI_PASS_DEPS`` normalize in three passes, in this
+    order: an A1 node's ``w`` moves off, an A node's ``R`` edges write
+    their ``w`` onto it, and a B node's ``w`` moves off.
+
+    Each node has a random subset of the labels A1, A and B.  ``c`` is
+    derived from the node's own ``w``, and ``d`` from its own ``w`` and the
+    ``w`` its edges write, so both node dependencies hold when their passes
+    run, and in the input.  All ``R`` edges of one source carry one ``w``.
+    Every A node with a ``w`` is an A1 node, so the first pass empties the
+    slot before the edge pass writes it.
+    """
+    graph = Graph()
+    for _ in range(rng.randint(1, 8)):
+        labels = _some(rng, ("A1", "A", "B"), p=0.6)
+        own = rng.choice(LHS_POOL) if rng.random() < 0.7 else None
+        if own is not None and "A" in labels:
+            labels.add("A1")
+        graph.add_node(labels, {} if own is None else {"w": own, "c": f"c{json.dumps(own)}"})
+    ids = list(graph.nodes)
+    for nid in ids:
+        degree = rng.randint(0, 2)
+        written = rng.choice(LHS_POOL)
+        for _ in range(degree):
+            graph.add_edge(nid, rng.choice(ids), {"R"}, {"w": written})
+        node = graph.nodes[nid]
+        texts = [json.dumps(node.props["w"])] if "w" in node.props else []
+        if degree and "A" in node.labels:
+            texts.append(json.dumps(written))
+        if texts:
+            node.props["d"] = "d" + "/".join(texts)
+    for _ in range(rng.randint(0, 3)):  # another label: free to disagree
+        graph.add_edge(rng.choice(ids), rng.choice(ids), {"S"}, {"w": rng.choice(LHS_POOL)})
+    return graph

@@ -392,7 +392,11 @@ def test_integer_beyond_float_range_round_trips(capsys, tmp_path):
 
 
 def one_node_graph(value: str) -> bytes:
-    return f'{{"nodes": [{{"id": "n1", "properties": {{"k": {value}}}}}], "edges": []}}'.encode()
+    """``value`` at line 2, column 73, after a number that loads and a string
+    that holds refused literals too."""
+    return ('{"nodes": [{"id": "n1",\n'
+            '  "properties": {"big": 1e308, "note": "NaN \\"-1e999\\" -Infinity", '
+            f'"k": {value}}}}}], "edges": []}}').encode()
 
 
 # bad file -> (its bytes, or None for no file; a piece of the error line)
@@ -400,12 +404,17 @@ BAD_GRAPHS = {
     "missing": (None, "No such file or directory"),
     "broken": (b"{not json", "Expecting property name enclosed in double quotes "
                              "at line 1, column 2"),
-    "nan": (one_node_graph("NaN"), "non-finite number NaN is not JSON"),
-    "inf": (one_node_graph("Infinity"), "non-finite number Infinity is not JSON"),
-    "minus_inf": (one_node_graph("-Infinity"), "non-finite number -Infinity is not JSON"),
-    "overflow": (one_node_graph("1e999"), "non-finite number 1e999 is not JSON"),
-    "minus_overflow": (one_node_graph("-1e999"), "non-finite number -1e999 is not JSON"),
-    "long_int": (one_node_graph("9" * 5000), "digits"),
+    "nan": (one_node_graph("NaN"), "non-finite number NaN is not JSON at line 2, column 73"),
+    "inf": (one_node_graph("Infinity"),
+            "non-finite number Infinity is not JSON at line 2, column 73"),
+    "minus_inf": (one_node_graph("-Infinity"),
+                  "non-finite number -Infinity is not JSON at line 2, column 73"),
+    "overflow": (one_node_graph("1e999"),
+                 "non-finite number 1e999 is not JSON at line 2, column 73"),
+    "minus_overflow": (one_node_graph("-1e999"),
+                       "non-finite number -1e999 is not JSON at line 2, column 73"),
+    "long_int": (one_node_graph("9" * 5000), "digits; use sys.set_int_max_str_digits() "
+                                             "to increase the limit at line 2, column 73"),
     "latin1": ('{"nodes": [\n  {"id": "caf\xe9"}], "edges": []}'.encode("latin-1"),
                "byte 0xe9 is not UTF-8 at line 2, column 14"),
 }

@@ -309,6 +309,23 @@ def test_bundled_fixtures_invert_with_plans_in_any_order(name):
         assert dump_graph(invert(result.graph, order)) == dump_graph(graph)
 
 
+def test_full_normalize_numbers_its_passes_in_log_order():
+    indices = []
+    for name in ["university", "students", "metrics_example", "shipping"]:
+        schema = fixture_schema(f"{name}.schema.gofd").schema
+        result = full_normalize(fixture_graph(f"{name}.graph.json"), schema)
+        scopes = sort_scopes(schema.scopes())
+        assert [log.scope for log in result.logs] == list(map(render_pattern, scopes))
+        for index, (scope, log) in enumerate(zip(scopes, result.logs)):
+            assert [plan.pass_index for plan in log.transformations] == \
+                [index] * len(log.transformations)
+            indices += [index] * len(log.transformations)
+            (alone,) = scoped_normalize(fixture_graph(f"{name}.graph.json"), schema, scope).logs
+            assert [plan.pass_index for plan in alone.transformations] == \
+                [0] * len(alone.transformations)
+    assert max(indices) > 0
+
+
 VIEWS = {"new-node": lambda nid, *labels: NewNode(nid, labels),
          "new-edge": lambda eid, src, tgt, *labels: NewEdge(eid, src, tgt, labels),
          "move-prop": MoveProp, "del-edge": DelEdge}

@@ -62,9 +62,11 @@ from conftest import TRICKY_VALUES, fixture_graph, fixture_schema, runs_of
 from oracles import (
     CASE_KINDS,
     LHS_POOL,
+    MULTI_PASS_DEPS,
     oracle_build_plans,
     oracle_skolem_node_id,
     random_graph,
+    random_multi_pass_case,
     random_satisfying_case,
 )
 
@@ -714,9 +716,6 @@ def test_invert_follows_a_value_across_passes_in_any_order(node_label, edge_firs
         assert verify_lossless(g, result.graph, order[0], order[1:])
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="invert cannot order a slot moved off, written again "
-                          "and moved off once more")
 def test_invert_of_a_slot_emptied_and_written_again():
     # p1.w=1 moves to one value node, e1.w=7 moves onto p1, then p1.w=7
     # moves to another value node; without the pass order, the plans
@@ -735,6 +734,59 @@ def test_invert_of_a_slot_emptied_and_written_again():
     assert sorted(result.graph.props(v)["w"] for v in result.graph.nodes
                   if v.startswith("sk:val|")) == [1, 7]  # nothing is lost
     assert verify_lossless(g, result.graph, plans[0], plans[1:])
+    assert [plan.pass_index for plan in plans] == [0, 1, 2]
+    for plan, index in zip(plans, [2, 1, 0]):  # undone first pass first
+        plan.pass_index = index
+    assert not verify_lossless(g, result.graph, plans[0], plans[1:])
+
+
+def test_plans_of_separate_scoped_calls_invert_together_numbered_in_call_order():
+    g = Graph()
+    g.add_node({"A1", "A", "B"}, {"c": "a", "d": "b", "w": 1}, node_id="p1")
+    g.add_node({"T"}, {}, node_id="t1")
+    g.add_edge("p1", "t1", {"R"}, {"w": 7}, edge_id="e1")
+    out, plans = g, []
+    for dep in MULTI_PASS_DEPS:
+        result = scoped_normalize(out, MULTI_PASS_DEPS, dep.scope)
+        out = result.graph
+        plans += result.logs[0].transformations
+    assert [plan.pass_index for plan in plans] == [0, 0, 0]
+    assert not verify_lossless(g, out, plans[0], plans[1:])  # undone as one pass
+    for index, plan in enumerate(plans):
+        plan.pass_index = index
+    assert verify_lossless(g, out, plans[0], plans[1:])
+
+
+def test_invert_refuses_an_edge_into_a_created_node():
+    g = person_graph()
+    out, plans = normalize_one(g, gofd(PERSON, [pv("x", "city")], [pv("x", "zip")]))
+    out.add_edge("p1", 'sk:val|Person|city="Rome"', {"Extra"}, edge_id="extra")
+    with pytest.raises(EndpointError, match="is not a node of the graph"):
+        invert(out, plans)
+    assert not verify_lossless(g, out, plans[0])
+
+
+def test_invert_refuses_a_reified_edge_without_its_links():
+    g = edge_graph()
+    out, (plan,) = normalize_one(g, gofd(EDGE, [pv("y", "u")], [pv("y", "v")]))
+    plan.rows = [row for row in plan.rows
+                 if not (row[0] == "new-edge" and row[4] in ("R_src", "R_tgt"))]
+    with pytest.raises(InvariantError, match=r"no _src/_tgt links for reified edges "
+                                             r"\['e1', 'e2'\]"):
+        invert(out, [plan])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**9))
+def test_random_multi_pass_cases_stay_lossless(seed):
+    graph = random_multi_pass_case(random.Random(seed))
+    result = full_normalize(graph, MULTI_PASS_DEPS)
+    assert all(log.warnings == [] for log in result.logs)
+    plans = [plan for log in result.logs for plan in log.transformations]
+    for order in (plans, plans[::-1]):
+        assert dump_graph(invert(result.graph, order)) == dump_graph(graph)
+    for plan in plans:
+        assert verify_lossless(graph, result.graph, plan, [p for p in plans if p is not plan])
 
 
 @settings(max_examples=36, deadline=None)
