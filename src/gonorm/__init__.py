@@ -22,7 +22,6 @@ from .errors import (
 )
 from .gofd import (
     DepClass,
-    Descriptor,
     GnSchema,
     GoFd,
     Satisfaction,

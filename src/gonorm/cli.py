@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .errors import GonormError, UnsatisfiedDependency
 from .gofd import GoFd, applicable_deps, map_per_scope, minimal_cover, satisfies
-from .graph import dump_graph, load_graph
+from .graph import dump_graph, load_graph, unpaired_surrogate
 from .metrics import build_report
 from .normalform import DEFAULT_MAX_ATTRS, NormalForm, check_gn_nf
 from .normalize import full_normalize, scoped_normalize
@@ -204,16 +204,13 @@ def cmd_normalize(args: argparse.Namespace) -> int:
         result = full_normalize(graph, doc.schema)
     texts = {f"{args.out}.graph.json": dump_graph(result.graph),
              f"{args.out}.schema.gofd": format_schema(result.schema)}
+    passes = [log.to_dict(explain=args.explain) for log in result.logs]
     if args.explain:
-        log_doc = {"passes": [log.to_dict(explain=True) for log in result.logs]}
-        texts[f"{args.out}.log.json"] = _json_text(log_doc) + "\n"
+        texts[f"{args.out}.log.json"] = _json_text({"passes": passes}) + "\n"
     _write_files(texts)
     written = list(texts)
     if args.format == "json":
-        _print_json({
-            "passes": [log.to_dict(explain=args.explain) for log in result.logs],
-            "written": written,
-        })
+        _print_json({"passes": passes, "written": written})
     else:
         for log in result.logs:
             print(f"pass {log.scope}: {len(log.transformations)} transformations, "
@@ -316,6 +313,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (GonormError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except UnicodeEncodeError as err:  # text that the output's encoding cannot hold
+        graph = getattr(args, "graph", None)
+        print(f"error: {graph and unpaired_surrogate(graph) or err}", file=sys.stderr)
         return 2
 
 

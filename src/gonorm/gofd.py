@@ -40,23 +40,10 @@ from .pattern import (
 
 
 @dataclass(frozen=True)
-class Descriptor:
-    lhs: frozenset[Variable]
-    rhs: frozenset[Variable]
-
-
-@dataclass(frozen=True)
 class GoFd:
     scope: Pattern
-    descriptor: Descriptor
-
-    @property
-    def lhs(self) -> frozenset[Variable]:
-        return self.descriptor.lhs
-
-    @property
-    def rhs(self) -> frozenset[Variable]:
-        return self.descriptor.rhs
+    lhs: frozenset[Variable]
+    rhs: frozenset[Variable]
 
     def is_trivial(self) -> bool:
         return self.rhs <= self.lhs
@@ -73,7 +60,7 @@ class GoFd:
 
 
 def gofd(scope: Pattern, lhs: Iterable[Variable], rhs: Iterable[Variable]) -> GoFd:
-    return GoFd(scope, Descriptor(frozenset(lhs), frozenset(rhs)))
+    return GoFd(scope, frozenset(lhs), frozenset(rhs))
 
 
 def restrict(dep: GoFd, scope: Pattern, mapping: dict[str, str] | None = None) -> GoFd:

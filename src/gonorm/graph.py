@@ -13,7 +13,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import Any, IO, Iterable, Iterator, Sequence, Union
 
@@ -419,22 +419,36 @@ def _finite_float(text: str) -> float:
 # a string literal, or a number literal as the json scanner reads one
 _LITERAL = re.compile(r'"(?:[^"\\]|\\.)*"'
                       r'|(NaN|-?Infinity|-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)')
+_NESTING = {"[": 1, "{": 1, "]": -1, "}": -1}  # a bracket's step in depth
+# an escape in JSON text that loads, where each backslash starts one: a
+# surrogate pair, an unpaired surrogate, or another
+_ESCAPE = re.compile(r"\\(?:ud[89ab]..\\ud[c-f]..|(ud[89a-f]..)|.)", re.IGNORECASE)
 
 
-def _refused_literal(text: str, error: Exception) -> ParseError:
-    """``error``, which loading ``text`` raised, at the first number literal
-    outside a string that the loader refuses."""
-    for match in _LITERAL.finditer(text):
-        try:
-            if match.group(1):
-                json.loads(match.group(1), parse_constant=_reject_constant,
-                           parse_float=_finite_float)
-        except (ParseError, ValueError):
-            start = match.start()
-            return ParseError(getattr(error, "message", str(error)),
-                              line=text.count("\n", 0, start) + 1,
-                              column=start - text.rfind("\n", 0, start))
-    return ParseError(str(error))
+def _refused(literal: str) -> bool:
+    try:
+        json.loads(literal, parse_constant=_reject_constant, parse_float=_finite_float)
+    except (ParseError, ValueError):
+        return True
+    return False
+
+
+def _at(text: str, start: int | None, message: str) -> ParseError:
+    """``message`` at the line and column of ``text[start]``, if there is a start."""
+    if start is None:
+        return ParseError(message)
+    return ParseError(message, line=text.count("\n", 0, start) + 1,
+                      column=start - text.rfind("\n", 0, start))
+
+
+def unpaired_surrogate(path: str) -> ParseError | None:
+    """Why text of the graph loaded from ``path`` cannot be written as UTF-8:
+    its first unpaired surrogate escape, which loads into a string, if any."""
+    text = read_text(path)
+    for match in _ESCAPE.finditer(text):
+        if match.group(1):
+            return _at(text, match.start(), "unpaired surrogate escape cannot be written as UTF-8")
+    return None
 
 
 def load_graph(source: str | IO[str]) -> Graph:
@@ -444,5 +458,13 @@ def load_graph(source: str | IO[str]) -> Graph:
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
     except (ParseError, ValueError) as exc:  # NaN, 1e999, or an int over the digit limit
-        raise _refused_literal(text, exc) from exc
+        refused = (match.start() for match in _LITERAL.finditer(text)
+                   if match.group(1) and _refused(match.group(1)))
+        raise _at(text, next(refused, None), getattr(exc, "message", str(exc))) from exc
+    except RecursionError as exc:  # at the first bracket that opens the deepest level
+        blanked = _LITERAL.sub(lambda match: " " * len(match.group()), text)
+        depths = list(accumulate(map(_NESTING.get, blanked, repeat(0))))
+        deepest = max(depths)
+        raise _at(text, depths.index(deepest),
+                  f"arrays and objects nested {deepest} deep are too deep to load") from exc
     return graph_from_dict(doc)

@@ -14,9 +14,9 @@ from enum import Enum
 from typing import Iterable
 
 from .errors import SizeLimit
-from .gofd import ClosureKernel, GoFd, applicable_deps, gofd
+from .gofd import ClosureKernel, GnSchema, GoFd, applicable_deps, gofd
 from .graph import Graph, check_atomic
-from .pattern import Pattern, Variable, attrs, render_pattern, scope_key
+from .pattern import Pattern, Variable, attrs, render_pattern
 
 
 class NormalForm(Enum):
@@ -188,15 +188,7 @@ def check_gn_nf(form: NormalForm, schema: Iterable[GoFd], graph: Graph | None = 
         if graph is None:
             raise ValueError("the first normal form is a property of the graph; pass one")
         return check_gn1nf(graph)
-    if form is NormalForm.GN2NF:
-        return NormalFormReport(NormalForm.GN2NF, True)
     deps = list(schema)
-    seen: set[str] = set()
-    violations: list[Violation] = []
-    for dep in deps:
-        key = scope_key(dep.scope)
-        if key in seen:
-            continue
-        seen.add(key)
-        violations.extend(check_scoped(form, dep.scope, deps, max_attrs=max_attrs).violations)
+    violations = [violation for scope in GnSchema(deps).scopes()
+                  for violation in check_scoped(form, scope, deps, max_attrs).violations]
     return NormalFormReport(form, not violations, tuple(violations))

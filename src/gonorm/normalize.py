@@ -50,7 +50,7 @@ class PhaseLog:
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self, explain: bool = False) -> dict:
-        doc = {
+        return {
             "scope": self.scope,
             "collected": list(self.collected),
             "cover": list(self.cover),
@@ -65,7 +65,6 @@ class PhaseLog:
             "zeroMatch": list(self.zero_match),
             "warnings": list(self.warnings),
         }
-        return doc
 
 
 @dataclass
@@ -156,7 +155,7 @@ def _normalize_scope(graph: Graph, schema: Iterable[GoFd], scope: Pattern) -> No
 def _log_pass(scope: str, matches: int, plans: list[Transformation]) -> None:
     ops = Counter(_VIEWS[row[0]].__name__ for plan in plans for row in plan.rows)
     value_nodes = {row[1] for plan in plans for row in plan.rows
-                   if row[0] == "new-node" and row[2:] == (plan.val_label,)}
+                   if row[0] == "new-node" and row[1].startswith("sk:val|")}
     logger.debug("normalized %s: %d matches, %d plans, ops %s, %d value nodes created",
                   scope, matches, len(plans),
                   " ".join(f"{kind}={count}" for kind, count in sorted(ops.items())) or "none",

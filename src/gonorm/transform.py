@@ -239,7 +239,6 @@ class Transformation:
     match_count: int
     rows: list[Row]
     key_dependency: GoFd | None = None
-    val_label: str | None = None
     pass_index: int = 0
 
     @property
@@ -381,7 +380,7 @@ def _instantiate(graph: Graph, dep: GoFd, matches: Relation | None,
     key_dep = _key_dependency(sweep.val_label, sweep.lhs_keys, val_keys)
     if isinstance(dep.scope, NodeEdgePattern):  # a node sits in several rows
         ops = list(dict.fromkeys(ops))
-    return Transformation(dep, kind, len(relation.rows), ops, key_dep, sweep.val_label)
+    return Transformation(dep, kind, len(relation.rows), ops, key_dep)
 
 
 def instantiate(graph: Graph, dep: GoFd, *, matches: Relation | None = None) -> Transformation:

@@ -283,6 +283,27 @@ def test_normalize_failure_leaves_no_output_file(capsys, monkeypatch, tmp_path):
     assert squatter.read_text(encoding="utf-8") == "not ours"
 
 
+def test_normalize_prints_the_warning_of_a_kept_part(capsys, tmp_path):
+    graph = write(tmp_path, "mixed.graph.json", json.dumps({
+        "nodes": [{"id": "p1", "labels": ["Person"], "properties": {"city": "Rome"}},
+                  {"id": "t1", "labels": ["T"]}],
+        "edges": [{"id": "e1", "src": "p1", "tgt": "t1", "labels": ["R"],
+                   "properties": {"w": 1}}]}))
+    schema = write(tmp_path, "mixed.gofd",
+                   "(x:{Person}:{city})-[y:{R}:{w}]->() :: x.city, y.w => x\n")
+    base = str(tmp_path / "mixed")
+    code, out, err = run(capsys, "normalize", "--graph", graph, "--schema", schema,
+                         "--out", base)
+    assert code == 0 and err == ""
+    scope = "(x:{Person}:{city})-[y:{R}:{w}]->()"
+    assert out.splitlines() == [
+        f"pass {scope}: 0 transformations, 1 kept, 0 key dependencies",
+        f"  warning: not transformable, kept as is: {scope}::x.city,y.w=>x "
+        "(descriptor side mixes object variables: x, y)",
+        f"wrote {base}.graph.json",
+        f"wrote {base}.schema.gofd"]
+
+
 def test_normalize_scope_limits_the_run(capsys, tmp_path):
     base = str(tmp_path / "scoped")
     code, out, _ = run(capsys, "normalize", "--graph", UNI_GRAPH,
@@ -399,6 +420,14 @@ def one_node_graph(value: str) -> bytes:
             f'"k": {value}}}}}], "edges": []}}').encode()
 
 
+def deep_graph(depth: int = 100_000) -> bytes:
+    """Arrays ``depth`` deep at line 2 from column 36, after strings that hold
+    brackets: the deepest level opens at column 100035 for the default."""
+    return ('{"nodes": [{"id": "[[{n1", "labels": ["]]"]},\n'
+            '  {"id": "n2", "properties": {"k": ' + "[" * depth + "]" * depth
+            + '}}], "edges": []}').encode()
+
+
 # bad file -> (its bytes, or None for no file; a piece of the error line)
 BAD_GRAPHS = {
     "missing": (None, "No such file or directory"),
@@ -417,6 +446,8 @@ BAD_GRAPHS = {
                                              "to increase the limit at line 2, column 73"),
     "latin1": ('{"nodes": [\n  {"id": "caf\xe9"}], "edges": []}'.encode("latin-1"),
                "byte 0xe9 is not UTF-8 at line 2, column 14"),
+    "deep": (deep_graph(), "arrays and objects nested 100004 deep are too deep to load "
+                           "at line 2, column 100035"),
 }
 BAD_SCHEMAS = {
     "missing": (None, "No such file or directory"),
@@ -455,6 +486,56 @@ def test_unusable_inputs_exit_two(capsys, tmp_path, role, name, verb):
     assert code == 2 and printed == "" and "Traceback" not in err
     assert err.startswith("error: ") and message in err
     assert list(out.iterdir()) == []
+
+
+# line 1 holds an escaped backslash before "ud800" and a valid pair; line 2,
+# one unpaired surrogate escape at the given column
+SURROGATE_LINES = {
+    "id": ('  {"id": "n1{}", "labels": ["C"], "properties": {"k": "x", "v": "q"}}', 13),
+    "label": ('  {"id": "n1", "labels": ["B", "C{}"], "properties": {"k": "x", "v": "q"}}', 34),
+    "key": ('  {"id": "n1", "labels": ["C"], "properties": {"k": "x", "v": "q", "w{}": 1}}', 70),
+    "value": ('  {"id": "n1", "labels": ["C"], "properties": {"k": "x", "v": "q{}"}}', 65),
+}
+
+
+def surrogate_graph(tmp_path, line: str) -> str:
+    return write(tmp_path, "surrogate.graph.json",
+                 '{"nodes": [{"id": "n0", "labels": ["C"], '
+                 '"properties": {"k": "\\\\ud800 \\ud83d\\ude00", "v": "p"}},\n'
+                 + line + '], "edges": []}')
+
+
+@pytest.mark.parametrize("escape", ["\\ud800", "\\udbff", "\\udc00", "\\udfff"])
+@pytest.mark.parametrize("place", SURROGATE_LINES)
+def test_unpaired_surrogate_escape_exits_two_when_written(capsys, tmp_path, place, escape):
+    line, column = SURROGATE_LINES[place]
+    graph = surrogate_graph(tmp_path, line.replace("{}", escape))
+    schema = write(tmp_path, "values.gofd", VALUE_SCHEMA)
+    out = tmp_path / "out"
+    out.mkdir()
+    for verb in (f"convert --graph {graph}", f"convert --graph {graph} --out {out}/graph.json",
+                 f"normalize --graph {graph} --schema {schema} --out {out}/norm --explain"):
+        code, printed, err = run(capsys, *verb.split())
+        assert (code, printed) == (2, "")
+        assert err == ("error: unpaired surrogate escape cannot be written as UTF-8 "
+                       f"at line 2, column {column}\n")
+        assert list(out.iterdir()) == []
+    # a verb that writes none of the graph's text still succeeds
+    code, _, err = run(capsys, "metrics", "--graph", graph, "--schema", schema)
+    assert code == 0 and err == ""
+
+
+def test_surrogate_pair_escape_round_trips(capsys, tmp_path):
+    line, _ = SURROGATE_LINES["value"]
+    graph = surrogate_graph(tmp_path, line.replace("{}", "\\ud83d\\ude00"))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert run(capsys, "convert", "--graph", graph, "--out", str(first))[0] == 0
+    assert run(capsys, "convert", "--graph", str(first), "--out", str(second))[0] == 0
+    assert first.read_bytes() == second.read_bytes()
+    assert '"k": "\\\\ud800 \U0001f600"'.encode() in first.read_bytes()
+    assert load_graph(str(first)).nodes["n1"].props["v"] == "q\U0001f600"
+    code, printed, _ = run(capsys, "convert", "--graph", graph)
+    assert code == 0 and printed == first.read_text(encoding="utf-8")
 
 
 def test_shared_node_and_edge_variable_exits_two(capsys, tmp_path):

@@ -28,6 +28,7 @@ from gonorm import (
     classify,
     closure,
     edge_pattern,
+    evaluate,
     gofd,
     implies,
     minimal_cover,
@@ -43,7 +44,6 @@ from gonorm import (
 )
 
 from gonorm import cli
-from gonorm.gofd import Descriptor
 from gonorm.graph import column_keys, value_key
 from gonorm.pattern import var_sort_key
 
@@ -147,7 +147,7 @@ def test_memoized_text_keys_and_attributes_match_the_uncached_formulas(dep, othe
     relabelled = replace(dep.scope, **{labels: getattr(dep.scope, labels) | {"Z"}})
     for derived in (copy.copy(dep), pickle.loads(pickle.dumps(dep)),
                     replace(dep, scope=copy.copy(dep.scope)),
-                    replace(dep, descriptor=Descriptor(dep.rhs, dep.lhs)),
+                    replace(dep, lhs=dep.rhs, rhs=dep.lhs),
                     replace(dep, scope=relabelled),
                     restrict(dep, canonicalize(dep.scope)),
                     restrict(dep, other)):
@@ -202,6 +202,15 @@ def test_witnesses_decode_to_agreeing_lhs_and_differing_rhs():
     assert row1[index[pv("x", "a")]] == row2[index[pv("x", "a")]]
     assert row1[index[pv("x", "b")]] != row2[index[pv("x", "b")]]
     assert {row1[index[ObjectVar("x")]], row2[index[ObjectVar("x")]]} == {"n1", "n2"}
+
+
+def test_matches_of_an_alpha_renamed_scope_are_refused():
+    g = two_row_graph("same", "same")
+    dep = gofd(NODE3, [pv("x", "a")], [pv("x", "b")])
+    renamed = node_pattern("v", {"A"}, {"a", "b", "c"})
+    with pytest.raises(ScopeMismatch, match="matches were not evaluated for the scope of"):
+        satisfies(g, dep, matches=evaluate(renamed, g))
+    assert satisfies(g, dep, matches=evaluate(NODE3, g)).holds
 
 
 def test_max_witnesses_caps_collection():

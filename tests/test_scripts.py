@@ -34,6 +34,13 @@ def test_demo_fixtures_walks_every_scenario(capsys, monkeypatch, tmp_path):
     assert len(list(tmp_path.glob("*.graph.json"))) == 3
 
 
+def test_fuzz_inputs_runs_clean(capsys, monkeypatch):
+    # the structural cases always run: deep nesting, unpaired surrogates, refused numbers
+    assert load_script(monkeypatch, "fuzz_inputs").main(["--cases", "20", "--seed", "1"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("38 cases in") and last.endswith(", 0 failed")  # 18 structural
+
+
 def test_every_traced_name_resolves_in_gonorm(monkeypatch):
     # the benchmark's tracer wraps these by name; a deleted one would break
     # ``perfbench/run.py --trace 1`` and ``perfbench/selftest.py`` silently

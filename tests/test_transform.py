@@ -220,7 +220,7 @@ def test_instantiate_within_node_plan_shape():
     plan = instantiate(g, gofd(PERSON, [pv("x", "city")], [pv("x", "zip")]))
     assert plan.kind is TransformationKind.WITHIN_N
     assert plan.match_count == 3
-    assert plan.val_label == "Sk_PersonCity"
+    assert plan.key_dependency.scope.labels == {"Sk_PersonCity"}
     assert plan.key_dependency.render() == "(x:{Sk_PersonCity}:{city,zip})::x.city=>x"
     new_nodes = {op.node for op in plan.ops if isinstance(op, NewNode)}
     assert new_nodes == {'sk:val|Person|city="Rome"', 'sk:val|Person|city="Oslo"'}
@@ -257,8 +257,8 @@ def test_value_node_names_keep_apart_equal_but_distinct_values(edge_only):
     objects = {f"o{i}": {"k": value, "v": "p" if i % 5 < 3 else "q"}
                for i, value in enumerate(MEMO_VALUES * 2)}
     (plan,), _ = build_plans(holding(objects), [dep])
-    value_nodes = {op.node for op in plan.ops
-                   if isinstance(op, NewNode) and op.labels == (plan.val_label,)}
+    labels = tuple(plan.key_dependency.scope.labels)
+    value_nodes = {op.node for op in plan.ops if isinstance(op, NewNode) and op.labels == labels}
     assert value_nodes == {skolem_node_id("val", {label}, [("k", value)])
                            for value in MEMO_VALUES}
     assert len(value_nodes) == 5
@@ -336,7 +336,8 @@ def test_between_node_edge_prop_moves_onto_node():
     dep = gofd(NE, [ObjectVar("x")], [pv("y", "w")])
     out, plans = normalize_one(g, dep)
     assert plans[0].kind is TransformationKind.BETWEEN_N_EP
-    assert plans[0].val_label is None and plans[0].key_dependency is None
+    assert "new-node" not in {row[0] for row in plans[0].rows}
+    assert plans[0].key_dependency is None
     assert out.props("p1") == {"city": "Rome", "w": 5}
     assert out.props("e1") == {} and out.props("e2") == {}
     assert set(out.edges) == {"e1", "e2"}  # nothing reified
@@ -762,6 +763,16 @@ def test_invert_refuses_an_edge_into_a_created_node():
     out, plans = normalize_one(g, gofd(PERSON, [pv("x", "city")], [pv("x", "zip")]))
     out.add_edge("p1", 'sk:val|Person|city="Rome"', {"Extra"}, edge_id="extra")
     with pytest.raises(EndpointError, match="is not a node of the graph"):
+        invert(out, plans)
+    assert not verify_lossless(g, out, plans[0])
+
+
+def test_invert_refuses_an_output_without_a_created_node():
+    g = person_graph()
+    out, plans = normalize_one(g, gofd(PERSON, [pv("x", "city")], [pv("x", "zip")]))
+    out.remove_object('sk:val|Person|city="Oslo"')  # and its link edge from p3
+    with pytest.raises(InvariantError,
+                       match=r"""node 'sk:val\|Person\|city="Oslo"' of the plans is missing"""):
         invert(out, plans)
     assert not verify_lossless(g, out, plans[0])
 
