@@ -3,9 +3,11 @@
 
 Builds random graphs that satisfy a random strict dependency of each
 redundancy shape (sharing the case builders with the test suite), normalizes
-them, and verifies that inverting the output with its plans rebuilds the
-input byte for byte and that every emitted key dependency holds, by the
-library's check and by the brute-force oracle of the test suite.  The
+them, and verifies that the output is the one the test suite's row oracle
+writes running each pass's plans one row at a time, that inverting the
+output with its plans rebuilds the input byte for byte, and that every
+emitted key dependency holds, by the library's check and by the brute-force
+oracle of the test suite.  The
 ``multi`` kind normalizes a graph in three passes with ``full_normalize``
 and inverts it with the plans in execution order and reversed.  Prints a
 per-kind tally, how many ``multi`` cases wrote a slot again that an earlier
@@ -20,12 +22,12 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from gonorm import (dump_graph, full_normalize, invert, satisfies, scoped_normalize,
-                    verify_lossless)
+from gonorm import (GonormError, dump_graph, full_normalize, invert, satisfies,
+                    scoped_normalize, verify_lossless)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from oracles import (CASE_KINDS, MULTI_PASS_DEPS, oracle_satisfies,  # noqa: E402
-                     random_multi_pass_case, random_satisfying_case)
+from oracles import (CASE_KINDS, MULTI_PASS_DEPS, oracle_execute,  # noqa: E402
+                     oracle_satisfies, random_multi_pass_case, random_satisfying_case)
 
 KINDS = CASE_KINDS + ("multi",)
 
@@ -40,6 +42,17 @@ def rewrites_an_emptied_slot(plans) -> bool:
                 emptied.setdefault((row[1], row[2]), plan.pass_index)
     return any(row[0] == "move-prop" and emptied.get((row[3], row[2]), plan.pass_index)
                < plan.pass_index for plan in plans for row in plan.rows)
+
+
+def run_by_rows(graph, logs) -> str | None:
+    """The dump of the row oracle's output, each pass's plans run in turn,
+    or None if the oracle refuses them."""
+    try:
+        for log in logs:
+            graph = oracle_execute(graph, log.transformations)
+    except GonormError:
+        return None
+    return dump_graph(graph)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -66,6 +79,7 @@ def main(argv: list[str] | None = None) -> int:
             plans = result.logs[0].transformations
             what = dep.render()
         ok = bool(plans) or kind == "multi"
+        ok = ok and run_by_rows(graph, result.logs) == dump_graph(result.graph)
         for order in (plans, plans[::-1]):
             ok = ok and dump_graph(invert(result.graph, order)) == dump_graph(graph)
         for plan in plans:

@@ -207,18 +207,22 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     passes = [log.to_dict(explain=args.explain) for log in result.logs]
     if args.explain:
         texts[f"{args.out}.log.json"] = _json_text({"passes": passes}) + "\n"
-    _write_files(texts)
     written = list(texts)
     if args.format == "json":
-        _print_json({"passes": passes, "written": written})
+        lines = [_json_text({"passes": passes, "written": written})]
     else:
+        lines = []
         for log in result.logs:
-            print(f"pass {log.scope}: {len(log.transformations)} transformations, "
-                  f"{len(log.kept)} kept, {len(log.key_dependencies)} key dependencies")
-            for warning in log.warnings:
-                print(f"  warning: {warning}")
-        for path in written:
-            print(f"wrote {path}")
+            lines.append(f"pass {log.scope}: {len(log.transformations)} transformations, "
+                         f"{len(log.kept)} kept, {len(log.key_dependencies)} key dependencies")
+            lines += [f"  warning: {warning}" for warning in log.warnings]
+        lines += [f"wrote {path}" for path in written]
+    report = "".join(line + "\n" for line in lines)
+    encoding = getattr(sys.stdout, "encoding", None)
+    if encoding:  # a report stdout cannot hold fails before any file is written
+        report.encode(encoding, getattr(sys.stdout, "errors", None) or "strict")
+    _write_files(texts)
+    sys.stdout.write(report)
     return 0
 
 

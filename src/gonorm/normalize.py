@@ -153,9 +153,9 @@ def _normalize_scope(graph: Graph, schema: Iterable[GoFd], scope: Pattern) -> No
 
 
 def _log_pass(scope: str, matches: int, plans: list[Transformation]) -> None:
-    ops = Counter(_VIEWS[row[0]].__name__ for plan in plans for row in plan.rows)
-    value_nodes = {row[1] for plan in plans for row in plan.rows
-                   if row[0] == "new-node" and row[1].startswith("sk:val|")}
+    rows = dict.fromkeys(row for plan in plans for row in plan.rows)  # each op once
+    ops = Counter(_VIEWS[row[0]].__name__ for row in rows)
+    value_nodes = {row[1] for row in rows if row[0] == "new-node" and row[1].startswith("sk:val|")}
     logger.debug("normalized %s: %d matches, %d plans, ops %s, %d value nodes created",
                   scope, matches, len(plans),
                   " ".join(f"{kind}={count}" for kind, count in sorted(ops.items())) or "none",

@@ -4,15 +4,21 @@ A dependency whose descriptor fits one of six shapes marks value redundancy
 that can be removed by restructuring the graph: repeated property
 combinations are pulled out into shared value nodes, and edges whose
 properties move away are reified into nodes so nothing is lost.  Each
-transformation is planned as a list of primitive operations computed against
-the untouched input graph; plans are then executed together, each op object
-once, all creations before all removals, so transformations sharing objects
-cannot read each other's partial writes.  A plan is built from and stores
-its ops as rows: exact tuples of strings and values whose first item names
-the kind, like ``("move-prop", source, key, target, value)``, which the
-garbage collector stops tracking.  The parts of one sweep share row objects;
-an equal op of another plan runs again and changes nothing.
-``Transformation.ops`` is a read-only view of the rows as the named tuples
+transformation is planned against the untouched input graph; plans are then
+executed together, all creations and moves before all removals, so
+transformations sharing objects cannot read each other's partial writes.
+Dependencies with one scope and left side, like the split parts of one
+dependency, share one sweep over the matches, stored as columns: per match
+the left side's object, its value node, its left-side values and its link
+edge, and for an edge left side the edge's reification.  Each part adds its
+own right-side column.  The executor runs each sweep once and then each
+part's column, a column at a time.  Other ops are stored as rows: exact
+tuples of strings and values whose first item names the kind, like
+``("move-prop", source, key, target, value)``, which the garbage collector
+stops tracking.  Between-n-ep plans, the migrations of deleted edges and
+plans built by hand are rows; an op equal to one already run changes
+nothing.  ``Transformation.rows`` builds a plan's ops as rows on each
+access, in planning order, and ``Transformation.ops`` as the named tuples
 ``NewNode``, ``NewEdge``, ``MoveProp`` and ``DelEdge``.
 
 Skolem naming makes the output deterministic: value nodes are named by the
@@ -24,16 +30,18 @@ by undoing the passes last to first, reading every value from the output;
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from operator import itemgetter
-from typing import Iterable, NamedTuple, Union
+from itertools import chain, groupby, product, repeat
+from operator import add, itemgetter
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
     EndpointError,
     GonormError,
     InvariantError,
     NonStrict,
+    NotFoundError,
     NothingToDo,
 )
 from .gofd import GoFd, check_bound, gofd, scope_matches
@@ -225,21 +233,113 @@ def op_to_dict(row: Row) -> dict:
     return {"op": tag, "id": row[1]}
 
 
+# -- plans ------------------------------------------------------------------
+
+@dataclass(eq=False)
+class _Reified:
+    """Per match of an edge left side: the reifier node's id and labels, the
+    edge's endpoints, and the ids of the ``_src`` and ``_tgt`` link edges."""
+
+    rids: list[str]
+    labels: list[tuple[str, ...]]
+    srcs: list[str]
+    tgts: list[str]
+    src_ids: list[str]
+    tgt_ids: list[str]
+    src_label: str
+    tgt_label: str
+
+
+@dataclass(eq=False)
+class _Sweep:
+    """What every part with one scope and left side plans alike, as columns.
+
+    Per match, in ``relation.rows`` order: the left side's object in
+    ``objs``, its value node in ``vids``, one value column per left-side key
+    in ``lhs_values``, and the link edge ``link_ids`` from ``links`` (the
+    object, or its reifier) to the value node.  ``new_vids`` holds each
+    value node once, in first-seen order.
+    """
+
+    val_label: str
+    lhs_keys: list[str]
+    objs: list[str]
+    vids: list[str]
+    new_vids: list[str]
+    lhs_values: list[list[Atomic]]
+    link_label: str
+    links: list[str]
+    link_ids: list[str]
+    reified: _Reified | None  # for an edge left side
+    repeats: bool  # a node+edge scope: a node's rows repeat, the row view keeps the first
+
+
+class _Column(NamedTuple):
+    """A part's own right-side move, per match of its sweep: from which
+    object, which key, which value."""
+
+    sources: list[str]
+    key: str
+    values: list[Atomic]
+
+
+def _part_rows(sweep: _Sweep, column: _Column | None) -> list[Row]:
+    """A part's rows in planning order: per match the value node when its
+    name is new, the reification, the left-side moves, the part's own move,
+    then the link.  Each kind of row is built a column at a time."""
+    vids = sweep.vids
+    first = dict(zip(reversed(vids), range(len(vids) - 1, -1, -1)))  # each name's first match
+    heads: list[Row | None] = [None] * len(vids)
+    for vid in sweep.new_vids:
+        heads[first[vid]] = ("new-node", vid, sweep.val_label)
+    columns: list[Iterable[Row | None]] = [heads]
+    reified = sweep.reified
+    if reified is not None:
+        columns += [map(add, zip(repeat("new-node"), reified.rids), reified.labels),
+                    zip(repeat("new-edge"), reified.src_ids, reified.srcs, reified.rids,
+                        repeat(reified.src_label)),
+                    zip(repeat("new-edge"), reified.tgt_ids, reified.rids, reified.tgts,
+                        repeat(reified.tgt_label)),
+                    zip(repeat("del-edge"), sweep.objs)]
+    columns += [zip(repeat("move-prop"), sweep.objs, repeat(key), vids, values)
+                for key, values in zip(sweep.lhs_keys, sweep.lhs_values)]
+    if column is not None:
+        columns.append(zip(repeat("move-prop"), column.sources, repeat(column.key), vids,
+                           column.values))
+    columns.append(zip(repeat("new-edge"), sweep.link_ids, sweep.links, vids,
+                       repeat(sweep.link_label)))
+    rows = filter(None, chain.from_iterable(zip(*columns)))
+    return list(dict.fromkeys(rows) if sweep.repeats else rows)
+
+
 @dataclass
 class Transformation:
     """One planned transformation: the dependency, its shape, and the ops.
 
-    ``rows`` holds the ops, shared with split parts; ``ops`` is a fresh list
-    of named tuples built from them on each access, a view to read only.
+    A part of a split dependency holds a reference to its ``sweep``, the
+    columns it shares with the other parts of one scope and left side, and
+    its own right-side ``column``; ``tail`` holds the rows run after them,
+    the migrations of the edges it deletes.  Any other plan, like a
+    between-n-ep plan or one built by hand, holds all its rows in ``tail``.
+    ``rows`` and ``ops`` build every op on each access, in planning order,
+    as rows and as named tuples: views to read only.
     ``full_normalize`` sets ``pass_index``, the number of the pass that ran it.
     """
 
     dependency: GoFd
     kind: TransformationKind
     match_count: int
-    rows: list[Row]
+    tail: list[Row]
     key_dependency: GoFd | None = None
     pass_index: int = 0
+    sweep: _Sweep | None = field(default=None, repr=False)
+    column: _Column | None = field(default=None, repr=False)
+
+    @property
+    def rows(self) -> list[Row]:
+        if self.sweep is None:
+            return list(self.tail)
+        return _part_rows(self.sweep, self.column) + self.tail
 
     @property
     def ops(self) -> list[Op]:
@@ -247,7 +347,10 @@ class Transformation:
 
     @property
     def deleted_edges(self) -> frozenset[str]:
-        return frozenset(row[1] for row in self.rows if row[0] == "del-edge")
+        edges = [row[1] for row in self.tail if row[0] == "del-edge"]
+        if self.sweep is not None and self.sweep.reified is not None:
+            edges += self.sweep.objs
+        return frozenset(edges)
 
     def to_dict(self) -> dict:
         doc = {
@@ -272,18 +375,6 @@ def _family_parts(scope: Pattern, role: str) -> tuple[frozenset[str], frozenset[
     return scope.edge_labels, scope.edge_keys
 
 
-def _reify(graph: Graph, eid: str, prefix: str) -> tuple[tuple[Row, ...], str]:
-    """The rows that replace an edge by a node wired to both endpoints, and the node's id."""
-    record = graph.edges[eid]
-    rid = reifier_id(eid)
-    return (("new-node", rid, *sorted(record.labels)),
-            ("new-edge", created_edge_id(f"{prefix}_src", record.src, rid),
-             record.src, rid, f"{prefix}_src"),
-            ("new-edge", created_edge_id(f"{prefix}_tgt", rid, record.tgt),
-             rid, record.tgt, f"{prefix}_tgt"),
-            ("del-edge", eid)), rid
-
-
 def _key_dependency(val_label: str, lhs_keys: Iterable[str],
                     scope_keys: Iterable[str]) -> GoFd:
     scope = node_pattern("x", [val_label], sorted(set(scope_keys)))
@@ -291,51 +382,45 @@ def _key_dependency(val_label: str, lhs_keys: Iterable[str],
                 [ObjectVar("x")])
 
 
-class _Sweep(NamedTuple):
-    """What every part with one scope and left side plans alike.
+def _reified(graph: Graph, eids: list[str], prefix: str) -> _Reified:
+    """The columns that replace each edge by a node wired to both endpoints."""
+    records = list(map(graph.edges.__getitem__, eids))
+    rids = list(map(reifier_id, eids))
+    srcs = [record.src for record in records]
+    tgts = [record.tgt for record in records]
+    sorted_labels = {labels: tuple(sorted(labels)) for labels in {r.labels for r in records}}
+    src_label, tgt_label = f"{prefix}_src", f"{prefix}_tgt"
+    return _Reified(rids, [sorted_labels[record.labels] for record in records], srcs, tgts,
+                    list(map(created_edge_id, repeat(src_label), srcs, rids)),
+                    list(map(created_edge_id, repeat(tgt_label), rids, tgts)),
+                    src_label, tgt_label)
 
-    One entry per match, in ``relation.rows`` order: the match, the op
-    rows planned before the part's own right-side move (the value node when
-    its name is new, the reification, the left-side moves), the value
-    node's id, and the link edge's row, planned after that move.
-    """
 
-    rows: list[tuple[tuple[Atomic, ...], list[Row], str, Row]]
-    lhs_keys: list[str]
-    val_label: str
-
-
-def _sweep(graph: Graph, dep: GoFd, relation: Relation, roles: dict[str, str],
-           column: dict[Variable, int], owner: dict[str, int]) -> _Sweep:
-    lhs_role = roles[next(iter(dep.lhs)).name]
+def _sweep(graph: Graph, dep: GoFd, relation: Relation, lhs_role: str,
+           column: dict[Variable, int], source: int) -> _Sweep:
     lhs_vars = sorted(dep.lhs, key=lambda var: var.key)  # PropVars only in these shapes
     lhs_keys = [var.key for var in lhs_vars]
     lhs_columns = [column[var] for var in lhs_vars]
     owner_labels, _ = _family_parts(dep.scope, lhs_role)
     val_label = skolem_label(owner_labels, lhs_keys)
-    source = owner[lhs_role]
-    reified = lhs_role == "edge"  # values leave the edge: reify it, link the reifier
     prefix = reification_prefix(owner_labels)
-    link_label = f"{prefix}_det" if reified else val_label
+    rows = relation.rows
 
-    names: dict[tuple[str, ...], str] = {}
-    rows = []
-    for values, name_key in zip(relation.rows, value_keys(relation.rows, lhs_columns)):
-        vid = names.get(name_key)
-        head: list[Row] = []
-        if vid is None:
-            vid = names[name_key] = "sk:" + _skolem_text("val", owner_labels,
-                                                          zip(lhs_keys, name_key))
-            head.append(("new-node", vid, val_label))
-        link = obj = values[source]
-        if reified:
-            reification, link = _reify(graph, obj, prefix)
-            head += reification
-        head += [("move-prop", obj, key, vid, values[pos])
-                 for key, pos in zip(lhs_keys, lhs_columns)]
-        rows.append((values, head, vid, ("new-edge", created_edge_id(link_label, link, vid),
-                                         link, vid, link_label)))
-    return _Sweep(rows, lhs_keys, val_label)
+    name_keys = list(value_keys(rows, lhs_columns))
+    names = dict.fromkeys(name_keys)
+    for name_key in names:
+        names[name_key] = "sk:" + _skolem_text("val", owner_labels, zip(lhs_keys, name_key))
+    vids = list(map(names.__getitem__, name_keys))
+    objs = list(map(itemgetter(source), rows))
+    reified = None
+    links, link_label = objs, val_label
+    if lhs_role == "edge":  # values leave the edge: reify it, link the reifier
+        reified = _reified(graph, objs, prefix)
+        links, link_label = reified.rids, f"{prefix}_det"
+    return _Sweep(val_label, lhs_keys, objs, vids, list(names.values()),
+                  [list(map(itemgetter(pos), rows)) for pos in lhs_columns], link_label, links,
+                  list(map(created_edge_id, repeat(link_label), links, vids)), reified,
+                  isinstance(dep.scope, NodeEdgePattern))
 
 
 def _instantiate(graph: Graph, dep: GoFd, matches: Relation | None,
@@ -361,26 +446,22 @@ def _instantiate(graph: Graph, dep: GoFd, matches: Relation | None,
                for values in relation.rows]  # one per matched edge
         return Transformation(dep, kind, len(relation.rows), ops)
 
+    lhs_role = roles[next(iter(dep.lhs)).name]
+    source = owner[lhs_role]
     sweep = sweeps.get((dep.scope, dep.lhs))
     if sweep is None:
-        sweep = sweeps[(dep.scope, dep.lhs)] = _sweep(graph, dep, relation, roles, column, owner)
-    ops = []
+        sweep = sweeps[(dep.scope, dep.lhs)] = _sweep(graph, dep, relation, lhs_role, column,
+                                                      source)
+    own = None
     val_keys = list(sweep.lhs_keys)
     if isinstance(rhs, PropVar):
         val_keys.append(rhs.key)
-        source, value = owner[roles[rhs.name]], column[rhs]
-        for values, head, vid, link in sweep.rows:
-            ops += head
-            ops.append(("move-prop", values[source], rhs.key, vid, values[value]))
-            ops.append(link)
-    else:
-        for _, head, _, link in sweep.rows:
-            ops += head
-            ops.append(link)
+        mover = owner[roles[rhs.name]]
+        own = _Column(sweep.objs if mover == source else
+                      list(map(itemgetter(mover), relation.rows)),
+                      rhs.key, list(map(itemgetter(column[rhs]), relation.rows)))
     key_dep = _key_dependency(sweep.val_label, sweep.lhs_keys, val_keys)
-    if isinstance(dep.scope, NodeEdgePattern):  # a node sits in several rows
-        ops = list(dict.fromkeys(ops))
-    return Transformation(dep, kind, len(relation.rows), ops, key_dep)
+    return Transformation(dep, kind, len(relation.rows), [], key_dep, sweep=sweep, column=own)
 
 
 def instantiate(graph: Graph, dep: GoFd, *, matches: Relation | None = None) -> Transformation:
@@ -402,12 +483,12 @@ def build_plans(graph: Graph, deps: Iterable[GoFd], *, matches: Relation | None 
 
     Returns the plans plus the dependencies that produced none, each with the
     shape it matched.  Dependencies with the same scope and left side, like
-    the parts of one split dependency, are planned from one sweep over the
-    matches.  Coordination: when an edge is deleted, its properties that no
-    plan moved anywhere migrate to the reifier node, so the edge's
-    incidental data survives.  Migration ops are attached to the first plan
-    that deletes the edge.  ``matches`` may pass the already evaluated
-    matches of the one scope all ``deps`` share.
+    the parts of one split dependency, share one sweep over the matches.
+    Coordination: when an edge is deleted, its properties that no plan moved
+    anywhere migrate to the reifier node, so the edge's incidental data
+    survives.  Migration ops are attached to the first plan that deletes the
+    edge.  ``matches`` may pass the already evaluated matches of the one
+    scope all ``deps`` share.
     """
     plans: list[Transformation] = []
     leftovers: list[tuple[GoFd, TransformationKind]] = []
@@ -427,9 +508,14 @@ def build_plans(graph: Graph, deps: Iterable[GoFd], *, matches: Relation | None 
     claimed: dict[str, set[str]] = {eid: set() for eid in doomed}  # keys moved off
     if doomed:
         for plan in plans:
-            for row in plan.rows:
-                if row[0] == "move-prop" and row[1] in doomed:
-                    claimed[row[1]].add(row[2])
+            slots = [(row[1], row[2]) for row in plan.tail if row[0] == "move-prop"]
+            if plan.sweep is not None:
+                slots += product(plan.sweep.objs, plan.sweep.lhs_keys)
+            if plan.column is not None:
+                slots += zip(plan.column.sources, repeat(plan.column.key))
+            for obj, key in slots:
+                if obj in doomed:
+                    claimed[obj].add(key)
     migrated: set[str] = set()
     for plan, edges in zip(plans, deleted):
         for eid in sorted(edges - migrated):
@@ -437,7 +523,7 @@ def build_plans(graph: Graph, deps: Iterable[GoFd], *, matches: Relation | None 
             rid = reifier_id(eid)
             record = graph.edges[eid]
             for key in sorted(set(record.props) - claimed[eid]):
-                plan.rows.append(("move-prop", eid, key, rid, record.props[key]))
+                plan.tail.append(("move-prop", eid, key, rid, record.props[key]))
     return plans, leftovers
 
 
@@ -446,9 +532,10 @@ def build_plans(graph: Graph, deps: Iterable[GoFd], *, matches: Relation | None 
 def execute_plans(graph: Graph, plans: Iterable[Transformation]) -> Graph:
     """Run plans against a copy of the graph; the graph itself is unchanged.
 
-    Each op object runs once, all creations first, then all removals, each
-    in the order the ops first appear in the plans.  Values that differ as
-    JSON text, like ``1`` and ``True`` moved to one slot, conflict.
+    All creations and moves run first, then all removals.  Each sweep runs
+    once, however many parts share it, then each part's own column, then
+    the rows of every plan in order.  Values that differ as JSON text, like
+    ``1`` and ``True`` moved to one slot, conflict.
     """
     return _execute(graph.copy(), plans)
 
@@ -461,73 +548,102 @@ _EQUAL_IS_SAME = frozenset({str, int, bool})
 def _execute(graph: Graph, plans: Iterable[Transformation]) -> Graph:
     """``execute_plans`` on ``graph`` itself, which it changes and returns.
 
-    One loop creates and assigns, and collects the removals it runs after.
-    A value moves only onto a node, and only onto a key it does not have yet.
+    A column of ops runs as one loop, and the removals run after every
+    creation and move.  A value moves only onto a node, and only onto a key
+    it does not have yet; an op equal to one already run changes nothing.
     """
+    plans = list(plans)
     nodes, edges = graph.nodes, graph.edges
     created_nodes, created_edges = set(), set()  # two sets: an edge may not take a new node's id
     assigned: dict[tuple[str, str], Atomic] = {}  # each written slot's value
     label_sets: dict[tuple[str, ...], frozenset[str]] = {}  # of created objects
-    removals: list[Row] = []
-    for op in _distinct_ops(plans):
-        tag = op[0]
-        if tag == "move-prop":
-            _, _, key, obj, value = op
-            slot = (obj, key)
-            first = assigned.get(slot)  # never None: the first write checked it
-            if first is not None:
-                if not (type(first) is type(value) and type(value) in _EQUAL_IS_SAME
-                        and first == value) and value_key(first) != value_key(value):
-                    raise InvariantError(f"conflicting values for {obj}.{key}: "
-                                         f"{first!r} vs {value!r}")
-            else:
-                record = nodes.get(obj)
-                if record is None:
-                    raise InvariantError(f"move target {obj!r} is not a node")
-                if key in record.props:  # even an equal value: the output could not tell them apart
-                    raise InvariantError(f"transformation would overwrite {obj}.{key}: "
-                                         f"{record.props[key]!r} vs {value!r}")
-                record.props[key] = assigned[slot] = check_atomic(value)
-            removals.append(op)
-        elif tag == "new-node":
-            nid, labels = op[1], op[2:]
+    moved: list[tuple[Sequence[str], Sequence[str]]] = []  # (objects, keys) to move off
+    deleted: list[Sequence[str]] = []  # edges to remove
+
+    def new_nodes(ids: Iterable[str], labels: Iterable[tuple[str, ...]]) -> None:
+        for nid, names in zip(ids, labels):
             if nid in created_nodes:
                 record = nodes[nid]
-                record.labels = record.labels.union(labels)
+                record.labels = record.labels.union(names)
             elif nid in nodes or nid in edges:
                 raise InvariantError(f"generated node id {nid!r} already taken")
             else:
-                nodes[nid] = NodeRecord(shared_labels(label_sets, labels))
+                nodes[nid] = NodeRecord(shared_labels(label_sets, names))
                 created_nodes.add(nid)
-        elif tag == "new-edge":
-            eid, src, tgt, labels = op[1], op[2], op[3], op[4:]
+
+    def new_edges(ids: Iterable[str], srcs: Iterable[str], tgts: Iterable[str],
+                  labels: Iterable[tuple[str, ...]]) -> None:
+        for eid, src, tgt, names in zip(ids, srcs, tgts, labels):
             if eid in created_edges:
                 record = edges[eid]
-                record.labels = record.labels.union(labels)
+                record.labels = record.labels.union(names)
             elif eid in nodes or eid in edges:
                 raise InvariantError(f"generated edge id {eid!r} already taken")
             elif src not in nodes or tgt not in nodes:
                 raise EndpointError(f"endpoint {(tgt if src in nodes else src)!r} "
                                     "is not a node of the graph")
             else:
-                edges[eid] = EdgeRecord(src, tgt, shared_labels(label_sets, labels))
+                edges[eid] = EdgeRecord(src, tgt, shared_labels(label_sets, names))
                 created_edges.add(eid)
-        elif tag == "del-edge":
-            removals.append(op)
-    for op in removals:
-        if op[0] == "del-edge":
-            if op[1] in edges:
-                graph.remove_object(op[1])
-        else:
-            record = nodes.get(op[1]) or edges.get(op[1])
+
+    def move(objs: Sequence[str], keys: Sequence[str], targets: Iterable[str],
+             values: Iterable[Atomic]) -> None:
+        for key, target, value in zip(keys, targets, values):
+            slot = (target, key)
+            first = assigned.get(slot)  # never None: the first write checked it
+            if first is not None:
+                if not (type(first) is type(value) and type(value) in _EQUAL_IS_SAME
+                        and first == value) and value_key(first) != value_key(value):
+                    raise InvariantError(f"conflicting values for {target}.{key}: "
+                                         f"{first!r} vs {value!r}")
+            else:
+                record = nodes.get(target)
+                if record is None:
+                    raise InvariantError(f"move target {target!r} is not a node")
+                if key in record.props:  # even an equal value: the output could not tell them apart
+                    raise InvariantError(f"transformation would overwrite {target}.{key}: "
+                                         f"{record.props[key]!r} vs {value!r}")
+                record.props[key] = assigned[slot] = check_atomic(value)
+        moved.append((objs, keys))
+
+    for sweep in dict.fromkeys(plan.sweep for plan in plans if plan.sweep is not None):
+        new_nodes(sweep.new_vids, repeat((sweep.val_label,)))
+        reified = sweep.reified
+        if reified is not None:
+            new_nodes(reified.rids, reified.labels)
+            new_edges(reified.src_ids, reified.srcs, reified.rids, repeat((reified.src_label,)))
+            new_edges(reified.tgt_ids, reified.rids, reified.tgts, repeat((reified.tgt_label,)))
+            deleted.append(sweep.objs)
+        for key, values in zip(sweep.lhs_keys, sweep.lhs_values):
+            move(sweep.objs, [key] * len(values), sweep.vids, values)
+        new_edges(sweep.link_ids, sweep.links, sweep.vids, repeat((sweep.link_label,)))
+    for plan in plans:
+        if plan.column is not None:
+            sources, key, values = plan.column
+            move(sources, [key] * len(values), plan.sweep.vids, values)
+    for plan in plans:
+        for tag, run in groupby(plan.tail, itemgetter(0)):
+            run = list(run)
+            if tag == "move-prop":
+                _, objs, keys, targets, values = zip(*run)
+                move(objs, keys, targets, values)
+            elif tag == "new-node":
+                new_nodes(map(itemgetter(1), run), [row[2:] for row in run])
+            elif tag == "new-edge":
+                new_edges(map(itemgetter(1), run), map(itemgetter(2), run),
+                          map(itemgetter(3), run), [row[4:] for row in run])
+            elif tag == "del-edge":
+                deleted.append([row[1] for row in run])
+    for objs, keys in moved:
+        for obj, key in zip(objs, keys):
+            record = nodes.get(obj) or edges.get(obj)
             if record is not None:
-                record.props.pop(op[2], None)
+                record.props.pop(key, None)
+    for eids in deleted:
+        for eid in eids:
+            if eid in edges:
+                graph.remove_object(eid)
     return graph
-
-
-def _distinct_ops(plans: Iterable[Transformation]) -> list[Row]:
-    """The plans' rows, each row object once, in the order they first appear."""
-    return list({id(row): row for plan in plans for row in plan.rows}.values())
 
 
 # -- inverse and lossless check --------------------------------------------
@@ -583,11 +699,18 @@ def invert(after: Graph, plans: Iterable[Transformation]) -> Graph:
                 raise InvariantError(f"moved value {target}.{key} is missing")
         held = {(target, key): nodes[target].props.pop(key) for target, key in written}
         for (obj, key), targets in moves.items():
-            found = {value_key(held[target, key]): held[target, key] for target in targets}
-            if len(found) > 1:
-                raise InvariantError(f"{obj}.{key} moved to different values: "
-                                     f"{', '.join(sorted(found))}")
-            out.set_prop(obj, key, found.popitem()[1])
+            if len(targets) == 1:
+                value = held[next(iter(targets)), key]
+            else:
+                found = {value_key(held[target, key]): held[target, key] for target in targets}
+                if len(found) > 1:
+                    raise InvariantError(f"{obj}.{key} moved to different values: "
+                                         f"{', '.join(sorted(found))}")
+                value = found.popitem()[1]
+            record = nodes.get(obj) or edges.get(obj)
+            if record is None:
+                raise NotFoundError(f"no object with id {obj!r}")
+            record.props[key] = value  # read from a record of the output, so atomic
         for eid in new_edges:
             del edges[eid]
         for nid in new_nodes:

@@ -24,6 +24,7 @@ from gonorm import (
     EdgeOnlyPattern,
     GoFd,
     Graph,
+    InvariantError,
     NodeEdgePattern,
     NodePattern,
     NormalForm,
@@ -395,6 +396,65 @@ def oracle_build_plans(graph: Graph, parts: Iterable[GoFd], rows):
             ops.extend(MoveProp(eid, key, reifier_id(eid), props[key])
                        for key in sorted(props) if (eid, key) not in claimed)
     return plans, leftovers
+
+
+def oracle_execute(graph: Graph, plans) -> Graph:
+    """The plans run on a copy of ``graph`` one row of ``plan.rows`` at a
+    time, as the library ran them before plans stored columns: every
+    creation and move in row order, then every removal.  A value moves only
+    onto a node and onto a key it lacks; two values moved to one slot
+    conflict when their JSON texts differ; an equal row run again changes
+    nothing."""
+    out = graph.copy()
+    nodes, edges = out.nodes, out.edges
+    created_nodes: set[str] = set()
+    created_edges: set[str] = set()
+    assigned: dict[tuple[str, str], Atomic] = {}
+    removals = []
+    for row in [row for plan in plans for row in plan.rows]:
+        tag = row[0]
+        if tag == "move-prop":
+            _, _, key, target, value = row
+            if (target, key) in assigned:
+                first = assigned[target, key]
+                if json.dumps(first) != json.dumps(value):
+                    raise InvariantError(f"conflicting values for {target}.{key}: "
+                                         f"{first!r} vs {value!r}")
+            else:
+                if target not in nodes:
+                    raise InvariantError(f"move target {target!r} is not a node")
+                if key in nodes[target].props:
+                    raise InvariantError(f"transformation would overwrite {target}.{key}: "
+                                         f"{nodes[target].props[key]!r} vs {value!r}")
+                out.set_prop(target, key, value)
+                assigned[target, key] = value
+            removals.append(row)
+        elif tag == "new-node":
+            nid, labels = row[1], row[2:]
+            if nid in created_nodes:
+                nodes[nid].labels = nodes[nid].labels | set(labels)
+            elif nid in nodes or nid in edges:
+                raise InvariantError(f"generated node id {nid!r} already taken")
+            else:
+                out.add_node(labels, node_id=nid)
+                created_nodes.add(nid)
+        elif tag == "new-edge":
+            eid, src, tgt, labels = row[1], row[2], row[3], row[4:]
+            if eid in created_edges:
+                edges[eid].labels = edges[eid].labels | set(labels)
+            elif eid in nodes or eid in edges:
+                raise InvariantError(f"generated edge id {eid!r} already taken")
+            else:
+                out.add_edge(src, tgt, labels, edge_id=eid)
+                created_edges.add(eid)
+        else:
+            removals.append(row)
+    for row in removals:
+        if row[0] == "del-edge":
+            edges.pop(row[1], None)
+        elif row[1] in nodes or row[1] in edges:
+            out.remove_prop(row[1], row[2])
+    return out
 
 
 # -- closure oracle --------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
@@ -536,6 +537,21 @@ def test_surrogate_pair_escape_round_trips(capsys, tmp_path):
     assert load_graph(str(first)).nodes["n1"].props["v"] == "q\U0001f600"
     code, printed, _ = run(capsys, "convert", "--graph", graph)
     assert code == 0 and printed == first.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("form", ["json", "human"])
+def test_normalize_writes_no_file_when_stdout_cannot_hold_its_report(capsys, monkeypatch,
+                                                                     tmp_path, form):
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.chdir(tmp_path)
+    code = main(["normalize", "--graph", UNI_GRAPH, "--schema", UNI_SCHEMA, "--out", "café",
+                 "--format", form])
+    stdout.flush()
+    assert code == 2 and stdout.buffer.getvalue() == b""
+    assert capsys.readouterr().err.startswith(
+        "error: 'ascii' codec can't encode character '\\xe9'")
+    assert list(tmp_path.iterdir()) == []  # no café.* and no *.tmp
 
 
 def test_shared_node_and_edge_variable_exits_two(capsys, tmp_path):

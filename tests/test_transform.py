@@ -6,6 +6,7 @@ import gc
 import json
 import random
 from itertools import product
+from types import CodeType
 
 import pytest
 from hypothesis import given, settings
@@ -51,7 +52,7 @@ from gonorm.transform import (
     NewEdge,
     NewNode,
     Transformation,
-    _distinct_ops,
+    _execute,
     created_edge_id,
     op_to_dict,
     reification_prefix,
@@ -64,6 +65,7 @@ from oracles import (
     LHS_POOL,
     MULTI_PASS_DEPS,
     oracle_build_plans,
+    oracle_execute,
     oracle_skolem_node_id,
     random_graph,
     random_multi_pass_case,
@@ -444,9 +446,8 @@ def test_executor_keys_each_moved_value_once():
 
 def test_plans_of_two_left_sides_run_each_op_object_once():
     # two left sides on one edge-only scope: both sweeps reify every edge, so
-    # the a-plans share their reification rows and the b-plan holds equal
-    # copies of them; the ops view is built fresh, so identity is read off
-    # the stored rows
+    # the a-plans share one sweep and the b-plan has its own, whose equal
+    # reification rows run again and change nothing
     g = Graph()
     for nid in ("n1", "n2"):
         g.add_node({"A"}, node_id=nid)
@@ -461,13 +462,18 @@ def test_plans_of_two_left_sides_run_each_op_object_once():
                [DelEdge("e1"), DelEdge("e2")] for plan in plans)
     dels = [[row for row in plan.rows if row[0] == "del-edge"] for plan in plans]
     assert dels[0] == dels[1] == dels[2] == [("del-edge", "e1"), ("del-edge", "e2")]
-    assert all(x is y for x, y in zip(dels[0], dels[1]))
-    assert not any(x is y for x, y in zip(dels[0], dels[2]))
+    shared, own = plans[0].sweep, plans[2].sweep
+    assert plans[1].sweep is shared and own is not shared
+    assert [plan.column.key for plan in plans] == ["c", "d", "c"]
 
-    ops = _distinct_ops(plans)
-    assert [id(op) for op in ops] == list(dict.fromkeys(id(row) for plan in plans
-                                                          for row in plan.rows))
-    assert sum(op[0] == "del-edge" for op in ops) == 4
+    # the executor creates each sweep's nodes once, in the order the plans
+    # first name the sweeps, however many parts share one
+    nested = {code.co_name: code for code in _execute.__code__.co_consts
+              if isinstance(code, CodeType)}
+    with runs_of(nested["new_nodes"]) as (created,):
+        out = execute_plans(g, plans)
+    assert list(map(id, created)) == list(map(id, (shared.new_vids, shared.reified.rids,
+                                                   own.new_vids, own.reified.rids)))
 
     r1, r2 = reifier_id("e1"), reifier_id("e2")
     a1, a_true, bx = (skolem_node_id("val", {"R"}, [kv])
@@ -482,7 +488,6 @@ def test_plans_of_two_left_sides_run_each_op_object_once():
                             ("R_tgt", r2, "n1"), ("R_det", r1, a1), ("R_det", r1, bx),
                             ("R_det", r2, a_true), ("R_det", r2, bx)):
         expected.add_edge(src, tgt, {label}, edge_id=created_edge_id(label, src, tgt))
-    out = execute_plans(g, plans)
     assert dump_graph(out) == dump_graph(expected)
     assert verify_lossless(g, out, plans[0], plans[1:])
 
@@ -573,34 +578,67 @@ def split_parts(schema) -> list:
             for dep in schema for var in sorted(dep.rhs - dep.lhs, key=var_sort_key)]
 
 
-def assert_rows_untracked(plans) -> None:
+def tracked_in(plans) -> int:
+    """How many objects the collector tracks among those the plans hold,
+    their dependencies left out."""
     gc.collect()
-    rows = [row for plan in plans for row in plan.rows]
-    assert rows and all(type(row) is tuple for row in rows)
-    assert not any(gc.is_tracked(row) for row in rows)
+    seen: dict[int, object] = {}
+    stack = [held for plan in plans for held in (plan.tail, plan.sweep, plan.column)]
+    while stack:
+        obj = stack.pop()
+        if gc.is_tracked(obj) and not isinstance(obj, type) and id(obj) not in seen:
+            seen[id(obj)] = obj
+            stack += gc.get_referents(obj)
+    return len(seen)
+
+
+def doubled(graph: Graph) -> Graph:
+    """The graph beside a copy of itself whose every id is primed."""
+    out = graph.copy()
+    for nid, record in graph.nodes.items():
+        out.add_node(record.labels, record.props, node_id=nid + "'")
+    for eid, record in graph.edges.items():
+        out.add_edge(record.src + "'", record.tgt + "'", record.labels, record.props,
+                     edge_id=eid + "'")
+    return out
+
+
+def assert_no_tracked_object_per_match(graph: Graph, deps) -> list:
+    """The graph's plans, once the plans of the graph doubled are seen to hold
+    as many tracked objects, their stored rows none, and their rows only
+    exact tuples."""
+    plans, leftovers = build_plans(graph, deps)
+    twice, _ = build_plans(doubled(graph), deps)
+    assert leftovers == [] and [2 * plan.match_count for plan in plans] == [
+        plan.match_count for plan in twice]
+    assert tracked_in(twice) == tracked_in(plans)
+    assert not any(gc.is_tracked(row) for plan in twice for row in plan.tail)
+    assert all(type(row) is tuple for plan in twice for row in plan.rows)
+    return plans
 
 
 def test_stored_rows_of_shipping_are_untracked_after_a_collection():
     graph = fixture_graph("shipping.graph.json")
-    plans, leftovers = build_plans(graph, split_parts(fixture_schema("shipping.schema.gofd").schema))
-    assert leftovers == []
+    plans = assert_no_tracked_object_per_match(
+        graph, split_parts(fixture_schema("shipping.schema.gofd").schema))
     assert {row[0] for plan in plans for row in plan.rows} == {
         "new-node", "new-edge", "move-prop", "del-edge"}
     assert any(isinstance(plan.dependency.scope, NodeEdgePattern) for plan in plans)
-    assert_rows_untracked(plans)
+    assert any(plan.tail and plan.sweep is not None for plan in plans)  # migrations
 
 
 def test_stored_rows_of_a_node_edge_scope_are_untracked_after_a_collection():
-    # a between-n-ep part and a between-np-ep part of one node+edge scope
+    # a between-n-ep part, all rows, and a between-np-ep part of one node+edge scope
     g = person_graph()
     for eid, (src, tgt) in enumerate((("p1", "p2"), ("p1", "p3"), ("p3", "p1"))):
         g.add_edge(src, tgt, {"R"}, {"w": 1.5 * eid, "t": "x"}, edge_id=f"e{eid}")
     scope = node_edge_pattern("x", {"Person"}, {"city"}, "y", {"R"}, {"t"}, Direction.OUT)
-    plans, leftovers = build_plans(g, [gofd(scope, [ObjectVar("x")], [pv("y", "t")]),
-                                       gofd(scope, [pv("x", "city")], [pv("y", "t")])])
-    assert leftovers == [] and [plan.kind for plan in plans] == [
+    plans = assert_no_tracked_object_per_match(
+        g, [gofd(scope, [ObjectVar("x")], [pv("y", "t")]),
+            gofd(scope, [pv("x", "city")], [pv("y", "t")])])
+    assert [plan.kind for plan in plans] == [
         TransformationKind.BETWEEN_N_EP, TransformationKind.BETWEEN_NP_EP]
-    assert_rows_untracked(plans)
+    assert plans[0].sweep is None and plans[1].sweep is not None
 
 
 def test_build_plans_reports_leftovers():
@@ -649,6 +687,37 @@ def test_split_parts_carry_the_ops_each_part_plans_alone(seed, shape):
     assert [(plan.dependency, repr(plan.ops)) for plan in plans] == \
         [(dep, repr(ops)) for dep, ops in expected]
     assert [dep for dep, _ in leftovers] == expected_leftovers
+
+
+# -- columns run as the rows they stand for --------------------------------
+
+def assert_runs_as_rows(graph: Graph, schema) -> list:
+    """The passes, once ``full_normalize``'s output is seen to be the row
+    oracle's, run pass by pass over each plan's rows."""
+    result = full_normalize(graph, schema)
+    replayed = graph
+    for log in result.logs:
+        replayed = oracle_execute(replayed, log.transformations)
+    assert dump_graph(replayed) == dump_graph(result.graph)
+    return result.logs
+
+
+@pytest.mark.parametrize("name", ["university", "students", "metrics_example", "shipping"])
+def test_a_fixture_normalizes_as_its_rows_run_one_at_a_time(name):
+    logs = assert_runs_as_rows(fixture_graph(f"{name}.graph.json"),
+                               fixture_schema(f"{name}.schema.gofd").schema)
+    assert any(log.transformations for log in logs)
+
+
+@settings(max_examples=70, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(CASE_KINDS + ("multi",)))
+def test_a_random_case_normalizes_as_its_rows_run_one_at_a_time(seed, kind):
+    rng = random.Random(seed)
+    if kind == "multi":
+        assert_runs_as_rows(random_multi_pass_case(rng), MULTI_PASS_DEPS)
+    else:
+        graph, dep = random_satisfying_case(rng, kind)
+        assert_runs_as_rows(graph, [dep])
 
 
 # -- lossless check is a real check ----------------------------------------
@@ -780,8 +849,9 @@ def test_invert_refuses_an_output_without_a_created_node():
 def test_invert_refuses_a_reified_edge_without_its_links():
     g = edge_graph()
     out, (plan,) = normalize_one(g, gofd(EDGE, [pv("y", "u")], [pv("y", "v")]))
-    plan.rows = [row for row in plan.rows
-                 if not (row[0] == "new-edge" and row[4] in ("R_src", "R_tgt"))]
+    plan = Transformation(plan.dependency, plan.kind, plan.match_count,
+                          [row for row in plan.rows
+                           if not (row[0] == "new-edge" and row[4] in ("R_src", "R_tgt"))])
     with pytest.raises(InvariantError, match=r"no _src/_tgt links for reified edges "
                                              r"\['e1', 'e2'\]"):
         invert(out, [plan])
