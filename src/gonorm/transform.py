@@ -30,7 +30,7 @@ by undoing the passes last to first, reading every value from the output;
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, groupby, product, repeat
 from operator import add, itemgetter
@@ -41,7 +41,6 @@ from .errors import (
     GonormError,
     InvariantError,
     NonStrict,
-    NotFoundError,
     NothingToDo,
 )
 from .gofd import GoFd, check_bound, gofd, scope_matches
@@ -322,7 +321,9 @@ class Transformation:
     the migrations of the edges it deletes.  Any other plan, like a
     between-n-ep plan or one built by hand, holds all its rows in ``tail``.
     ``rows`` and ``ops`` build every op on each access, in planning order,
-    as rows and as named tuples: views to read only.
+    as rows and as named tuples: views to read only.  Plans compare and
+    print by ``rows``, however their ops are stored, so a plan equals the
+    plan built by hand from its rows and other fields.
     ``full_normalize`` sets ``pass_index``, the number of the pass that ran it.
     """
 
@@ -332,8 +333,23 @@ class Transformation:
     tail: list[Row]
     key_dependency: GoFd | None = None
     pass_index: int = 0
-    sweep: _Sweep | None = field(default=None, repr=False)
-    column: _Column | None = field(default=None, repr=False)
+    sweep: _Sweep | None = None
+    column: _Column | None = None
+
+    def _public(self) -> dict:
+        """The fields a plan of rows is built from, each by name."""
+        return {"dependency": self.dependency, "kind": self.kind, "match_count": self.match_count,
+                "rows": self.rows, "key_dependency": self.key_dependency,
+                "pass_index": self.pass_index}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._public() == other._public()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._public().items())
+        return f"{type(self).__qualname__}({fields})"
 
     @property
     def rows(self) -> list[Row]:
@@ -532,10 +548,14 @@ def build_plans(graph: Graph, deps: Iterable[GoFd], *, matches: Relation | None 
 def execute_plans(graph: Graph, plans: Iterable[Transformation]) -> Graph:
     """Run plans against a copy of the graph; the graph itself is unchanged.
 
-    All creations and moves run first, then all removals.  Each sweep runs
-    once, however many parts share it, then each part's own column, then
-    the rows of every plan in order.  Values that differ as JSON text, like
-    ``1`` and ``True`` moved to one slot, conflict.
+    The ops run in this order, whatever the order of the plans: each sweep
+    once, however many parts share it, in the order the plans first name
+    the sweeps; then each part's own column; then the rows of each plan,
+    plan by plan; then all removals.  So a plan of rows may move a value
+    onto, or link to, a value node of a sweep whose part comes after it,
+    and a conflict names first the value that ran first in this order.
+    Values that differ as JSON text, like ``1`` and ``True`` moved to one
+    slot, conflict.
     """
     return _execute(graph.copy(), plans)
 
@@ -699,18 +719,11 @@ def invert(after: Graph, plans: Iterable[Transformation]) -> Graph:
                 raise InvariantError(f"moved value {target}.{key} is missing")
         held = {(target, key): nodes[target].props.pop(key) for target, key in written}
         for (obj, key), targets in moves.items():
-            if len(targets) == 1:
-                value = held[next(iter(targets)), key]
-            else:
-                found = {value_key(held[target, key]): held[target, key] for target in targets}
-                if len(found) > 1:
-                    raise InvariantError(f"{obj}.{key} moved to different values: "
-                                         f"{', '.join(sorted(found))}")
-                value = found.popitem()[1]
-            record = nodes.get(obj) or edges.get(obj)
-            if record is None:
-                raise NotFoundError(f"no object with id {obj!r}")
-            record.props[key] = value  # read from a record of the output, so atomic
+            found = {value_key(held[target, key]): held[target, key] for target in targets}
+            if len(found) > 1:
+                raise InvariantError(f"{obj}.{key} moved to different values: "
+                                     f"{', '.join(sorted(found))}")
+            out.set_prop(obj, key, found.popitem()[1])
         for eid in new_edges:
             del edges[eid]
         for nid in new_nodes:

@@ -7,7 +7,6 @@ import sys
 from contextlib import contextmanager
 from enum import IntEnum
 from pathlib import Path
-from types import CodeType
 
 import pytest
 from hypothesis import strategies as st
@@ -37,12 +36,10 @@ def runs_of(*fns):
     """Per function, the first argument of each run of its own code, in order.
 
     A memoizing wrapper is looked through (``inspect.unwrap``), so only real
-    computations are listed, not cache hits.  A code object stands for the
-    functions made from it, like those nested in another.  The lists hold
-    the arguments themselves, so ``id`` tells them apart.
+    computations are listed, not cache hits.  The lists hold the arguments
+    themselves, so ``id`` tells them apart.
     """
-    codes = {fn if isinstance(fn, CodeType) else inspect.unwrap(fn).__code__: []
-             for fn in fns}
+    codes = {inspect.unwrap(fn).__code__: [] for fn in fns}
 
     def hook(frame, event, arg):
         if event == "call" and frame.f_code in codes:

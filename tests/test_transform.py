@@ -6,7 +6,6 @@ import gc
 import json
 import random
 from itertools import product
-from types import CodeType
 
 import pytest
 from hypothesis import given, settings
@@ -52,7 +51,6 @@ from gonorm.transform import (
     NewEdge,
     NewNode,
     Transformation,
-    _execute,
     created_edge_id,
     op_to_dict,
     reification_prefix,
@@ -466,14 +464,22 @@ def test_plans_of_two_left_sides_run_each_op_object_once():
     assert plans[1].sweep is shared and own is not shared
     assert [plan.column.key for plan in plans] == ["c", "d", "c"]
 
-    # the executor creates each sweep's nodes once, in the order the plans
-    # first name the sweeps, however many parts share one
-    nested = {code.co_name: code for code in _execute.__code__.co_consts
-              if isinstance(code, CodeType)}
-    with runs_of(nested["new_nodes"]) as (created,):
-        out = execute_plans(g, plans)
-    assert list(map(id, created)) == list(map(id, (shared.new_vids, shared.reified.rids,
-                                                   own.new_vids, own.reified.rids)))
+    # the executor walks each sweep's value nodes once, in the order the
+    # plans first name the sweeps, however many parts share one
+    walks = []
+
+    class Walked(list):
+        def __init__(self, name, items):
+            super().__init__(items)
+            self.name = name
+
+        def __iter__(self):
+            walks.append(self.name)
+            return super().__iter__()
+
+    shared.new_vids, own.new_vids = Walked("a", shared.new_vids), Walked("b", own.new_vids)
+    out = execute_plans(g, plans)
+    assert walks == ["a", "b"]
 
     r1, r2 = reifier_id("e1"), reifier_id("e2")
     a1, a_true, bx = (skolem_node_id("val", {"R"}, [kv])
@@ -570,6 +576,29 @@ def test_executor_conflicts_exactly_when_json_texts_differ():
                 execute_plans(g, plans)
 
 
+def test_sweeps_run_before_the_rows_of_any_plan():
+    # a plan of rows placed before a sweep's part still finds the sweep's
+    # value node in place, and the part's value counts as the slot's first
+    g = person_graph()
+    g.add_node({"Note"}, {"tag": "t", "zip": 999}, node_id="p4")
+    rome = 'sk:val|Person|city="Rome"'
+    dep = gofd(PERSON, [pv("x", "city")], [pv("x", "zip")])
+    (part,), _ = build_plans(g, [dep])
+    onto = Transformation(dep, TransformationKind.WITHIN_N, 1,
+                          [("move-prop", "p4", "tag", rome, "t"),
+                           ("new-edge", "f", "p4", rome, "L")])
+    with pytest.raises(InvariantError, match="move target .* is not a node"):
+        oracle_execute(g, [onto, part])
+    out = execute_plans(g, [onto, part])
+    assert dump_graph(out) == dump_graph(oracle_execute(g, [part, onto]))
+    assert out.nodes[rome].props == {"city": "Rome", "zip": 100, "tag": "t"}
+    assert out.edges["f"].tgt == rome
+    clash = Transformation(dep, TransformationKind.WITHIN_N, 1,
+                           [("move-prop", "p4", "zip", rome, 999)])
+    with pytest.raises(InvariantError) as caught:
+        execute_plans(g, [clash, part])
+    assert str(caught.value) == f"conflicting values for {rome}.zip: 100 vs 999"
+
 # -- stored layout: exact tuples the collector does not track ----------------
 
 def split_parts(schema) -> list:
@@ -653,6 +682,25 @@ def test_build_plans_reports_leftovers():
         (key_like.render(), TransformationKind.NO_REDUNDANCY),
         (ghost.render(), TransformationKind.WITHIN_N)]
 
+
+
+def test_plans_compare_and_print_by_their_rows():
+    graph = fixture_graph("shipping.graph.json")
+    deps = split_parts(fixture_schema("shipping.schema.gofd").schema)
+    plans, _ = build_plans(graph, deps)
+    again, _ = build_plans(graph, deps)
+    assert all(a.sweep is not b.sweep for a, b in zip(plans, again) if a.sweep is not None)
+    assert plans == again
+    by_hand = [Transformation(plan.dependency, plan.kind, plan.match_count, plan.rows,
+                              plan.key_dependency, plan.pass_index) for plan in plans]
+    assert plans == by_hand and by_hand == plans
+    assert list(map(repr, plans)) == list(map(repr, by_hand))
+    assert all(f"rows={plan.rows!r}" in repr(plan) for plan in plans)
+    first = plans[0]
+    assert first.sweep is not None and first != Transformation(
+        first.dependency, first.kind, first.match_count, first.rows[:-1], first.key_dependency)
+    again[0].pass_index = 1
+    assert again[0] != first
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**9), st.sampled_from(("node", "edge", "node-edge")))
