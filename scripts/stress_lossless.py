@@ -5,11 +5,13 @@ Builds random graphs that satisfy a random strict dependency of each
 redundancy shape (sharing the case builders with the test suite), normalizes
 them, and verifies that the output is the one the test suite's row oracle
 writes running each pass's plans one row at a time, that inverting the
-output with its plans rebuilds the input byte for byte, and that every
+output with its plans rebuilds the input byte for byte, also with every
+plan rebuilt from its rows (``Transformation(dependency, kind,
+match_count, plan.rows, key_dependency, pass_index)``), and that every
 emitted key dependency holds, by the library's check and by the brute-force
-oracle of the test suite.  The
-``multi`` kind normalizes a graph in three passes with ``full_normalize``
-and inverts it with the plans in execution order and reversed.  Prints a
+oracle of the test suite.  The ``multi`` kind normalizes a graph in three
+passes with ``full_normalize`` and inverts it with the plans in execution
+order and reversed.  Prints a
 per-kind tally, how many ``multi`` cases wrote a slot again that an earlier
 pass had emptied, and timing.
 """
@@ -22,8 +24,8 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from gonorm import (GonormError, dump_graph, full_normalize, invert, satisfies,
-                    scoped_normalize, verify_lossless)
+from gonorm import (GonormError, Transformation, dump_graph, full_normalize, invert,
+                    satisfies, scoped_normalize, verify_lossless)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import (CASE_KINDS, MULTI_PASS_DEPS, oracle_execute,  # noqa: E402
@@ -80,7 +82,9 @@ def main(argv: list[str] | None = None) -> int:
             what = dep.render()
         ok = bool(plans) or kind == "multi"
         ok = ok and run_by_rows(graph, result.logs) == dump_graph(result.graph)
-        for order in (plans, plans[::-1]):
+        by_rows = [Transformation(plan.dependency, plan.kind, plan.match_count, plan.rows,
+                                  plan.key_dependency, plan.pass_index) for plan in plans]
+        for order in (plans, plans[::-1], by_rows):
             ok = ok and dump_graph(invert(result.graph, order)) == dump_graph(graph)
         for plan in plans:
             others = [p for p in plans if p is not plan]

@@ -8,18 +8,25 @@ transformation is planned against the untouched input graph; plans are then
 executed together, all creations and moves before all removals, so
 transformations sharing objects cannot read each other's partial writes.
 Dependencies with one scope and left side, like the split parts of one
-dependency, share one sweep over the matches, stored as columns: per match
-the left side's object, its value node, its left-side values and its link
-edge, and for an edge left side the edge's reification.  Each part adds its
-own right-side column.  The executor runs each sweep once and then each
-part's column, a column at a time.  Other ops are stored as rows: exact
+dependency, share one sweep over the matches, stored once as blocks of ops
+in column form: ``(kind, *columns)``, one column per field of that kind's
+op, a node's or edge's labels as one tuple per op, and a field every op
+shares, like a key or a label, stored once.  A sweep's blocks come in
+planning order: its value nodes, each once; for an edge left side the
+edge's reification; the left-side moves; the links.  Each part adds its own
+right-side move as one more block.  Other ops are stored as rows: exact
 tuples of strings and values whose first item names the kind, like
 ``("move-prop", source, key, target, value)``, which the garbage collector
 stops tracking.  Between-n-ep plans, the migrations of deleted edges and
 plans built by hand are rows; an op equal to one already run changes
-nothing.  ``Transformation.rows`` builds a plan's ops as rows on each
-access, in planning order, and ``Transformation.ops`` as the named tuples
-``NewNode``, ``NewEdge``, ``MoveProp`` and ``DelEdge``.
+nothing.  One walk over a list of plans yields every op as blocks in the
+executor's order: each sweep once, in the order the plans first name the
+sweeps; then each part's own block; then the rows of each plan, plan by
+plan, consecutive rows of one kind as one block.  The executor, ``invert``
+and the planner read this walk.  ``Transformation.rows`` builds a plan's
+ops as rows on each access, in planning order, and ``Transformation.ops``
+as the named tuples ``NewNode``, ``NewEdge``, ``MoveProp`` and ``DelEdge``;
+the ``--explain`` log reads these views.
 
 Skolem naming makes the output deterministic: value nodes are named by the
 defining left-side values, reifier nodes by the edge they replace.  The plans
@@ -32,9 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, groupby, product, repeat
+from itertools import chain, groupby, repeat
 from operator import add, itemgetter
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import (
     EndpointError,
@@ -234,81 +241,37 @@ def op_to_dict(row: Row) -> dict:
 
 # -- plans ------------------------------------------------------------------
 
-@dataclass(eq=False)
-class _Reified:
-    """Per match of an edge left side: the reifier node's id and labels, the
-    edge's endpoints, and the ids of the ``_src`` and ``_tgt`` link edges."""
-
-    rids: list[str]
-    labels: list[tuple[str, ...]]
-    srcs: list[str]
-    tgts: list[str]
-    src_ids: list[str]
-    tgt_ids: list[str]
-    src_label: str
-    tgt_label: str
+Block = tuple  # ``(tag, *columns)``, one column per field of the op, labels as one tuple per op
+_LABELS_AT = {"new-node": 2, "new-edge": 4}  # where a row's labels start
 
 
-@dataclass(eq=False)
-class _Sweep:
-    """What every part with one scope and left side plans alike, as columns.
-
-    Per match, in ``relation.rows`` order: the left side's object in
-    ``objs``, its value node in ``vids``, one value column per left-side key
-    in ``lhs_values``, and the link edge ``link_ids`` from ``links`` (the
-    object, or its reifier) to the value node.  ``new_vids`` holds each
-    value node once, in first-seen order.
-    """
-
-    val_label: str
-    lhs_keys: list[str]
-    objs: list[str]
-    vids: list[str]
-    new_vids: list[str]
-    lhs_values: list[list[Atomic]]
-    link_label: str
-    links: list[str]
-    link_ids: list[str]
-    reified: _Reified | None  # for an edge left side
-    repeats: bool  # a node+edge scope: a node's rows repeat, the row view keeps the first
+def _columns(block: Block) -> list[Iterable]:
+    """A stored block's columns; a field every op shares, stored once, is repeated."""
+    return [column if isinstance(column, list) else repeat(column) for column in block[1:]]
 
 
-class _Column(NamedTuple):
-    """A part's own right-side move, per match of its sweep: from which
-    object, which key, which value."""
+def _rows(block: Block) -> Iterator[Row]:
+    """A stored block's ops as rows."""
+    tag, columns = block[0], _columns(block)
+    if tag in _LABELS_AT:
+        return map(add, zip(repeat(tag), *columns[:-1]), columns[-1])
+    return zip(repeat(tag), *columns)
 
-    sources: list[str]
-    key: str
-    values: list[Atomic]
 
-
-def _part_rows(sweep: _Sweep, column: _Column | None) -> list[Row]:
+def _part_rows(sweep: list[Block], own: Block | None) -> list[Row]:
     """A part's rows in planning order: per match the value node when its
     name is new, the reification, the left-side moves, the part's own move,
-    then the link.  Each kind of row is built a column at a time."""
-    vids = sweep.vids
+    then the link; the rows a node+edge scope repeats, once."""
+    values, *blocks = sweep
+    if own is not None:
+        blocks.insert(-1, own)
+    vids = blocks[-1][3]  # the link's target, per match
     first = dict(zip(reversed(vids), range(len(vids) - 1, -1, -1)))  # each name's first match
     heads: list[Row | None] = [None] * len(vids)
-    for vid in sweep.new_vids:
-        heads[first[vid]] = ("new-node", vid, sweep.val_label)
-    columns: list[Iterable[Row | None]] = [heads]
-    reified = sweep.reified
-    if reified is not None:
-        columns += [map(add, zip(repeat("new-node"), reified.rids), reified.labels),
-                    zip(repeat("new-edge"), reified.src_ids, reified.srcs, reified.rids,
-                        repeat(reified.src_label)),
-                    zip(repeat("new-edge"), reified.tgt_ids, reified.rids, reified.tgts,
-                        repeat(reified.tgt_label)),
-                    zip(repeat("del-edge"), sweep.objs)]
-    columns += [zip(repeat("move-prop"), sweep.objs, repeat(key), vids, values)
-                for key, values in zip(sweep.lhs_keys, sweep.lhs_values)]
-    if column is not None:
-        columns.append(zip(repeat("move-prop"), column.sources, repeat(column.key), vids,
-                           column.values))
-    columns.append(zip(repeat("new-edge"), sweep.link_ids, sweep.links, vids,
-                       repeat(sweep.link_label)))
-    rows = filter(None, chain.from_iterable(zip(*columns)))
-    return list(dict.fromkeys(rows) if sweep.repeats else rows)
+    for row in _rows(values):
+        heads[first[row[1]]] = row
+    rows = chain.from_iterable(zip(heads, *map(_rows, blocks)))
+    return list(dict.fromkeys(filter(None, rows)))
 
 
 @dataclass
@@ -316,10 +279,11 @@ class Transformation:
     """One planned transformation: the dependency, its shape, and the ops.
 
     A part of a split dependency holds a reference to its ``sweep``, the
-    columns it shares with the other parts of one scope and left side, and
-    its own right-side ``column``; ``tail`` holds the rows run after them,
-    the migrations of the edges it deletes.  Any other plan, like a
-    between-n-ep plan or one built by hand, holds all its rows in ``tail``.
+    blocks it shares with the other parts of one scope and left side, and
+    its ``own`` right-side move as one more block; ``tail`` holds the rows
+    run after them, the migrations of the edges it deletes.  Any other
+    plan, like a between-n-ep plan or one built by hand, holds all its rows
+    in ``tail``.
     ``rows`` and ``ops`` build every op on each access, in planning order,
     as rows and as named tuples: views to read only.  Plans compare and
     print by ``rows``, however their ops are stored, so a plan equals the
@@ -333,8 +297,8 @@ class Transformation:
     tail: list[Row]
     key_dependency: GoFd | None = None
     pass_index: int = 0
-    sweep: _Sweep | None = None
-    column: _Column | None = None
+    sweep: list[Block] | None = None
+    own: Block | None = None
 
     def _public(self) -> dict:
         """The fields a plan of rows is built from, each by name."""
@@ -355,7 +319,7 @@ class Transformation:
     def rows(self) -> list[Row]:
         if self.sweep is None:
             return list(self.tail)
-        return _part_rows(self.sweep, self.column) + self.tail
+        return _part_rows(self.sweep, self.own) + self.tail
 
     @property
     def ops(self) -> list[Op]:
@@ -363,10 +327,8 @@ class Transformation:
 
     @property
     def deleted_edges(self) -> frozenset[str]:
-        edges = [row[1] for row in self.tail if row[0] == "del-edge"]
-        if self.sweep is not None and self.sweep.reified is not None:
-            edges += self.sweep.objs
-        return frozenset(edges)
+        return frozenset(chain.from_iterable(
+            columns[0] for tag, *columns in _walk([self]) if tag == "del-edge"))
 
     def to_dict(self) -> dict:
         doc = {
@@ -398,49 +360,48 @@ def _key_dependency(val_label: str, lhs_keys: Iterable[str],
                 [ObjectVar("x")])
 
 
-def _reified(graph: Graph, eids: list[str], prefix: str) -> _Reified:
-    """The columns that replace each edge by a node wired to both endpoints."""
-    records = list(map(graph.edges.__getitem__, eids))
-    rids = list(map(reifier_id, eids))
-    srcs = [record.src for record in records]
-    tgts = [record.tgt for record in records]
-    sorted_labels = {labels: tuple(sorted(labels)) for labels in {r.labels for r in records}}
-    src_label, tgt_label = f"{prefix}_src", f"{prefix}_tgt"
-    return _Reified(rids, [sorted_labels[record.labels] for record in records], srcs, tgts,
-                    list(map(created_edge_id, repeat(src_label), srcs, rids)),
-                    list(map(created_edge_id, repeat(tgt_label), rids, tgts)),
-                    src_label, tgt_label)
+_Shared = tuple[list[str], list[str], list[Block]]  # a sweep's objects, value nodes, blocks
 
 
-def _sweep(graph: Graph, dep: GoFd, relation: Relation, lhs_role: str,
-           column: dict[Variable, int], source: int) -> _Sweep:
-    lhs_vars = sorted(dep.lhs, key=lambda var: var.key)  # PropVars only in these shapes
-    lhs_keys = [var.key for var in lhs_vars]
-    lhs_columns = [column[var] for var in lhs_vars]
-    owner_labels, _ = _family_parts(dep.scope, lhs_role)
-    val_label = skolem_label(owner_labels, lhs_keys)
-    prefix = reification_prefix(owner_labels)
+def _sweep(graph: Graph, relation: Relation, source: int, lhs: list[tuple[str, int]],
+           owner_labels: frozenset[str], val_label: str, lhs_role: str) -> _Shared:
+    """What every part with one scope and left side plans alike: per match
+    of ``relation``, the left side's object (column ``source``) and its value
+    node, and the blocks of the sweep.  ``lhs`` pairs each left-side key
+    with its column."""
     rows = relation.rows
-
-    name_keys = list(value_keys(rows, lhs_columns))
+    keys = [key for key, _ in lhs]
+    name_keys = list(value_keys(rows, [pos for _, pos in lhs]))
     names = dict.fromkeys(name_keys)
     for name_key in names:
-        names[name_key] = "sk:" + _skolem_text("val", owner_labels, zip(lhs_keys, name_key))
+        names[name_key] = "sk:" + _skolem_text("val", owner_labels, zip(keys, name_key))
     vids = list(map(names.__getitem__, name_keys))
     objs = list(map(itemgetter(source), rows))
-    reified = None
+    blocks: list[Block] = [("new-node", list(names.values()), (val_label,))]
     links, link_label = objs, val_label
     if lhs_role == "edge":  # values leave the edge: reify it, link the reifier
-        reified = _reified(graph, objs, prefix)
-        links, link_label = reified.rids, f"{prefix}_det"
-    return _Sweep(val_label, lhs_keys, objs, vids, list(names.values()),
-                  [list(map(itemgetter(pos), rows)) for pos in lhs_columns], link_label, links,
-                  list(map(created_edge_id, repeat(link_label), links, vids)), reified,
-                  isinstance(dep.scope, NodeEdgePattern))
+        prefix = reification_prefix(owner_labels)
+        records = list(map(graph.edges.__getitem__, objs))
+        sorted_labels = {labels: tuple(sorted(labels)) for labels in {r.labels for r in records}}
+        srcs = [record.src for record in records]
+        tgts = [record.tgt for record in records]
+        links, link_label = list(map(reifier_id, objs)), f"{prefix}_det"
+        src_label, tgt_label = f"{prefix}_src", f"{prefix}_tgt"
+        blocks += [("new-node", links, [sorted_labels[record.labels] for record in records]),
+                   ("new-edge", list(map(created_edge_id, repeat(src_label), srcs, links)),
+                    srcs, links, (src_label,)),
+                   ("new-edge", list(map(created_edge_id, repeat(tgt_label), links, tgts)),
+                    links, tgts, (tgt_label,)),
+                   ("del-edge", objs)]
+    blocks += [("move-prop", objs, key, vids, list(map(itemgetter(pos), rows)))
+               for key, pos in lhs]
+    blocks.append(("new-edge", list(map(created_edge_id, repeat(link_label), links, vids)),
+                   links, vids, (link_label,)))
+    return objs, vids, blocks
 
 
 def _instantiate(graph: Graph, dep: GoFd, matches: Relation | None,
-                 sweeps: dict[tuple[Pattern, frozenset[Variable]], _Sweep]) -> Transformation:
+                 sweeps: dict[tuple[Pattern, frozenset[Variable]], _Shared]) -> Transformation:
     """``instantiate``, reusing the sweep of an earlier part with the same
     scope and left side from ``sweeps``, or adding this part's there."""
     if len(dep.rhs) != 1:
@@ -464,20 +425,25 @@ def _instantiate(graph: Graph, dep: GoFd, matches: Relation | None,
 
     lhs_role = roles[next(iter(dep.lhs)).name]
     source = owner[lhs_role]
-    sweep = sweeps.get((dep.scope, dep.lhs))
-    if sweep is None:
-        sweep = sweeps[(dep.scope, dep.lhs)] = _sweep(graph, dep, relation, lhs_role, column,
-                                                      source)
+    lhs = sorted((var.key, column[var]) for var in dep.lhs)  # PropVars only in these shapes
+    lhs_keys = [key for key, _ in lhs]
+    owner_labels, _ = _family_parts(dep.scope, lhs_role)
+    val_label = skolem_label(owner_labels, lhs_keys)
+    shared = sweeps.get((dep.scope, dep.lhs))
+    if shared is None:
+        shared = sweeps[dep.scope, dep.lhs] = _sweep(graph, relation, source, lhs, owner_labels,
+                                                     val_label, lhs_role)
+    objs, vids, blocks = shared
     own = None
-    val_keys = list(sweep.lhs_keys)
+    val_keys = list(lhs_keys)
     if isinstance(rhs, PropVar):
         val_keys.append(rhs.key)
         mover = owner[roles[rhs.name]]
-        own = _Column(sweep.objs if mover == source else
-                      list(map(itemgetter(mover), relation.rows)),
-                      rhs.key, list(map(itemgetter(column[rhs]), relation.rows)))
-    key_dep = _key_dependency(sweep.val_label, sweep.lhs_keys, val_keys)
-    return Transformation(dep, kind, len(relation.rows), [], key_dep, sweep=sweep, column=own)
+        own = ("move-prop", objs if mover == source else
+               list(map(itemgetter(mover), relation.rows)),
+               rhs.key, vids, list(map(itemgetter(column[rhs]), relation.rows)))
+    key_dep = _key_dependency(val_label, lhs_keys, val_keys)
+    return Transformation(dep, kind, len(relation.rows), [], key_dep, sweep=blocks, own=own)
 
 
 def instantiate(graph: Graph, dep: GoFd, *, matches: Relation | None = None) -> Transformation:
@@ -508,7 +474,7 @@ def build_plans(graph: Graph, deps: Iterable[GoFd], *, matches: Relation | None 
     """
     plans: list[Transformation] = []
     leftovers: list[tuple[GoFd, TransformationKind]] = []
-    sweeps: dict[tuple[Pattern, frozenset[Variable]], _Sweep] = {}
+    sweeps: dict[tuple[Pattern, frozenset[Variable]], _Shared] = {}
     for dep in deps:
         kind = match_redundancy_pattern(dep)
         if kind is TransformationKind.NO_REDUNDANCY:
@@ -523,15 +489,11 @@ def build_plans(graph: Graph, deps: Iterable[GoFd], *, matches: Relation | None 
     doomed = frozenset().union(*deleted)
     claimed: dict[str, set[str]] = {eid: set() for eid in doomed}  # keys moved off
     if doomed:
-        for plan in plans:
-            slots = [(row[1], row[2]) for row in plan.tail if row[0] == "move-prop"]
-            if plan.sweep is not None:
-                slots += product(plan.sweep.objs, plan.sweep.lhs_keys)
-            if plan.column is not None:
-                slots += zip(plan.column.sources, repeat(plan.column.key))
-            for obj, key in slots:
-                if obj in doomed:
-                    claimed[obj].add(key)
+        for tag, *columns in _walk(plans):
+            if tag == "move-prop":
+                for obj, key in zip(*columns[:2]):
+                    if obj in doomed:
+                        claimed[obj].add(key)
     migrated: set[str] = set()
     for plan, edges in zip(plans, deleted):
         for eid in sorted(edges - migrated):
@@ -545,12 +507,31 @@ def build_plans(graph: Graph, deps: Iterable[GoFd], *, matches: Relation | None 
 
 # -- execution ------------------------------------------------------------
 
+def _walk(plans: Sequence[Transformation]) -> Iterator[Block]:
+    """Every op of ``plans`` as blocks, in the order the executor runs them:
+    each sweep once, in the order the plans first name the sweeps; then each
+    part's own block; then the rows of each plan, plan by plan, consecutive
+    rows of one kind as one block."""
+    sweeps = {id(plan.sweep): plan.sweep for plan in plans if plan.sweep is not None}
+    owns = [plan.own for plan in plans if plan.own is not None]
+    for block in chain(chain.from_iterable(sweeps.values()), owns):
+        yield (block[0], *_columns(block))
+    for plan in plans:
+        for tag, run in groupby(plan.tail, itemgetter(0)):
+            run = list(run)
+            _, *columns = zip(*run)
+            at = _LABELS_AT.get(tag)
+            if at is not None:  # the labels spread out at the end of each row
+                columns[at - 1:] = [[row[at:] for row in run]]
+            yield (tag, *columns)
+
+
 def execute_plans(graph: Graph, plans: Iterable[Transformation]) -> Graph:
     """Run plans against a copy of the graph; the graph itself is unchanged.
 
     The ops run in this order, whatever the order of the plans: each sweep
     once, however many parts share it, in the order the plans first name
-    the sweeps; then each part's own column; then the rows of each plan,
+    the sweeps; then each part's own move; then the rows of each plan,
     plan by plan; then all removals.  So a plan of rows may move a value
     onto, or link to, a value node of a sweep whose part comes after it,
     and a conflict names first the value that ran first in this order.
@@ -568,17 +549,18 @@ _EQUAL_IS_SAME = frozenset({str, int, bool})
 def _execute(graph: Graph, plans: Iterable[Transformation]) -> Graph:
     """``execute_plans`` on ``graph`` itself, which it changes and returns.
 
-    A column of ops runs as one loop, and the removals run after every
-    creation and move.  A value moves only onto a node, and only onto a key
-    it does not have yet; an op equal to one already run changes nothing.
+    Each block of the plans' walk runs as one loop, and the removals run
+    after every creation and move.  A value moves only onto a node, and
+    only onto a key it does not have yet; an op equal to one already run
+    changes nothing.
     """
     plans = list(plans)
     nodes, edges = graph.nodes, graph.edges
     created_nodes, created_edges = set(), set()  # two sets: an edge may not take a new node's id
     assigned: dict[tuple[str, str], Atomic] = {}  # each written slot's value
     label_sets: dict[tuple[str, ...], frozenset[str]] = {}  # of created objects
-    moved: list[tuple[Sequence[str], Sequence[str]]] = []  # (objects, keys) to move off
-    deleted: list[Sequence[str]] = []  # edges to remove
+    moved: list[tuple[Iterable[str], Iterable[str]]] = []  # (objects, keys) to move off
+    deleted: list[Iterable[str]] = []  # edges to remove
 
     def new_nodes(ids: Iterable[str], labels: Iterable[tuple[str, ...]]) -> None:
         for nid, names in zip(ids, labels):
@@ -606,7 +588,7 @@ def _execute(graph: Graph, plans: Iterable[Transformation]) -> Graph:
                 edges[eid] = EdgeRecord(src, tgt, shared_labels(label_sets, names))
                 created_edges.add(eid)
 
-    def move(objs: Sequence[str], keys: Sequence[str], targets: Iterable[str],
+    def move(objs: Iterable[str], keys: Iterable[str], targets: Iterable[str],
              values: Iterable[Atomic]) -> None:
         for key, target, value in zip(keys, targets, values):
             slot = (target, key)
@@ -626,34 +608,10 @@ def _execute(graph: Graph, plans: Iterable[Transformation]) -> Graph:
                 record.props[key] = assigned[slot] = check_atomic(value)
         moved.append((objs, keys))
 
-    for sweep in dict.fromkeys(plan.sweep for plan in plans if plan.sweep is not None):
-        new_nodes(sweep.new_vids, repeat((sweep.val_label,)))
-        reified = sweep.reified
-        if reified is not None:
-            new_nodes(reified.rids, reified.labels)
-            new_edges(reified.src_ids, reified.srcs, reified.rids, repeat((reified.src_label,)))
-            new_edges(reified.tgt_ids, reified.rids, reified.tgts, repeat((reified.tgt_label,)))
-            deleted.append(sweep.objs)
-        for key, values in zip(sweep.lhs_keys, sweep.lhs_values):
-            move(sweep.objs, [key] * len(values), sweep.vids, values)
-        new_edges(sweep.link_ids, sweep.links, sweep.vids, repeat((sweep.link_label,)))
-    for plan in plans:
-        if plan.column is not None:
-            sources, key, values = plan.column
-            move(sources, [key] * len(values), plan.sweep.vids, values)
-    for plan in plans:
-        for tag, run in groupby(plan.tail, itemgetter(0)):
-            run = list(run)
-            if tag == "move-prop":
-                _, objs, keys, targets, values = zip(*run)
-                move(objs, keys, targets, values)
-            elif tag == "new-node":
-                new_nodes(map(itemgetter(1), run), [row[2:] for row in run])
-            elif tag == "new-edge":
-                new_edges(map(itemgetter(1), run), map(itemgetter(2), run),
-                          map(itemgetter(3), run), [row[4:] for row in run])
-            elif tag == "del-edge":
-                deleted.append([row[1] for row in run])
+    run = {"new-node": new_nodes, "new-edge": new_edges, "move-prop": move,
+           "del-edge": deleted.append}
+    for tag, *columns in _walk(plans):
+        run[tag](*columns)
     for objs, keys in moved:
         for obj, key in zip(objs, keys):
             record = nodes.get(obj) or edges.get(obj)
@@ -677,8 +635,9 @@ def invert(after: Graph, plans: Iterable[Transformation]) -> Graph:
     ``_src``/``_tgt`` link edges give.  The passes are undone on a copy of
     ``after``, the highest ``pass_index`` first, so plans may come in any
     order.  Raises ``InvariantError`` when a node the plans create or move
-    values onto is missing, a created edge is missing or rewired, or one
-    slot moved to targets holding different values; ``EndpointError`` when
+    values onto is missing, a created edge is missing or rewired, a deleted
+    edge lacks a labelled ``_src`` link and its ``_tgt`` link, or one slot
+    moved to targets holding different values; ``EndpointError`` when
     an edge is left without a node at an end; other ``GonormError``
     subclasses when other objects the plans name are gone.
     """
@@ -688,29 +647,36 @@ def invert(after: Graph, plans: Iterable[Transformation]) -> Graph:
     # a pass moves no value off a slot it writes: it writes only keys its
     # targets lack, and moves values off after every write
     for index in sorted({plan.pass_index for plan in plans}, reverse=True):
-        rows = [row for plan in plans if plan.pass_index == index for row in plan.rows]
         moves: dict[tuple[str, str], set[str]] = {}
-        for row in rows:
-            if row[0] == "move-prop":
-                moves.setdefault((row[1], row[2]), set()).add(row[3])
+        new_nodes: set[str] = set()
+        new_edges: dict[str, tuple[str, str, tuple[str, ...]]] = {}  # (src, tgt, labels)
+        replaced: dict[str, str] = {}  # reifier id -> the edge it replaced
+        for tag, *columns in _walk([plan for plan in plans if plan.pass_index == index]):
+            if tag == "move-prop":
+                for obj, key, target in zip(*columns[:3]):
+                    moves.setdefault((obj, key), set()).add(target)
+            elif tag == "new-node":
+                new_nodes.update(columns[0])
+            elif tag == "new-edge":
+                new_edges.update(zip(columns[0], zip(*columns[1:])))
+            else:
+                replaced.update(zip(map(reifier_id, columns[0]), columns[0]))
         written = {(target, key) for (_, key), targets in moves.items() for target in targets}
-        new_nodes = {row[1] for row in rows if row[0] == "new-node"}
-        new_edges = {row[1]: row for row in rows if row[0] == "new-edge"}
-        replaced = {reifier_id(row[1]): row[1] for row in rows if row[0] == "del-edge"}
         for nid in new_nodes.union(target for target, _ in written):
             if nid not in nodes:
                 raise InvariantError(f"node {nid!r} of the plans is missing")
-        for _, eid, src, tgt, *_ in new_edges.values():
+        for eid, (src, tgt, _) in new_edges.items():
             record = edges.get(eid)
             if record is None or (record.src, record.tgt) != (src, tgt):
                 raise InvariantError(f"created edge {eid!r} is missing or rewired")
         # the only created edge into a reifier node is its _src link; the _tgt
-        # link leaves it under the same prefix.  A row is (tag, edge, src, tgt, *labels).
-        src_links = {row[3]: row for row in new_edges.values() if row[3] in replaced}
-        for _, _, src, tgt, *labels in new_edges.values():
-            link = src_links.get(src)
-            if link is not None and labels == [link[4].removesuffix("_src") + "_tgt"]:
-                out.add_edge(link[2], tgt, nodes[src].labels, edge_id=replaced[src])
+        # link leaves it under the same prefix
+        ends = {tgt: (src, (labels[0].removesuffix("_src") + "_tgt",))
+                for src, tgt, labels in new_edges.values() if tgt in replaced and labels}
+        for src, tgt, labels in new_edges.values():
+            end = ends.get(src)
+            if end is not None and labels == end[1]:
+                out.add_edge(end[0], tgt, nodes[src].labels, edge_id=replaced[src])
         missing = set(replaced.values()) - edges.keys()
         if missing:
             raise InvariantError(f"no _src/_tgt links for reified edges {sorted(missing)}")

@@ -462,10 +462,12 @@ def test_plans_of_two_left_sides_run_each_op_object_once():
     assert dels[0] == dels[1] == dels[2] == [("del-edge", "e1"), ("del-edge", "e2")]
     shared, own = plans[0].sweep, plans[2].sweep
     assert plans[1].sweep is shared and own is not shared
-    assert [plan.column.key for plan in plans] == ["c", "d", "c"]
+    # a part's own block is ("move-prop", sources, key, targets, values)
+    assert [(plan.own[0], plan.own[2]) for plan in plans] == [
+        ("move-prop", "c"), ("move-prop", "d"), ("move-prop", "c")]
 
-    # the executor walks each sweep's value nodes once, in the order the
-    # plans first name the sweeps, however many parts share one
+    # the executor and invert walk each sweep's value nodes once, in the
+    # order the plans first name the sweeps, however many parts share one
     walks = []
 
     class Walked(list):
@@ -477,8 +479,14 @@ def test_plans_of_two_left_sides_run_each_op_object_once():
             walks.append(self.name)
             return super().__iter__()
 
-    shared.new_vids, own.new_vids = Walked("a", shared.new_vids), Walked("b", own.new_vids)
+    for name, sweep in (("a", shared), ("b", own)):
+        tag, vids, *rest = sweep[0]
+        assert tag == "new-node" and all(vid.startswith("sk:val|") for vid in vids)
+        sweep[0] = (tag, Walked(name, vids), *rest)
     out = execute_plans(g, plans)
+    assert walks == ["a", "b"]
+    walks.clear()
+    assert dump_graph(invert(out, plans)) == dump_graph(g)
     assert walks == ["a", "b"]
 
     r1, r2 = reifier_id("e1"), reifier_id("e2")
@@ -612,7 +620,7 @@ def tracked_in(plans) -> int:
     their dependencies left out."""
     gc.collect()
     seen: dict[int, object] = {}
-    stack = [held for plan in plans for held in (plan.tail, plan.sweep, plan.column)]
+    stack = [held for plan in plans for held in (plan.tail, plan.sweep, plan.own)]
     while stack:
         obj = stack.pop()
         if gc.is_tracked(obj) and not isinstance(obj, type) and id(obj) not in seen:
@@ -741,11 +749,14 @@ def test_split_parts_carry_the_ops_each_part_plans_alone(seed, shape):
 
 def assert_runs_as_rows(graph: Graph, schema) -> list:
     """The passes, once ``full_normalize``'s output is seen to be the row
-    oracle's, run pass by pass over each plan's rows."""
+    oracle's, run pass by pass over each plan's rows, and each plan's
+    ``deleted_edges`` to be the edges its rows delete."""
     result = full_normalize(graph, schema)
     replayed = graph
     for log in result.logs:
         replayed = oracle_execute(replayed, log.transformations)
+        for plan in log.transformations:
+            assert plan.deleted_edges == {row[1] for row in plan.rows if row[0] == "del-edge"}
     assert dump_graph(replayed) == dump_graph(result.graph)
     return result.logs
 
@@ -903,6 +914,20 @@ def test_invert_refuses_a_reified_edge_without_its_links():
     with pytest.raises(InvariantError, match=r"no _src/_tgt links for reified edges "
                                              r"\['e1', 'e2'\]"):
         invert(out, [plan])
+    # a created edge into a reifier node, but without the label that names
+    # its _tgt link
+    g = Graph()
+    for nid in ("n1", "n2"):
+        g.add_node({"A"}, node_id=nid)
+    g.add_edge("n1", "n2", {"R"}, edge_id="e1")
+    rid = reifier_id("e1")
+    bare = Transformation(plan.dependency, plan.kind, 1, [
+        ("new-node", rid), ("new-edge", "l1", "n1", rid), ("new-edge", "l2", rid, "n2", "R_tgt"),
+        ("del-edge", "e1")])
+    out = execute_plans(g, [bare])
+    with pytest.raises(InvariantError, match=r"no _src/_tgt links for reified edges \['e1'\]"):
+        invert(out, [bare])
+    assert not verify_lossless(g, out, bare)
 
 
 @settings(max_examples=30, deadline=None)
