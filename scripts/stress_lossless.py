@@ -4,7 +4,9 @@
 Builds random graphs that satisfy a random strict dependency of each
 redundancy shape (sharing the case builders with the test suite), normalizes
 them, and verifies that the output is the one the test suite's row oracle
-writes running each pass's plans one row at a time, that inverting the
+writes running each pass's plans one row at a time, that the executor
+runs each pass's plans in reverse order as the row oracle runs them in
+that order, that inverting the
 output with its plans rebuilds the input byte for byte, also with every
 plan rebuilt from its rows (``Transformation(dependency, kind,
 match_count, plan.rows, key_dependency, pass_index)``), and that every
@@ -24,8 +26,8 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from gonorm import (GonormError, Transformation, dump_graph, full_normalize, invert,
-                    satisfies, scoped_normalize, verify_lossless)
+from gonorm import (GonormError, Transformation, dump_graph, execute_plans, full_normalize,
+                    invert, satisfies, scoped_normalize, verify_lossless)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import (CASE_KINDS, MULTI_PASS_DEPS, oracle_execute,  # noqa: E402
@@ -46,14 +48,14 @@ def rewrites_an_emptied_slot(plans) -> bool:
                < plan.pass_index for plan in plans for row in plan.rows)
 
 
-def run_by_rows(graph, logs) -> str | None:
-    """The dump of the row oracle's output, each pass's plans run in turn,
-    or None if the oracle refuses them."""
+def run_passes(run, graph, logs, step: int = 1) -> str:
+    """The dump of what ``run`` makes of each pass's plans in turn, taken
+    with ``step`` (-1: reversed), or the message it refuses them with."""
     try:
         for log in logs:
-            graph = oracle_execute(graph, log.transformations)
-    except GonormError:
-        return None
+            graph = run(graph, log.transformations[::step])
+    except GonormError as exc:
+        return f"refused: {exc}"
     return dump_graph(graph)
 
 
@@ -81,7 +83,9 @@ def main(argv: list[str] | None = None) -> int:
             plans = result.logs[0].transformations
             what = dep.render()
         ok = bool(plans) or kind == "multi"
-        ok = ok and run_by_rows(graph, result.logs) == dump_graph(result.graph)
+        ok = ok and run_passes(oracle_execute, graph, result.logs) == dump_graph(result.graph)
+        ok = ok and (run_passes(execute_plans, graph, result.logs, -1)
+                     == run_passes(oracle_execute, graph, result.logs, -1))
         by_rows = [Transformation(plan.dependency, plan.kind, plan.match_count, plan.rows,
                                   plan.key_dependency, plan.pass_index) for plan in plans]
         for order in (plans, plans[::-1], by_rows):

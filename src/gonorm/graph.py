@@ -380,12 +380,7 @@ def dump_graph(graph: Graph) -> str:
 
 
 def save_graph(graph: Graph, target: str | IO[str]) -> None:
-    text = dump_graph(graph)
-    if hasattr(target, "write"):
-        target.write(text)  # type: ignore[union-attr]
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    write_text(dump_graph(graph), target)
 
 
 def read_text(source: str | IO[str]) -> str:
@@ -403,6 +398,15 @@ def read_text(source: str | IO[str]) -> str:
         head = data[:exc.start].decode("utf-8")
         raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8", line=head.count("\n") + 1,
                          column=len(head) - head.rfind("\n")) from exc
+
+
+def write_text(text: str, target: str | IO[str]) -> None:
+    """Write ``text`` to a stream, or to the UTF-8 file at a path."""
+    if hasattr(target, "write"):
+        target.write(text)  # type: ignore[union-attr]
+    else:
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _reject_constant(name: str) -> None:

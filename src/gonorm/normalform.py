@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable
 
 from .errors import SizeLimit
@@ -109,8 +110,8 @@ def _keys(kernel: ClosureKernel) -> list[int]:
 
 def check_gn1nf(graph: Graph) -> NormalFormReport:
     """Atomic property values; holds by construction, verified defensively."""
-    for obj_id in graph.iter_objects():
-        for value in graph.props(obj_id).values():
+    for record in chain(graph.nodes.values(), graph.edges.values()):
+        for value in record.props.values():
             check_atomic(value)
     return NormalFormReport(NormalForm.GN1NF, True)
 

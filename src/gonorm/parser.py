@@ -26,7 +26,7 @@ from typing import IO, Iterable, NamedTuple
 
 from .errors import ParseError
 from .gofd import GnSchema, GoFd, gofd
-from .graph import read_text
+from .graph import read_text, write_text
 from .pattern import (
     ANON_EDGE_VAR,
     Direction,
@@ -271,12 +271,7 @@ def format_schema(deps: Iterable[GoFd]) -> str:
 
 
 def save_schema(deps: Iterable[GoFd], target: str | IO[str]) -> None:
-    text = format_schema(deps)
-    if hasattr(target, "write"):
-        target.write(text)  # type: ignore[union-attr]
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    write_text(format_schema(deps), target)
 
 
 def load_schema(source: str | IO[str]) -> SchemaDocument:

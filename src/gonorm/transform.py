@@ -13,20 +13,20 @@ in column form: ``(kind, *columns)``, one column per field of that kind's
 op, a node's or edge's labels as one tuple per op, and a field every op
 shares, like a key or a label, stored once.  A sweep's blocks come in
 planning order: its value nodes, each once; for an edge left side the
-edge's reification; the left-side moves; the links.  Each part adds its own
-right-side move as one more block.  Other ops are stored as rows: exact
-tuples of strings and values whose first item names the kind, like
-``("move-prop", source, key, target, value)``, which the garbage collector
-stops tracking.  Between-n-ep plans, the migrations of deleted edges and
-plans built by hand are rows; an op equal to one already run changes
-nothing.  One walk over a list of plans yields every op as blocks in the
-executor's order: each sweep once, in the order the plans first name the
-sweeps; then each part's own block; then the rows of each plan, plan by
-plan, consecutive rows of one kind as one block.  The executor, ``invert``
-and the planner read this walk.  ``Transformation.rows`` builds a plan's
-ops as rows on each access, in planning order, and ``Transformation.ops``
-as the named tuples ``NewNode``, ``NewEdge``, ``MoveProp`` and ``DelEdge``;
-the ``--explain`` log reads these views.
+edge's reification; the left-side moves; the links.  Each part lists
+these same block objects with its own right-side move just before the
+links.  Other ops are stored as rows: exact tuples of strings and values
+whose first item names the kind, like ``("move-prop", source, key, target,
+value)``, which the garbage collector stops tracking.  Between-n-ep plans,
+the migrations of deleted edges and plans built by hand are rows; an op
+equal to one already run changes nothing.  One walk over a list of plans
+yields every op as blocks in the order the plans come: per plan, the
+blocks no earlier plan yielded, then its rows, consecutive rows of one kind
+as one block.  The executor, ``invert`` and the planner read this walk.
+``Transformation.rows`` builds a plan's ops as rows on each access, in
+planning order, and ``Transformation.ops`` as the named tuples ``NewNode``,
+``NewEdge``, ``MoveProp`` and ``DelEdge``; the ``--explain`` log reads
+these views.
 
 Skolem naming makes the output deterministic: value nodes are named by the
 defining left-side values, reifier nodes by the edge they replace.  The plans
@@ -258,13 +258,11 @@ def _rows(block: Block) -> Iterator[Row]:
     return zip(repeat(tag), *columns)
 
 
-def _part_rows(sweep: list[Block], own: Block | None) -> list[Row]:
+def _part_rows(sweep: list[Block]) -> list[Row]:
     """A part's rows in planning order: per match the value node when its
     name is new, the reification, the left-side moves, the part's own move,
     then the link; the rows a node+edge scope repeats, once."""
     values, *blocks = sweep
-    if own is not None:
-        blocks.insert(-1, own)
     vids = blocks[-1][3]  # the link's target, per match
     first = dict(zip(reversed(vids), range(len(vids) - 1, -1, -1)))  # each name's first match
     heads: list[Row | None] = [None] * len(vids)
@@ -278,9 +276,9 @@ def _part_rows(sweep: list[Block], own: Block | None) -> list[Row]:
 class Transformation:
     """One planned transformation: the dependency, its shape, and the ops.
 
-    A part of a split dependency holds a reference to its ``sweep``, the
-    blocks it shares with the other parts of one scope and left side, and
-    its ``own`` right-side move as one more block; ``tail`` holds the rows
+    A part of a split dependency lists in ``sweep`` the blocks it shares
+    with the other parts of one scope and left side, the same objects, with
+    its own right-side move just before the links; ``tail`` holds the rows
     run after them, the migrations of the edges it deletes.  Any other
     plan, like a between-n-ep plan or one built by hand, holds all its rows
     in ``tail``.
@@ -298,7 +296,6 @@ class Transformation:
     key_dependency: GoFd | None = None
     pass_index: int = 0
     sweep: list[Block] | None = None
-    own: Block | None = None
 
     def _public(self) -> dict:
         """The fields a plan of rows is built from, each by name."""
@@ -319,7 +316,7 @@ class Transformation:
     def rows(self) -> list[Row]:
         if self.sweep is None:
             return list(self.tail)
-        return _part_rows(self.sweep, self.own) + self.tail
+        return _part_rows(self.sweep) + self.tail
 
     @property
     def ops(self) -> list[Op]:
@@ -360,15 +357,11 @@ def _key_dependency(val_label: str, lhs_keys: Iterable[str],
                 [ObjectVar("x")])
 
 
-_Shared = tuple[list[str], list[str], list[Block]]  # a sweep's objects, value nodes, blocks
-
-
 def _sweep(graph: Graph, relation: Relation, source: int, lhs: list[tuple[str, int]],
-           owner_labels: frozenset[str], val_label: str, lhs_role: str) -> _Shared:
-    """What every part with one scope and left side plans alike: per match
-    of ``relation``, the left side's object (column ``source``) and its value
-    node, and the blocks of the sweep.  ``lhs`` pairs each left-side key
-    with its column."""
+           owner_labels: frozenset[str], val_label: str, lhs_role: str) -> list[Block]:
+    """The blocks every part with one scope and left side plans alike, per
+    match of ``relation``, whose column ``source`` holds the left side's
+    object.  ``lhs`` pairs each left-side key with its column."""
     rows = relation.rows
     keys = [key for key, _ in lhs]
     name_keys = list(value_keys(rows, [pos for _, pos in lhs]))
@@ -397,11 +390,12 @@ def _sweep(graph: Graph, relation: Relation, source: int, lhs: list[tuple[str, i
                for key, pos in lhs]
     blocks.append(("new-edge", list(map(created_edge_id, repeat(link_label), links, vids)),
                    links, vids, (link_label,)))
-    return objs, vids, blocks
+    return blocks
 
 
 def _instantiate(graph: Graph, dep: GoFd, matches: Relation | None,
-                 sweeps: dict[tuple[Pattern, frozenset[Variable]], _Shared]) -> Transformation:
+                 sweeps: dict[tuple[Pattern, frozenset[Variable]], list[Block]]
+                 ) -> Transformation:
     """``instantiate``, reusing the sweep of an earlier part with the same
     scope and left side from ``sweeps``, or adding this part's there."""
     if len(dep.rhs) != 1:
@@ -429,21 +423,20 @@ def _instantiate(graph: Graph, dep: GoFd, matches: Relation | None,
     lhs_keys = [key for key, _ in lhs]
     owner_labels, _ = _family_parts(dep.scope, lhs_role)
     val_label = skolem_label(owner_labels, lhs_keys)
-    shared = sweeps.get((dep.scope, dep.lhs))
-    if shared is None:
-        shared = sweeps[dep.scope, dep.lhs] = _sweep(graph, relation, source, lhs, owner_labels,
+    blocks = sweeps.get((dep.scope, dep.lhs))
+    if blocks is None:
+        blocks = sweeps[dep.scope, dep.lhs] = _sweep(graph, relation, source, lhs, owner_labels,
                                                      val_label, lhs_role)
-    objs, vids, blocks = shared
-    own = None
     val_keys = list(lhs_keys)
     if isinstance(rhs, PropVar):
         val_keys.append(rhs.key)
         mover = owner[roles[rhs.name]]
-        own = ("move-prop", objs if mover == source else
+        own = ("move-prop", blocks[-2][1] if mover == source else  # a left-side move's sources
                list(map(itemgetter(mover), relation.rows)),
-               rhs.key, vids, list(map(itemgetter(column[rhs]), relation.rows)))
+               rhs.key, blocks[-1][3], list(map(itemgetter(column[rhs]), relation.rows)))
+        blocks = [*blocks[:-1], own, blocks[-1]]
     key_dep = _key_dependency(val_label, lhs_keys, val_keys)
-    return Transformation(dep, kind, len(relation.rows), [], key_dep, sweep=blocks, own=own)
+    return Transformation(dep, kind, len(relation.rows), [], key_dep, sweep=blocks)
 
 
 def instantiate(graph: Graph, dep: GoFd, *, matches: Relation | None = None) -> Transformation:
@@ -474,7 +467,7 @@ def build_plans(graph: Graph, deps: Iterable[GoFd], *, matches: Relation | None 
     """
     plans: list[Transformation] = []
     leftovers: list[tuple[GoFd, TransformationKind]] = []
-    sweeps: dict[tuple[Pattern, frozenset[Variable]], _Shared] = {}
+    sweeps: dict[tuple[Pattern, frozenset[Variable]], list[Block]] = {}
     for dep in deps:
         kind = match_redundancy_pattern(dep)
         if kind is TransformationKind.NO_REDUNDANCY:
@@ -508,15 +501,15 @@ def build_plans(graph: Graph, deps: Iterable[GoFd], *, matches: Relation | None 
 # -- execution ------------------------------------------------------------
 
 def _walk(plans: Sequence[Transformation]) -> Iterator[Block]:
-    """Every op of ``plans`` as blocks, in the order the executor runs them:
-    each sweep once, in the order the plans first name the sweeps; then each
-    part's own block; then the rows of each plan, plan by plan, consecutive
-    rows of one kind as one block."""
-    sweeps = {id(plan.sweep): plan.sweep for plan in plans if plan.sweep is not None}
-    owns = [plan.own for plan in plans if plan.own is not None]
-    for block in chain(chain.from_iterable(sweeps.values()), owns):
-        yield (block[0], *_columns(block))
+    """Every op of ``plans`` as blocks, in the order the plans come: per
+    plan, the stored blocks no earlier plan yielded, then its rows,
+    consecutive rows of one kind as one block."""
+    seen: set[int] = set()  # ids of stored blocks: the plans keep them alive
     for plan in plans:
+        for block in plan.sweep or ():
+            if id(block) not in seen:
+                seen.add(id(block))
+                yield (block[0], *_columns(block))
         for tag, run in groupby(plan.tail, itemgetter(0)):
             run = list(run)
             _, *columns = zip(*run)
@@ -529,14 +522,10 @@ def _walk(plans: Sequence[Transformation]) -> Iterator[Block]:
 def execute_plans(graph: Graph, plans: Iterable[Transformation]) -> Graph:
     """Run plans against a copy of the graph; the graph itself is unchanged.
 
-    The ops run in this order, whatever the order of the plans: each sweep
-    once, however many parts share it, in the order the plans first name
-    the sweeps; then each part's own move; then the rows of each plan,
-    plan by plan; then all removals.  So a plan of rows may move a value
-    onto, or link to, a value node of a sweep whose part comes after it,
-    and a conflict names first the value that ran first in this order.
-    Values that differ as JSON text, like ``1`` and ``True`` moved to one
-    slot, conflict.
+    The plans run in the order given, a block that parts share once, then
+    all removals.  Values that differ as JSON text, like ``1`` and ``True``
+    moved to one slot, conflict, and the message names first the value
+    that ran first.
     """
     return _execute(graph.copy(), plans)
 

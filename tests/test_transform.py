@@ -15,6 +15,7 @@ from gonorm import (
     Direction,
     EndpointError,
     FormatError,
+    GonormError,
     Graph,
     InvariantError,
     NonStrict,
@@ -460,14 +461,17 @@ def test_plans_of_two_left_sides_run_each_op_object_once():
                [DelEdge("e1"), DelEdge("e2")] for plan in plans)
     dels = [[row for row in plan.rows if row[0] == "del-edge"] for plan in plans]
     assert dels[0] == dels[1] == dels[2] == [("del-edge", "e1"), ("del-edge", "e2")]
-    shared, own = plans[0].sweep, plans[2].sweep
-    assert plans[1].sweep is shared and own is not shared
-    # a part's own block is ("move-prop", sources, key, targets, values)
-    assert [(plan.own[0], plan.own[2]) for plan in plans] == [
+    # a part's own block, ("move-prop", sources, key, targets, values), sits
+    # just before the links; the a-parts' other blocks are the same objects
+    a1, a2, b = (plan.sweep for plan in plans)
+    assert [(sweep[-2][0], sweep[-2][2]) for sweep in (a1, a2, b)] == [
         ("move-prop", "c"), ("move-prop", "d"), ("move-prop", "c")]
+    assert len(a1) == len(a2) and a1[-2] is not a2[-2]
+    assert all(x is y for x, y in zip(a1[:-2] + a1[-1:], a2[:-2] + a2[-1:]))
+    assert not any(x is y for x in a1 for y in b)
 
     # the executor and invert walk each sweep's value nodes once, in the
-    # order the plans first name the sweeps, however many parts share one
+    # order the plans come, however many parts share them
     walks = []
 
     class Walked(list):
@@ -479,10 +483,11 @@ def test_plans_of_two_left_sides_run_each_op_object_once():
             walks.append(self.name)
             return super().__iter__()
 
-    for name, sweep in (("a", shared), ("b", own)):
+    logged = {}  # each sweep's value-node block, its walks logged
+    for name, sweep in zip("aab", (a1, a2, b)):
         tag, vids, *rest = sweep[0]
         assert tag == "new-node" and all(vid.startswith("sk:val|") for vid in vids)
-        sweep[0] = (tag, Walked(name, vids), *rest)
+        sweep[0] = logged.setdefault(name, (tag, Walked(name, vids), *rest))
     out = execute_plans(g, plans)
     assert walks == ["a", "b"]
     walks.clear()
@@ -584,9 +589,10 @@ def test_executor_conflicts_exactly_when_json_texts_differ():
                 execute_plans(g, plans)
 
 
-def test_sweeps_run_before_the_rows_of_any_plan():
-    # a plan of rows placed before a sweep's part still finds the sweep's
-    # value node in place, and the part's value counts as the slot's first
+def test_plans_run_in_the_order_given():
+    # as the row oracle runs them: a plan of rows placed before a sweep's
+    # part runs before the sweep's value node exists, and one placed after
+    # it finds the node in place, the part's value first in its slot
     g = person_graph()
     g.add_node({"Note"}, {"tag": "t", "zip": 999}, node_id="p4")
     rome = 'sk:val|Person|city="Rome"'
@@ -595,16 +601,19 @@ def test_sweeps_run_before_the_rows_of_any_plan():
     onto = Transformation(dep, TransformationKind.WITHIN_N, 1,
                           [("move-prop", "p4", "tag", rome, "t"),
                            ("new-edge", "f", "p4", rome, "L")])
-    with pytest.raises(InvariantError, match="move target .* is not a node"):
-        oracle_execute(g, [onto, part])
-    out = execute_plans(g, [onto, part])
+    clash = Transformation(dep, TransformationKind.WITHIN_N, 1,
+                           [("move-prop", "p4", "zip", rome, 999)])
+    for plans in ([onto, part], [clash, part]):
+        for run in (oracle_execute, execute_plans):
+            with pytest.raises(InvariantError) as caught:
+                run(g, plans)
+            assert str(caught.value) == f"move target {rome!r} is not a node"
+    out = execute_plans(g, [part, onto])
     assert dump_graph(out) == dump_graph(oracle_execute(g, [part, onto]))
     assert out.nodes[rome].props == {"city": "Rome", "zip": 100, "tag": "t"}
     assert out.edges["f"].tgt == rome
-    clash = Transformation(dep, TransformationKind.WITHIN_N, 1,
-                           [("move-prop", "p4", "zip", rome, 999)])
     with pytest.raises(InvariantError) as caught:
-        execute_plans(g, [clash, part])
+        execute_plans(g, [part, clash])
     assert str(caught.value) == f"conflicting values for {rome}.zip: 100 vs 999"
 
 # -- stored layout: exact tuples the collector does not track ----------------
@@ -620,7 +629,7 @@ def tracked_in(plans) -> int:
     their dependencies left out."""
     gc.collect()
     seen: dict[int, object] = {}
-    stack = [held for plan in plans for held in (plan.tail, plan.sweep, plan.own)]
+    stack = [held for plan in plans for held in (plan.tail, plan.sweep)]
     while stack:
         obj = stack.pop()
         if gc.is_tracked(obj) and not isinstance(obj, type) and id(obj) not in seen:
@@ -747,13 +756,25 @@ def test_split_parts_carry_the_ops_each_part_plans_alone(seed, shape):
 
 # -- columns run as the rows they stand for --------------------------------
 
-def assert_runs_as_rows(graph: Graph, schema) -> list:
+def outcome(run, graph: Graph, plans) -> str:
+    """The dump of what ``run`` makes of the plans, or how it refuses them."""
+    try:
+        return dump_graph(run(graph, plans))
+    except GonormError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def assert_runs_as_rows(graph: Graph, schema, rng: random.Random) -> list:
     """The passes, once ``full_normalize``'s output is seen to be the row
-    oracle's, run pass by pass over each plan's rows, and each plan's
-    ``deleted_edges`` to be the edges its rows delete."""
+    oracle's, run pass by pass over each plan's rows, each pass's plans,
+    shuffled by ``rng``, to run as the row oracle runs them in that order,
+    and each plan's ``deleted_edges`` to be the edges its rows delete."""
     result = full_normalize(graph, schema)
     replayed = graph
     for log in result.logs:
+        shuffled = rng.sample(log.transformations, len(log.transformations))
+        assert outcome(execute_plans, replayed, shuffled) == outcome(oracle_execute, replayed,
+                                                                     shuffled)
         replayed = oracle_execute(replayed, log.transformations)
         for plan in log.transformations:
             assert plan.deleted_edges == {row[1] for row in plan.rows if row[0] == "del-edge"}
@@ -764,7 +785,7 @@ def assert_runs_as_rows(graph: Graph, schema) -> list:
 @pytest.mark.parametrize("name", ["university", "students", "metrics_example", "shipping"])
 def test_a_fixture_normalizes_as_its_rows_run_one_at_a_time(name):
     logs = assert_runs_as_rows(fixture_graph(f"{name}.graph.json"),
-                               fixture_schema(f"{name}.schema.gofd").schema)
+                               fixture_schema(f"{name}.schema.gofd").schema, random.Random(name))
     assert any(log.transformations for log in logs)
 
 
@@ -773,10 +794,10 @@ def test_a_fixture_normalizes_as_its_rows_run_one_at_a_time(name):
 def test_a_random_case_normalizes_as_its_rows_run_one_at_a_time(seed, kind):
     rng = random.Random(seed)
     if kind == "multi":
-        assert_runs_as_rows(random_multi_pass_case(rng), MULTI_PASS_DEPS)
+        assert_runs_as_rows(random_multi_pass_case(rng), MULTI_PASS_DEPS, rng)
     else:
         graph, dep = random_satisfying_case(rng, kind)
-        assert_runs_as_rows(graph, [dep])
+        assert_runs_as_rows(graph, [dep], rng)
 
 
 # -- lossless check is a real check ----------------------------------------
