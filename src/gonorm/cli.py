@@ -315,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
         for pair in err.witnesses[:1]:
             _print_witness(err.variables, pair, file=sys.stderr)
         return 1
-    except (GonormError, OSError, json.JSONDecodeError) as err:
+    except (GonormError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except UnicodeEncodeError as err:  # text that the output's encoding cannot hold

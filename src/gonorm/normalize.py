@@ -15,7 +15,6 @@ its own.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -29,6 +28,7 @@ from .transform import (
     TransformationKind,
     _VIEWS,
     _execute,
+    _walk,
     build_plans,
     check_transformable,
 )
@@ -153,12 +153,14 @@ def _normalize_scope(graph: Graph, schema: Iterable[GoFd], scope: Pattern) -> No
 
 
 def _log_pass(scope: str, matches: int, plans: list[Transformation]) -> None:
-    rows = dict.fromkeys(row for plan in plans for row in plan.rows)  # each op once
-    ops = Counter(_VIEWS[row[0]].__name__ for row in rows)
-    value_nodes = {row[1] for row in rows if row[0] == "new-node" and row[1].startswith("sk:val|")}
+    ops: dict[str, set[tuple]] = {}  # each op of the walk once, by tag
+    for tag, *columns in _walk(plans):
+        ops.setdefault(tag, set()).update(zip(*columns))
+    counts = sorted((_VIEWS[tag].__name__, len(fields)) for tag, fields in ops.items())
+    value_nodes = {op[0] for op in ops.get("new-node", ()) if op[0].startswith("sk:val|")}
     logger.debug("normalized %s: %d matches, %d plans, ops %s, %d value nodes created",
                   scope, matches, len(plans),
-                  " ".join(f"{kind}={count}" for kind, count in sorted(ops.items())) or "none",
+                  " ".join(f"{kind}={count}" for kind, count in counts) or "none",
                   len(value_nodes))
 
 

@@ -15,18 +15,20 @@ shares, like a key or a label, stored once.  A sweep's blocks come in
 planning order: its value nodes, each once; for an edge left side the
 edge's reification; the left-side moves; the links.  Each part lists
 these same block objects with its own right-side move just before the
-links.  Other ops are stored as rows: exact tuples of strings and values
-whose first item names the kind, like ``("move-prop", source, key, target,
-value)``, which the garbage collector stops tracking.  Between-n-ep plans,
+links.  Other ops are stored as rows: exact tuples whose first item names
+the kind and the rest are that kind's fields, like ``("move-prop", source,
+key, target, value)`` or ``("new-node", node, labels)`` with the labels one
+tuple, which the garbage collector stops tracking.  Between-n-ep plans,
 the migrations of deleted edges and plans built by hand are rows; an op
 equal to one already run changes nothing.  One walk over a list of plans
 yields every op as blocks in the order the plans come: per plan, the
 blocks no earlier plan yielded, then its rows, consecutive rows of one kind
-as one block.  The executor, ``invert`` and the planner read this walk.
+as one block.  The executor, ``invert``, the planner and the ``DEBUG``
+pass line read this walk.
 ``Transformation.rows`` builds a plan's ops as rows on each access, in
 planning order, and ``Transformation.ops`` as the named tuples ``NewNode``,
 ``NewEdge``, ``MoveProp`` and ``DelEdge``; the ``--explain`` log reads
-these views.
+the rows.  Plans compare and print by the fields they store.
 
 Skolem naming makes the output deterministic: value nodes are named by the
 defining left-side values, reifier nodes by the edge they replace.  The plans
@@ -40,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, groupby, repeat
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import (
@@ -183,10 +185,10 @@ def created_edge_id(label: str, src: str, tgt: str) -> str:
 # -- primitive operations -------------------------------------------------
 
 # A row is the op's named tuple below as an exact tuple, its tag (the op's
-# name in the ``--explain`` log) first and a trailing ``labels`` spread out:
-# ``("new-edge", edge, src, tgt, *labels)``.  The collector untracks an exact
-# tuple of atomic values at its first collection, but never a tuple
-# subclass, nor a tuple holding a still tracked one.
+# name in the ``--explain`` log) first: ``("new-edge", edge, src, tgt,
+# labels)``, the labels one tuple.  The collector stops tracking an exact
+# tuple of atomic values, or of such tuples, but never a tuple subclass,
+# nor a tuple holding a still tracked one.
 
 class NewNode(NamedTuple):
     node: str
@@ -212,19 +214,8 @@ class DelEdge(NamedTuple):
 
 
 Op = Union[NewNode, NewEdge, MoveProp, DelEdge]
-Row = tuple  # ``(tag, *fields of the op)``, labels spread out
+Row = tuple  # ``(tag, *fields of the op)``
 _VIEWS = {"new-node": NewNode, "new-edge": NewEdge, "move-prop": MoveProp, "del-edge": DelEdge}
-
-
-def _view(row: Row) -> Op:
-    tag = row[0]
-    if tag == "move-prop":
-        return MoveProp._make(row[1:])
-    if tag == "new-edge":
-        return NewEdge(row[1], row[2], row[3], row[4:])
-    if tag == "new-node":
-        return NewNode(row[1], row[2:])
-    return DelEdge(row[1])
 
 
 def op_to_dict(row: Row) -> dict:
@@ -233,16 +224,15 @@ def op_to_dict(row: Row) -> dict:
     if tag == "move-prop":
         return {"op": tag, "from": row[1], "key": row[2], "to": row[3], "value": row[4]}
     if tag == "new-edge":
-        return {"op": tag, "id": row[1], "src": row[2], "tgt": row[3], "labels": list(row[4:])}
+        return {"op": tag, "id": row[1], "src": row[2], "tgt": row[3], "labels": list(row[4])}
     if tag == "new-node":
-        return {"op": tag, "id": row[1], "labels": list(row[2:]), "props": {}}
+        return {"op": tag, "id": row[1], "labels": list(row[2]), "props": {}}
     return {"op": tag, "id": row[1]}
 
 
 # -- plans ------------------------------------------------------------------
 
-Block = tuple  # ``(tag, *columns)``, one column per field of the op, labels as one tuple per op
-_LABELS_AT = {"new-node": 2, "new-edge": 4}  # where a row's labels start
+Block = tuple  # ``(tag, *columns)``, one column per field of the op
 
 
 def _columns(block: Block) -> list[Iterable]:
@@ -252,10 +242,7 @@ def _columns(block: Block) -> list[Iterable]:
 
 def _rows(block: Block) -> Iterator[Row]:
     """A stored block's ops as rows."""
-    tag, columns = block[0], _columns(block)
-    if tag in _LABELS_AT:
-        return map(add, zip(repeat(tag), *columns[:-1]), columns[-1])
-    return zip(repeat(tag), *columns)
+    return zip(repeat(block[0]), *_columns(block))
 
 
 def _part_rows(sweep: list[Block]) -> list[Row]:
@@ -281,11 +268,13 @@ class Transformation:
     its own right-side move just before the links; ``tail`` holds the rows
     run after them, the migrations of the edges it deletes.  Any other
     plan, like a between-n-ep plan or one built by hand, holds all its rows
-    in ``tail``.
+    in ``tail``; a ``new-node`` or ``new-edge`` row must hold its labels as
+    one tuple, its last field.
     ``rows`` and ``ops`` build every op on each access, in planning order,
     as rows and as named tuples: views to read only.  Plans compare and
-    print by ``rows``, however their ops are stored, so a plan equals the
-    plan built by hand from its rows and other fields.
+    print by the fields they store, so planning twice gives equal plans,
+    while a plan built by hand from a planned plan's rows holds equal
+    ``rows``, not an equal plan.
     ``full_normalize`` sets ``pass_index``, the number of the pass that ran it.
     """
 
@@ -297,20 +286,10 @@ class Transformation:
     pass_index: int = 0
     sweep: list[Block] | None = None
 
-    def _public(self) -> dict:
-        """The fields a plan of rows is built from, each by name."""
-        return {"dependency": self.dependency, "kind": self.kind, "match_count": self.match_count,
-                "rows": self.rows, "key_dependency": self.key_dependency,
-                "pass_index": self.pass_index}
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._public() == other._public()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in self._public().items())
-        return f"{type(self).__qualname__}({fields})"
+    def __post_init__(self) -> None:
+        for row in self.tail:
+            if row[0] in ("new-node", "new-edge") and not isinstance(row[-1], tuple):
+                raise ValueError(f"row {row!r} does not end in a tuple of labels")
 
     @property
     def rows(self) -> list[Row]:
@@ -320,7 +299,7 @@ class Transformation:
 
     @property
     def ops(self) -> list[Op]:
-        return list(map(_view, self.rows))
+        return [_VIEWS[row[0]]._make(row[1:]) for row in self.rows]
 
     @property
     def deleted_edges(self) -> frozenset[str]:
@@ -511,11 +490,7 @@ def _walk(plans: Sequence[Transformation]) -> Iterator[Block]:
                 seen.add(id(block))
                 yield (block[0], *_columns(block))
         for tag, run in groupby(plan.tail, itemgetter(0)):
-            run = list(run)
             _, *columns = zip(*run)
-            at = _LABELS_AT.get(tag)
-            if at is not None:  # the labels spread out at the end of each row
-                columns[at - 1:] = [[row[at:] for row in run]]
             yield (tag, *columns)
 
 
@@ -651,9 +626,9 @@ def invert(after: Graph, plans: Iterable[Transformation]) -> Graph:
             else:
                 replaced.update(zip(map(reifier_id, columns[0]), columns[0]))
         written = {(target, key) for (_, key), targets in moves.items() for target in targets}
-        for nid in new_nodes.union(target for target, _ in written):
-            if nid not in nodes:
-                raise InvariantError(f"node {nid!r} of the plans is missing")
+        absent = new_nodes.union(target for target, _ in written) - nodes.keys()
+        if absent:
+            raise InvariantError(f"node {min(absent)!r} of the plans is missing")
         for eid, (src, tgt, _) in new_edges.items():
             record = edges.get(eid)
             if record is None or (record.src, record.tgt) != (src, tgt):
@@ -669,9 +644,9 @@ def invert(after: Graph, plans: Iterable[Transformation]) -> Graph:
         missing = set(replaced.values()) - edges.keys()
         if missing:
             raise InvariantError(f"no _src/_tgt links for reified edges {sorted(missing)}")
-        for target, key in written:
-            if key not in nodes[target].props:
-                raise InvariantError(f"moved value {target}.{key} is missing")
+        lost = [slot for slot in written if slot[1] not in nodes[slot[0]].props]
+        if lost:
+            raise InvariantError(f"moved value {'.'.join(min(lost))} is missing")
         held = {(target, key): nodes[target].props.pop(key) for target, key in written}
         for (obj, key), targets in moves.items():
             found = {value_key(held[target, key]): held[target, key] for target in targets}

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from typing import Iterable
+from typing import Iterable, NamedTuple, Union
 
 from itertools import combinations
 
@@ -49,11 +49,6 @@ from gonorm import (
 )
 from gonorm.graph import Atomic, graph_to_dict
 from gonorm.transform import (
-    DelEdge,
-    MoveProp,
-    NewEdge,
-    NewNode,
-    Op,
     TransformationKind,
     created_edge_id,
     match_redundancy_pattern,
@@ -62,6 +57,35 @@ from gonorm.transform import (
     skolem_label,
     skolem_node_id,
 )
+
+
+# The four primitive ops as the oracles write them down, with the names and
+# fields of the library's views, so the two print alike.
+
+class NewNode(NamedTuple):
+    node: str
+    labels: tuple[str, ...]
+
+
+class NewEdge(NamedTuple):
+    edge: str
+    src: str
+    tgt: str
+    labels: tuple[str, ...]
+
+
+class MoveProp(NamedTuple):
+    source: str
+    key: str
+    target: str
+    value: Atomic
+
+
+class DelEdge(NamedTuple):
+    edge: str
+
+
+Op = Union[NewNode, NewEdge, MoveProp, DelEdge]
 
 # Shared vocabulary.  Structural keys for nodes and edges are disjoint so a
 # moved property can never collide with an unrelated one, and "nz"/"ez" are
@@ -430,7 +454,7 @@ def oracle_execute(graph: Graph, plans) -> Graph:
                 assigned[target, key] = value
             removals.append(row)
         elif tag == "new-node":
-            nid, labels = row[1], row[2:]
+            _, nid, labels = row
             if nid in created_nodes:
                 nodes[nid].labels = nodes[nid].labels | set(labels)
             elif nid in nodes or nid in edges:
@@ -439,7 +463,7 @@ def oracle_execute(graph: Graph, plans) -> Graph:
                 out.add_node(labels, node_id=nid)
                 created_nodes.add(nid)
         elif tag == "new-edge":
-            eid, src, tgt, labels = row[1], row[2], row[3], row[4:]
+            _, eid, src, tgt, labels = row
             if eid in created_edges:
                 edges[eid].labels = edges[eid].labels | set(labels)
             elif eid in nodes or eid in edges:

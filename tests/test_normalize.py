@@ -326,16 +326,12 @@ def test_full_normalize_numbers_its_passes_in_log_order():
     assert max(indices) > 0
 
 
-VIEWS = {"new-node": lambda nid, *labels: NewNode(nid, labels),
-         "new-edge": lambda eid, src, tgt, *labels: NewEdge(eid, src, tgt, labels),
-         "move-prop": MoveProp, "del-edge": DelEdge}
-TAGS = {NewNode: "new-node", NewEdge: "new-edge", MoveProp: "move-prop", DelEdge: "del-edge"}
+VIEWS = {"new-node": NewNode, "new-edge": NewEdge, "move-prop": MoveProp, "del-edge": DelEdge}
+TAGS = {view: tag for tag, view in VIEWS.items()}
 
 
 def fresh_row(op) -> tuple:
-    """A new row object for a view op: its tag first, its labels spread out."""
-    if isinstance(op, (NewNode, NewEdge)):
-        return (TAGS[type(op)], *op[:-1], *op.labels)
+    """A new row object for a view op: its tag, then its fields."""
     return (TAGS[type(op)], *op)
 
 
@@ -606,6 +602,24 @@ def test_each_pass_logs_one_debug_record(caplog, name):
     assert [r.levelno for r in records] == [logging.DEBUG] * len(result.logs)
     assert [r.getMessage() for r in records] == PASS_RECORDS[name]
     assert logging.getLogger("gonorm").handlers == []  # the library sets none
+
+
+def test_a_debug_record_counts_an_edge_two_left_sides_reify_once(caplog):
+    # y.a => y.c and y.b => y.d are two sweeps over one scope, and each
+    # reifies all three edges: the walk yields those ops twice
+    graph = Graph()
+    for nid in ("n1", "n2"):
+        graph.add_node({"N"}, node_id=nid)
+    for eid, (a, b) in (("e1", (1, 1)), ("e2", (1, 2)), ("e3", (2, 2))):
+        graph.add_edge("n1", "n2", {"R"}, {"a": a, "b": b, "c": a, "d": b}, edge_id=eid)
+    scope = edge_pattern("y", {"R"}, {"a", "b", "c", "d"})
+    deps = [gofd(scope, [PropVar("y", "a")], [PropVar("y", "c")]),
+            gofd(scope, [PropVar("y", "b")], [PropVar("y", "d")])]
+    with caplog.at_level(logging.DEBUG, logger="gonorm"):
+        full_normalize(graph, deps)
+    assert [r.getMessage() for r in caplog.records if r.name == "gonorm"] == [
+        "normalized ()-[y:{R}:{a,b,c,d}]->(): 3 matches, 2 plans, "
+        "ops DelEdge=3 MoveProp=12 NewEdge=12 NewNode=7, 4 value nodes created"]
 
 
 def test_pass_counts_are_skipped_unless_debug_is_on(caplog, monkeypatch, university_graph):

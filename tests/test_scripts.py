@@ -41,6 +41,17 @@ def test_fuzz_inputs_runs_clean(capsys, monkeypatch):
     assert last.startswith("38 cases in") and last.endswith(", 0 failed")  # 18 structural
 
 
+def test_output_digest_is_the_same_on_a_second_run(capsys, monkeypatch):
+    script = load_script(monkeypatch, "output_digest")
+    outputs = []
+    for _ in range(2):
+        assert script.main(["--fixtures-only"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert lines[-1].endswith(f"  {len(lines) - 1} calls") and len(lines) > 4 * 20
+
+
 def test_every_traced_name_resolves_in_gonorm(monkeypatch):
     # the benchmark's tracer wraps these by name; a deleted one would break
     # ``perfbench/run.py --trace 1`` and ``perfbench/selftest.py`` silently

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -58,7 +62,8 @@ from gonorm.transform import (
     reifier_id,
 )
 
-from conftest import TRICKY_VALUES, fixture_graph, fixture_schema, runs_of
+import gonorm
+from conftest import FIXTURES, TRICKY_VALUES, fixture_graph, fixture_schema, runs_of
 from oracles import (
     CASE_KINDS,
     LHS_POOL,
@@ -173,9 +178,9 @@ def test_skolem_ids_write_values_as_json_dumps(tag, labels, kv, edge_id):
 
 
 def test_op_to_dict_frozen_layout():
-    assert op_to_dict(("new-node", "v", "L")) == {
+    assert op_to_dict(("new-node", "v", ("L",))) == {
         "op": "new-node", "id": "v", "labels": ["L"], "props": {}}
-    assert op_to_dict(("new-edge", "e", "a", "b", "L")) == {
+    assert op_to_dict(("new-edge", "e", "a", "b", ("L",))) == {
         "op": "new-edge", "id": "e", "src": "a", "tgt": "b", "labels": ["L"]}
     assert op_to_dict(("move-prop", "a", "k", "v", 3)) == {
         "op": "move-prop", "from": "a", "key": "k", "to": "v", "value": 3}
@@ -183,7 +188,7 @@ def test_op_to_dict_frozen_layout():
 
 
 def test_a_plan_takes_rows_and_reads_them_as_named_tuples():
-    rows = [("new-node", "v", "L"), ("move-prop", "p1", "zip", "v", 1)]
+    rows = [("new-node", "v", ("L",)), ("move-prop", "p1", "zip", "v", 1)]
     plan = Transformation(gofd(PERSON, [pv("x", "city")], [pv("x", "zip")]),
                           TransformationKind.WITHIN_N, 1, rows)
     assert plan.rows == rows
@@ -416,14 +421,14 @@ def test_executor_detects_conflicting_assignments():
     # all but the first pair are equal in Python, not as JSON text
     for first, second in ((100, 200), (100, 100.0), (1, True), (0.0, -0.0)):
         bad = Transformation(dep, TransformationKind.WITHIN_N, 2,
-                             [("new-node", "v", "L"), ("move-prop", "p1", "zip", "v", first),
+                             [("new-node", "v", ("L",)), ("move-prop", "p1", "zip", "v", first),
                               ("move-prop", "p3", "zip", "v", second)])
         with pytest.raises(InvariantError, match="conflicting values"):
             execute_plans(g, [bad])
     # the same source and slot in two plans: two ops, though == merges them
     for first, second in ((1, True), (100, 100.0), (0.0, -0.0)):
         plans = [Transformation(dep, TransformationKind.WITHIN_N, 1,
-                                [("new-node", "v", "L"), ("move-prop", "p1", "zip", "v", value)])
+                                [("new-node", "v", ("L",)), ("move-prop", "p1", "zip", "v", value)])
                  for value in (first, second)]
         with pytest.raises(InvariantError, match="conflicting values"):
             execute_plans(g, plans)
@@ -528,7 +533,7 @@ def test_executor_refuses_generated_id_collision():
         normalize_one(g, gofd(PERSON, [pv("x", "city")], [pv("x", "zip")]))
 
 
-V = ("new-node", "v", "L")
+V = ("new-node", "v", ("L",))
 BAD_PLANS = [  # (rows of each plan, exception class, message)
     ([[V, ("move-prop", "p1", "zip", "v", 1), ("move-prop", "p3", "zip", "v", True)]],
      InvariantError, "conflicting values for v.zip: 1 vs True"),
@@ -539,21 +544,21 @@ BAD_PLANS = [  # (rows of each plan, exception class, message)
     ([[V, ("move-prop", "p1", "zip", "v", 100), ("move-prop", "p2", "zip", "v", 100),
        ("move-prop", "p1", "city", "v", "Rome"), ("move-prop", "p3", "zip", "p2", 200)]],
      InvariantError, "transformation would overwrite p2.zip: 100 vs 200"),
-    ([[("new-node", "p2", "L")]], InvariantError, "generated node id 'p2' already taken"),
-    ([[("new-node", "e1", "L")]], InvariantError, "generated node id 'e1' already taken"),
-    ([[("new-edge", "e1", "p1", "p3", "L")]],
+    ([[("new-node", "p2", ("L",))]], InvariantError, "generated node id 'p2' already taken"),
+    ([[("new-node", "e1", ("L",))]], InvariantError, "generated node id 'e1' already taken"),
+    ([[("new-edge", "e1", "p1", "p3", ("L",))]],
      InvariantError, "generated edge id 'e1' already taken"),
-    ([[("new-edge", "p3", "p1", "p3", "L")]],
+    ([[("new-edge", "p3", "p1", "p3", ("L",))]],
      InvariantError, "generated edge id 'p3' already taken"),
-    ([[V, ("new-edge", "v", "p1", "p3", "L")]],
+    ([[V, ("new-edge", "v", "p1", "p3", ("L",))]],
      InvariantError, "generated edge id 'v' already taken"),
-    ([[("new-edge", "f", "p1", "p3", "L")], [("new-node", "f", "L")]],
+    ([[("new-edge", "f", "p1", "p3", ("L",))], [("new-node", "f", ("L",))]],
      InvariantError, "generated node id 'f' already taken"),
-    ([[("new-edge", "f", "p1", "ghost", "L")]],
+    ([[("new-edge", "f", "p1", "ghost", ("L",))]],
      EndpointError, "endpoint 'ghost' is not a node of the graph"),
-    ([[("new-edge", "f", "ghost", "e1", "L")]],
+    ([[("new-edge", "f", "ghost", "e1", ("L",))]],
      EndpointError, "endpoint 'ghost' is not a node of the graph"),
-    ([[("new-edge", "f", "p1", "e1", "L")]],
+    ([[("new-edge", "f", "p1", "e1", ("L",))]],
      EndpointError, "endpoint 'e1' is not a node of the graph"),
     ([[V, ("move-prop", "p1", "extra", "v", [1])]],
      FormatError, "property values must be string/number/boolean, got list"),
@@ -580,7 +585,7 @@ def test_executor_conflicts_exactly_when_json_texts_differ():
     dep = gofd(PERSON, [pv("x", "city")], [pv("x", "zip")])
     for first, second in product(TRICKY_VALUES, repeat=2):
         plans = [Transformation(dep, TransformationKind.WITHIN_N, 1,
-                                [("new-node", "v", "L"), ("move-prop", source, "zip", "v", value)])
+                                [V, ("move-prop", source, "zip", "v", value)])
                  for source, value in (("p1", first), ("p3", second))]
         if json.dumps(first) == json.dumps(second):
             assert execute_plans(g, plans).nodes["v"].props["zip"] is first
@@ -600,7 +605,7 @@ def test_plans_run_in_the_order_given():
     (part,), _ = build_plans(g, [dep])
     onto = Transformation(dep, TransformationKind.WITHIN_N, 1,
                           [("move-prop", "p4", "tag", rome, "t"),
-                           ("new-edge", "f", "p4", rome, "L")])
+                           ("new-edge", "f", "p4", rome, ("L",))])
     clash = Transformation(dep, TransformationKind.WITHIN_N, 1,
                            [("move-prop", "p4", "zip", rome, 999)])
     for plans in ([onto, part], [clash, part]):
@@ -701,23 +706,44 @@ def test_build_plans_reports_leftovers():
 
 
 
-def test_plans_compare_and_print_by_their_rows():
+def test_plans_compare_by_what_they_store_and_rebuild_from_their_rows():
     graph = fixture_graph("shipping.graph.json")
     deps = split_parts(fixture_schema("shipping.schema.gofd").schema)
     plans, _ = build_plans(graph, deps)
     again, _ = build_plans(graph, deps)
     assert all(a.sweep is not b.sweep for a, b in zip(plans, again) if a.sweep is not None)
-    assert plans == again
+    assert plans == again and list(map(repr, plans)) == list(map(repr, again))
+    # a plan rebuilt from its rows stores them as rows, so it is not equal
+    # to a planned part, but it holds the same ops and runs and inverts alike
     by_hand = [Transformation(plan.dependency, plan.kind, plan.match_count, plan.rows,
                               plan.key_dependency, plan.pass_index) for plan in plans]
-    assert plans == by_hand and by_hand == plans
-    assert list(map(repr, plans)) == list(map(repr, by_hand))
-    assert all(f"rows={plan.rows!r}" in repr(plan) for plan in plans)
-    first = plans[0]
-    assert first.sweep is not None and first != Transformation(
-        first.dependency, first.kind, first.match_count, first.rows[:-1], first.key_dependency)
+    assert [plan.rows for plan in by_hand] == [plan.rows for plan in plans]
+    assert [plan.ops for plan in by_hand] == [plan.ops for plan in plans]
+    assert all(plan.sweep is None for plan in by_hand)
+    assert plans[0].sweep is not None and plans[0] != by_hand[0]
+    out = execute_plans(graph, plans)
+    assert dump_graph(execute_plans(graph, by_hand)) == dump_graph(out)
+    assert dump_graph(invert(out, by_hand)) == dump_graph(invert(out, plans)) == dump_graph(graph)
     again[0].pass_index = 1
-    assert again[0] != first
+    assert again[0] != plans[0]
+
+
+@pytest.mark.parametrize("row, fixed", [
+    (("new-node", "v", "Label"), ("new-node", "v", ("Label",))),
+    (("new-node", "v"), ("new-node", "v", ())),
+    (("new-edge", "f", "p1", "p3", "Label"), ("new-edge", "f", "p1", "p3", ("Label",))),
+])
+def test_a_row_without_a_tuple_of_labels_is_refused_when_the_plan_is_built(row, fixed):
+    # one label as a string would otherwise run as a set of its characters
+    dep = gofd(PERSON, [pv("x", "city")], [pv("x", "zip")])
+    with pytest.raises(ValueError) as caught:
+        Transformation(dep, TransformationKind.WITHIN_N, 1, [row])
+    assert repr(row) in str(caught.value)
+    out = execute_plans(person_graph(), [Transformation(dep, TransformationKind.WITHIN_N, 1,
+                                                        [fixed])])
+    records = out.nodes if fixed[0] == "new-node" else out.edges
+    assert records[fixed[1]].labels == set(fixed[-1])
+
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**9), st.sampled_from(("node", "edge", "node-edge")))
@@ -838,7 +864,7 @@ def test_invert_rejects_a_slot_moved_to_different_values():
     g.add_node({"V"}, {"k": 1}, node_id="v2")
     plan = Transformation(gofd(PERSON, [pv("x", "city")], [pv("x", "zip")]),
                           TransformationKind.WITHIN_N, 1,
-                          [("new-node", "v1", "V"), ("new-node", "v2", "V"),
+                          [("new-node", "v1", ("V",)), ("new-node", "v2", ("V",)),
                            ("move-prop", "p1", "k", "v1", 1), ("move-prop", "p1", "k", "v2", 1)])
     assert invert(g, [plan]).props("p1") == {"k": 1}
     g.set_prop("v2", "k", 1.0)  # equal in Python, not as JSON text
@@ -926,12 +952,55 @@ def test_invert_refuses_an_output_without_a_created_node():
     assert not verify_lossless(g, out, plans[0])
 
 
+# Prints what ``invert`` refuses the shipping output with, once without its
+# value nodes and once without their values.
+REFUSALS = """
+import sys
+from gonorm import InvariantError, full_normalize, invert, load_graph, load_schema
+graph, schema = load_graph(sys.argv[1]), load_schema(sys.argv[2]).schema
+result = full_normalize(graph, schema)
+plans = [plan for log in result.logs for plan in log.transformations]
+for damage in ("remove", "clear"):
+    out = result.graph.copy()
+    for nid in [nid for nid in out.nodes if nid.startswith("sk:val|")]:
+        if damage == "remove":
+            out.remove_object(nid)
+        else:
+            out.nodes[nid].props.clear()
+    try:
+        invert(out, plans)
+    except InvariantError as exc:
+        print(exc)
+"""
+
+
+def test_invert_refusals_name_the_smallest_object_under_any_hash_seed():
+    result = full_normalize(fixture_graph("shipping.graph.json"),
+                            fixture_schema("shipping.schema.gofd").schema)
+    last = [op for plan in result.logs[-1].transformations for op in plan.ops]
+    nodes = {op.node for op in last if isinstance(op, NewNode)}
+    nodes |= {op.target for op in last if isinstance(op, MoveProp)}
+    slot = min((op.target, op.key) for op in last
+               if isinstance(op, MoveProp) and op.target.startswith("sk:val|"))
+    expected = (f"node {min(nid for nid in nodes if nid.startswith('sk:val|'))!r} "
+                f"of the plans is missing\nmoved value {slot[0]}.{slot[1]} is missing\n")
+    src = str(Path(gonorm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for seed in ("1", "2", "3", "4", "5"):
+        proc = subprocess.run(
+            [sys.executable, "-c", REFUSALS, str(FIXTURES / "shipping.graph.json"),
+             str(FIXTURES / "shipping.schema.gofd")],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path})
+        assert proc.stdout == expected, seed
+
+
 def test_invert_refuses_a_reified_edge_without_its_links():
     g = edge_graph()
     out, (plan,) = normalize_one(g, gofd(EDGE, [pv("y", "u")], [pv("y", "v")]))
     plan = Transformation(plan.dependency, plan.kind, plan.match_count,
                           [row for row in plan.rows
-                           if not (row[0] == "new-edge" and row[4] in ("R_src", "R_tgt"))])
+                           if not (row[0] == "new-edge" and row[4] in (("R_src",), ("R_tgt",)))])
     with pytest.raises(InvariantError, match=r"no _src/_tgt links for reified edges "
                                              r"\['e1', 'e2'\]"):
         invert(out, [plan])
@@ -943,8 +1012,8 @@ def test_invert_refuses_a_reified_edge_without_its_links():
     g.add_edge("n1", "n2", {"R"}, edge_id="e1")
     rid = reifier_id("e1")
     bare = Transformation(plan.dependency, plan.kind, 1, [
-        ("new-node", rid), ("new-edge", "l1", "n1", rid), ("new-edge", "l2", rid, "n2", "R_tgt"),
-        ("del-edge", "e1")])
+        ("new-node", rid, ()), ("new-edge", "l1", "n1", rid, ()),
+        ("new-edge", "l2", rid, "n2", ("R_tgt",)), ("del-edge", "e1")])
     out = execute_plans(g, [bare])
     with pytest.raises(InvariantError, match=r"no _src/_tgt links for reified edges \['e1'\]"):
         invert(out, [bare])
