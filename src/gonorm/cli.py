@@ -19,7 +19,7 @@ import sys
 from typing import Iterable
 
 from .errors import GonormError, UnsatisfiedDependency
-from .gofd import GoFd, applicable_deps, map_per_scope, minimal_cover, satisfies
+from .gofd import GnSchema, GoFd, applicable_deps, map_per_scope, minimal_cover, satisfies
 from .graph import dump_graph, load_graph, unpaired_surrogate
 from .metrics import build_report
 from .normalform import DEFAULT_MAX_ATTRS, NormalForm, check_gn_nf
@@ -68,9 +68,12 @@ def _write_files(texts: dict[str, str]) -> None:
                 os.remove(temp)
 
 
-def _warn(lines: Iterable[str]) -> None:
-    for line in lines:
+def _load_schema(path: str) -> GnSchema:
+    """The schema in the file at ``path``, its warnings printed to stderr."""
+    doc = load_schema(path)
+    for line in doc.warnings:
         print(f"warning: {line}", file=sys.stderr)
+    return doc.schema
 
 
 def _render_row(variables: tuple[Variable, ...], row: tuple) -> str:
@@ -92,9 +95,7 @@ def _scope_filter(deps: Iterable[GoFd], scope_text: str | None) -> list[GoFd]:
 
 def cmd_check(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
-    doc = load_schema(args.schema)
-    _warn(doc.warnings)
-    deps = _scope_filter(doc.schema, args.scope)
+    deps = _scope_filter(_load_schema(args.schema), args.scope)
     results = list(zip(deps, map_per_scope(graph, deps, lambda dep, matches: satisfies(
         graph, dep, max_witnesses=args.max_witnesses, matches=matches))))
     holds = all(outcome.holds for _, outcome in results)
@@ -120,13 +121,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_mincover(args: argparse.Namespace) -> int:
-    doc = load_schema(args.schema)
-    _warn(doc.warnings)
+    schema = _load_schema(args.schema)
     if args.scope is not None:
         scopes = [parse_pattern_text(args.scope)]
     else:
-        scopes = doc.schema.scopes()
-    covers = [(scope, minimal_cover(applicable_deps(doc.schema, scope)))
+        scopes = schema.scopes()
+    covers = [(scope, minimal_cover(applicable_deps(schema, scope)))
               for scope in scopes]
     flattened = [dep for _, cover in covers for dep in cover]
     if args.out:
@@ -146,9 +146,7 @@ def cmd_mincover(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
-    doc = load_schema(args.schema)
-    _warn(doc.warnings)
-    report = build_report(graph, doc.schema)
+    report = build_report(graph, _load_schema(args.schema))
     if args.out:
         _write_files({args.out: _json_text(report) + "\n"})
     if args.format == "json":
@@ -169,14 +167,13 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_nf(args: argparse.Namespace) -> int:
-    doc = load_schema(args.schema)
-    _warn(doc.warnings)
+    schema = _load_schema(args.schema)
     graph = load_graph(args.graph) if args.graph else None
     form = NormalForm(args.form)
     if form is NormalForm.GN1NF and graph is None:
         print("error: checking 1nf needs --graph", file=sys.stderr)
         return 2
-    report = check_gn_nf(form, doc.schema, graph=graph, max_attrs=args.max_attrs)
+    report = check_gn_nf(form, schema, graph=graph, max_attrs=args.max_attrs)
     if args.format == "json":
         _print_json({
             "form": report.form.value,
@@ -196,12 +193,11 @@ def cmd_nf(args: argparse.Namespace) -> int:
 
 def cmd_normalize(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
-    doc = load_schema(args.schema)
-    _warn(doc.warnings)
+    schema = _load_schema(args.schema)
     if args.scope is not None:
-        result = scoped_normalize(graph, doc.schema, parse_pattern_text(args.scope))
+        result = scoped_normalize(graph, schema, parse_pattern_text(args.scope))
     else:
-        result = full_normalize(graph, doc.schema)
+        result = full_normalize(graph, schema)
     texts = {f"{args.out}.graph.json": dump_graph(result.graph),
              f"{args.out}.schema.gofd": format_schema(result.schema)}
     passes = [log.to_dict(explain=args.explain) for log in result.logs]
@@ -234,9 +230,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     if args.graph:
         text = dump_graph(load_graph(args.graph))
     else:
-        doc = load_schema(args.schema)
-        _warn(doc.warnings)
-        text = format_schema(doc.schema)
+        text = format_schema(_load_schema(args.schema))
     if args.out:
         _write_files({args.out: text})
     else:

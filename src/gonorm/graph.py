@@ -105,12 +105,16 @@ class EdgeRecord:
 class Graph:
     """Mutable property graph store.
 
-    ``nodes`` and ``edges`` map object ids to records; treat them as
-    read-only and mutate through the methods, which maintain the invariants
-    (disjoint id spaces, total endpoints, atomic values).  Records share
-    their immutable label sets, with each other and with copies of the
-    graph; a label change replaces the record's set.  No locking is done;
-    a graph instance is not safe for concurrent mutation.
+    ``nodes`` and ``edges`` map object ids to records.  Records are read,
+    and may be changed in place, through these maps; code that writes a
+    record keeps the invariants itself (disjoint id spaces, total
+    endpoints, atomic values).  The methods check what they add: an id not
+    yet taken, endpoints that are nodes, atomic values, and an existing
+    object for ``set_prop`` and ``remove_object``, which drops a node's
+    incident edges with it.  Records share their immutable label sets,
+    with each other and with copies of the graph; a label change replaces
+    the record's set.  No locking is done; a graph instance is not safe for
+    concurrent mutation.
     """
 
     def __init__(self) -> None:
@@ -174,23 +178,11 @@ class Graph:
             return
         raise NotFoundError(f"no object with id {obj_id!r}")
 
-    # -- properties and labels -------------------------------------------
-
-    def _record(self, obj_id: str) -> NodeRecord | EdgeRecord:
+    def set_prop(self, obj_id: str, key: str, value: Atomic) -> None:
         record = self.nodes.get(obj_id) or self.edges.get(obj_id)
         if record is None:
             raise NotFoundError(f"no object with id {obj_id!r}")
-        return record
-
-    def set_prop(self, obj_id: str, key: str, value: Atomic) -> None:
-        self._record(obj_id).props[key] = check_atomic(value)
-
-    def remove_prop(self, obj_id: str, key: str) -> None:
-        """Delete a property; removing an absent key is a no-op."""
-        self._record(obj_id).props.pop(key, None)
-
-    def props(self, obj_id: str) -> dict[str, Atomic]:
-        return dict(self._record(obj_id).props)
+        record.props[key] = check_atomic(value)
 
     def copy(self) -> Graph:
         dup = Graph()
@@ -203,10 +195,6 @@ class Graph:
 
     def __len__(self) -> int:
         return len(self.nodes) + len(self.edges)
-
-    def iter_objects(self) -> Iterator[str]:
-        yield from self.nodes
-        yield from self.edges
 
 
 # -- serialization --------------------------------------------------------
@@ -396,8 +384,7 @@ def read_text(source: str | IO[str]) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = data[:exc.start].decode("utf-8")
-        raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8", line=head.count("\n") + 1,
-                         column=len(head) - head.rfind("\n")) from exc
+        raise _at(head, len(head), f"byte 0x{data[exc.start]:02x} is not UTF-8") from exc
 
 
 def write_text(text: str, target: str | IO[str]) -> None:

@@ -63,6 +63,7 @@ from .pattern import (
     PropVar,
     Relation,
     Variable,
+    _matches,
     node_pattern,
     variable_roles,
 )
@@ -143,8 +144,8 @@ def check_transformable(graph: Graph, dep: GoFd, *,
     other_keys = scope.edge_keys - {key}
     for eid, edge in graph.edges.items():
         nid = edge.src if scope.direction is Direction.OUT else edge.tgt
-        if (nid in anchors and key not in edge.props and scope.edge_labels <= edge.labels
-                and other_keys <= edge.props.keys()):
+        if (nid in anchors and key not in edge.props
+                and _matches(edge, scope.edge_labels, other_keys)):
             raise InvariantError(f"edge {eid} of node {nid} lacks {key}")
 
 

@@ -476,8 +476,10 @@ def oracle_execute(graph: Graph, plans) -> Graph:
     for row in removals:
         if row[0] == "del-edge":
             edges.pop(row[1], None)
-        elif row[1] in nodes or row[1] in edges:
-            out.remove_prop(row[1], row[2])
+        else:
+            record = nodes.get(row[1]) or edges.get(row[1])
+            if record is not None:
+                record.props.pop(row[2], None)
     return out
 
 

@@ -447,6 +447,10 @@ BAD_GRAPHS = {
                                              "to increase the limit at line 2, column 73"),
     "latin1": ('{"nodes": [\n  {"id": "caf\xe9"}], "edges": []}'.encode("latin-1"),
                "byte 0xe9 is not UTF-8 at line 2, column 14"),
+    "latin1_first_line": ('{"nodes": [{"id": "caf\xe9"}], "edges": []}'.encode("latin-1"),
+                          "byte 0xe9 is not UTF-8 at line 1, column 23"),
+    "latin1_line_start": ('{"nodes": [\n\xe9]}'.encode("latin-1"),
+                          "byte 0xe9 is not UTF-8 at line 2, column 1"),
     "deep": (deep_graph(), "arrays and objects nested 100004 deep are too deep to load "
                            "at line 2, column 100035"),
 }
@@ -455,6 +459,10 @@ BAD_SCHEMAS = {
     "broken": (b"(x:{A}:{k}::x.k=>x\n", "unexpected '::' at line 1, column 11"),
     "latin1": ("(x:{A}:{k})::x.k=>x\n(x:{Caf\xe9}:{k})::x.k=>x\n".encode("latin-1"),
                "byte 0xe9 is not UTF-8 at line 2, column 8"),
+    "latin1_first_line": ("(x:{Caf\xe9}:{k})::x.k=>x\n".encode("latin-1"),
+                          "byte 0xe9 is not UTF-8 at line 1, column 8"),
+    "latin1_line_start": ("(x:{A}:{k})::x.k=>x\n\xe9\n".encode("latin-1"),
+                          "byte 0xe9 is not UTF-8 at line 2, column 1"),
 }
 # each verb that reads the file, writing what it writes under {out}
 GRAPH_VERBS = ["check --graph {graph} --schema {schema}",

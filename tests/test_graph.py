@@ -55,7 +55,7 @@ def test_add_node_copies_labels_and_props():
     labels.add("B")
     props["k"] = 2
     assert g.nodes[nid].labels == frozenset({"A"})
-    assert g.props(nid) == {"k": 1}
+    assert g.nodes[nid].props == {"k": 1}
 
 
 def test_duplicate_and_cross_space_ids_rejected():
@@ -117,13 +117,8 @@ def test_prop_mutation_contract():
     g = small_graph()
     g.set_prop("e1", "w", "y")
     assert g.edges["e1"].props["w"] == "y"
-    g.remove_prop("e1", "absent")  # no-op
-    g.remove_prop("e1", "w")
-    assert g.edges["e1"].props == {}
     with pytest.raises(NotFoundError):
         g.set_prop("ghost", "k", 1)
-    with pytest.raises(NotFoundError):
-        g.props("ghost")
 
 
 def test_copy_is_independent():
@@ -144,10 +139,9 @@ def test_copy_is_independent():
     assert dup.add_edge("n1", "n2") not in g.edges
 
 
-def test_len_and_iter_objects():
+def test_len_counts_nodes_and_edges():
     g = small_graph()
     assert len(g) == 3
-    assert set(g.iter_objects()) == {"n1", "n2", "e1"}
     assert "e1" in g.edges and "n1" not in g.edges
 
 
@@ -433,7 +427,7 @@ def test_atomic_value_subclasses_still_load():
         pass
 
     graph = graph_from_dict(_doc([_node(labels=[Name("A")], properties={"k": Name("v")})]))
-    assert graph.nodes["a"].labels == frozenset({"A"}) and graph.props("a") == {"k": "v"}
+    assert graph.nodes["a"].labels == frozenset({"A"}) and graph.nodes["a"].props == {"k": "v"}
 
 
 def test_equal_label_lists_share_one_set_and_copies_share_it():

@@ -285,8 +285,8 @@ def test_full_normalize_visits_scopes_most_specific_first():
     assert first.kept == ["(x:{Person}:{city})-[y:{R}:{w}]->()::x.city=>x"]
     assert first.key_dependencies == ["(x:{Sk_PersonCity}:{city,w})::x.city=>x"]
     assert second.transformations == []  # city already moved off the node
-    assert result.graph.props('sk:val|Person|city="Rome"') == {"city": "Rome", "w": 7}
-    assert result.graph.props("p1") == {"zip": 100}
+    assert result.graph.nodes['sk:val|Person|city="Rome"'].props == {"city": "Rome", "w": 7}
+    assert result.graph.nodes["p1"].props == {"zip": 100}
 
 
 def test_full_normalize_reaches_a_fixpoint():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -85,3 +86,38 @@ def test_tracer_counts_the_ops_of_each_kind_from_the_plans(monkeypatch):
                                              and row[1].startswith("sk:val|")})
     expected["transform.edges_reified"] = len({row[1] for row in rows if row[0] == "del-edge"})
     assert counts == expected
+
+
+def test_size_sweep_records_every_field_of_a_measured_size(capsys, monkeypatch, tmp_path):
+    out = tmp_path / "sweep.json"
+    assert load_script(monkeypatch, "size_sweep").main(
+        ["--workloads", "teaching", "--scales", "1", "--repeats", "1", "--budget", "120",
+         "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert {"git_sha", "python", "nproc"} <= doc.keys() and doc["nproc"] >= 1
+    [size] = doc["workloads"]["teaching"]
+    assert (size["scale"], size["objects"], size["status"]) == (1, 3150, "measured")
+    assert list(size["verbs"]) == ["check", "metrics", "normalize", "normalize --explain"]
+    for verb in size["verbs"].values():
+        assert verb["exit"] == 0 and len(verb["sha256"]) == 64
+        assert {"median_s", "us_per_object", "min_gc_off_s"} <= verb.keys()
+        assert len(verb["gc"]["collections"]) == len(verb["gc"]["s"]) == 3
+    assert size["invert"]["rebuilt"] is True and size["invert"]["plans"] > 0
+    assert {"rss_after_import_mb", "rss_growth_mb"} <= size.keys()
+
+
+def test_size_sweep_refuses_a_broken_input_and_skips_past_the_budget(capsys, monkeypatch,
+                                                                      tmp_path):
+    script = load_script(monkeypatch, "size_sweep")
+    out = tmp_path / "sweep.json"
+    # at seed 4008 two customers draw one id, so the graph breaks its own schema
+    assert script.main(["--workloads", "orders", "--scales", "1", "--seed", "4008",
+                        "--budget", "120", "--out", str(out)]) == 0
+    [size] = json.loads(out.read_text(encoding="utf-8"))["workloads"]["orders"]
+    assert size["status"] == "refused" and "verbs" not in size
+    assert size["reason"].startswith("check exited 1: VIOLATED (o:{Order}")
+    assert script.main(["--workloads", "teaching", "--scales", "4", "1", "--budget", "0.001",
+                        "--out", str(out)]) == 0
+    sizes = json.loads(out.read_text(encoding="utf-8"))["workloads"]["teaching"]
+    assert sizes == [{"scale": 1, "status": "skipped", "reason": "over the 0.001 s budget"},
+                     {"scale": 4, "status": "skipped", "reason": "×1 ran over a budget"}]

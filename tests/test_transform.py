@@ -286,11 +286,11 @@ def test_within_node_execution_moves_values_once():
     assert len(plans) == 1
     rome = 'sk:val|Person|city="Rome"'
     oslo = 'sk:val|Person|city="Oslo"'
-    assert out.props(rome) == {"city": "Rome", "zip": 100}
-    assert out.props(oslo) == {"city": "Oslo", "zip": 200}
+    assert out.nodes[rome].props == {"city": "Rome", "zip": 100}
+    assert out.nodes[oslo].props == {"city": "Oslo", "zip": 200}
     assert out.nodes[rome].labels == frozenset({"Sk_PersonCity"})
     for nid in ("p1", "p2", "p3"):
-        assert out.props(nid) == {}
+        assert out.nodes[nid].props == {}
     assert out.edges[created_edge_id("Sk_PersonCity", "p1", rome)].tgt == rome
     assert out.edges[created_edge_id("Sk_PersonCity", "p3", oslo)].tgt == oslo
     assert len(out.nodes) == 5 and len(out.edges) == 3
@@ -314,12 +314,12 @@ def test_within_edge_execution_reifies_and_migrates_leftovers():
     assert plans[0].deleted_edges == {"e1", "e2"}
     r1, r2 = reifier_id("e1"), reifier_id("e2")
     val = "sk:val|R|u=1"
-    assert out.props(val) == {"u": 1, "v": 2}
+    assert out.nodes[val].props == {"u": 1, "v": 2}
     assert out.nodes[val].labels == frozenset({"Sk_RU"})
     assert out.nodes[r1].labels == frozenset({"R"})
     # unclaimed edge property survives on the reifier node
-    assert out.props(r1) == {"note": "keep"}
-    assert out.props(r2) == {}
+    assert out.nodes[r1].props == {"note": "keep"}
+    assert out.nodes[r2].props == {}
     assert "e1" not in out.edges and "e2" not in out.edges
     assert out.edges[created_edge_id("R_src", "a", r1)].labels == {"R_src"}
     assert out.edges[created_edge_id("R_tgt", r1, "b")].tgt == "b"
@@ -344,8 +344,8 @@ def test_between_node_edge_prop_moves_onto_node():
     assert plans[0].kind is TransformationKind.BETWEEN_N_EP
     assert "new-node" not in {row[0] for row in plans[0].rows}
     assert plans[0].key_dependency is None
-    assert out.props("p1") == {"city": "Rome", "w": 5}
-    assert out.props("e1") == {} and out.props("e2") == {}
+    assert out.nodes["p1"].props == {"city": "Rome", "w": 5}
+    assert out.edges["e1"].props == {} and out.edges["e2"].props == {}
     assert set(out.edges) == {"e1", "e2"}  # nothing reified
     assert verify_lossless(g, out, plans[0])
 
@@ -356,9 +356,9 @@ def test_between_node_prop_edge_prop_shares_value_node():
     out, plans = normalize_one(g, dep)
     assert plans[0].kind is TransformationKind.BETWEEN_NP_EP
     val = 'sk:val|Person|city="Rome"'
-    assert out.props(val) == {"city": "Rome", "w": 5}
-    assert out.props("p1") == {}
-    assert out.props("e1") == {} and "e1" in out.edges
+    assert out.nodes[val].props == {"city": "Rome", "w": 5}
+    assert out.nodes["p1"].props == {}
+    assert out.edges["e1"].props == {} and "e1" in out.edges
     assert out.edges[created_edge_id("Sk_PersonCity", "p1", val)].src == "p1"
     assert verify_lossless(g, out, plans[0])
 
@@ -369,8 +369,8 @@ def test_between_edge_prop_node_prop_reifies_the_edge():
     out, plans = normalize_one(g, dep)
     assert plans[0].kind is TransformationKind.BETWEEN_EP_NP
     val = "sk:val|R|w=5"
-    assert out.props(val) == {"w": 5, "city": "Rome"}
-    assert out.props("p1") == {}
+    assert out.nodes[val].props == {"w": 5, "city": "Rome"}
+    assert out.nodes["p1"].props == {}
     r1 = reifier_id("e1")
     assert "e1" not in out.edges and r1 in out.nodes
     assert out.edges[created_edge_id("R_det", r1, val)].tgt == val
@@ -383,7 +383,7 @@ def test_between_edge_prop_node_id_keeps_endpoint_recoverable():
     out, plans = normalize_one(g, dep)
     assert plans[0].kind is TransformationKind.BETWEEN_EP_N
     val = "sk:val|R|w=5"
-    assert out.props(val) == {"w": 5}
+    assert out.nodes[val].props == {"w": 5}
     assert plans[0].key_dependency.render() == "(x:{Sk_RW}:{w})::x.w=>x"
     assert verify_lossless(g, out, plans[0])
 
@@ -397,7 +397,7 @@ def test_split_right_sides_merge_on_one_value_node():
     out, plans = normalize_one(g, dep)
     assert len(plans) == 2  # one per right-side variable
     rome = 'sk:val|Person|city="Rome"'
-    assert out.props(rome) == {"city": "Rome", "zip": 100, "area": "EU"}
+    assert out.nodes[rome].props == {"city": "Rome", "zip": 100, "area": "EU"}
     assert len([n for n in out.nodes if n.startswith("sk:val|")]) == 2
     for plan in plans:
         others = [p for p in plans if p is not plan]
@@ -835,7 +835,7 @@ def test_verify_lossless_fails_after_tampering():
     plan = plans[0]
 
     broken = out.copy()
-    broken.remove_prop('sk:val|Person|city="Rome"', "zip")
+    broken.nodes['sk:val|Person|city="Rome"'].props.pop("zip")
     assert not verify_lossless(g, broken, plan)
 
     rewired = out.copy()
@@ -866,7 +866,7 @@ def test_invert_rejects_a_slot_moved_to_different_values():
                           TransformationKind.WITHIN_N, 1,
                           [("new-node", "v1", ("V",)), ("new-node", "v2", ("V",)),
                            ("move-prop", "p1", "k", "v1", 1), ("move-prop", "p1", "k", "v2", 1)])
-    assert invert(g, [plan]).props("p1") == {"k": 1}
+    assert invert(g, [plan]).nodes["p1"].props == {"k": 1}
     g.set_prop("v2", "k", 1.0)  # equal in Python, not as JSON text
     with pytest.raises(InvariantError, match="moved to different values"):
         invert(g, [plan])
@@ -907,7 +907,7 @@ def test_invert_of_a_slot_emptied_and_written_again():
     result = full_normalize(g, deps)
     plans = [plan for log in result.logs for plan in log.transformations]
     assert [plan.kind.value for plan in plans] == ["within-n", "between-n-ep", "within-n"]
-    assert sorted(result.graph.props(v)["w"] for v in result.graph.nodes
+    assert sorted(result.graph.nodes[v].props["w"] for v in result.graph.nodes
                   if v.startswith("sk:val|")) == [1, 7]  # nothing is lost
     assert verify_lossless(g, result.graph, plans[0], plans[1:])
     assert [plan.pass_index for plan in plans] == [0, 1, 2]
