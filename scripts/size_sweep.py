@@ -6,14 +6,15 @@ Generates the ``teaching`` and ``orders`` inputs of ``perfbench/workloads.py``
 scale: ``COURSES`` for ``teaching``; ``ORDERS``, ``CUSTOMERS``, ``STATIONS``
 and ``CONNECTIONS`` for ``orders``, whose ``LINES`` stay fixed.  Each size
 runs in fresh child processes, one to generate the input and one to time
-it, within one time budget, and each child within an address-space budget
-(``RLIMIT_AS``); a size that runs over either is recorded as skipped, and
-the larger sizes of its workload are not run.
+it, within a time budget of ``BUDGET_S``, and each child within an
+address-space budget of ``MEMORY_MB`` (``RLIMIT_AS``); a size that runs
+over either is recorded as skipped, and the larger sizes of its workload
+are not run.
 
 The timing child runs ``check`` first and times nothing more when the input
 breaks its own schema.  Otherwise it runs ``check``, ``metrics``,
 ``normalize`` and ``normalize --explain`` through ``gonorm.cli.main``,
-``--repeats`` times each with the collector on and as often with it off,
+``REPEATS`` times each with the collector on and as often with it off,
 then one ``invert`` over all plans of a ``full_normalize``.  Per verb it
 records the exit code, the median time and microseconds per object with
 the collector on, the collections and collector time per generation over
@@ -25,8 +26,7 @@ right after import, and whether ``invert`` rebuilt the input's bytes as
 the Python version and the number of usable CPUs.
 
     python scripts/size_sweep.py [--workloads teaching orders] [--scales 1 4 16 32]
-                                 [--seed 1] [--repeats 3] [--budget 300] [--memory 2560]
-                                 [--out FILE]
+                                 [--seed 1] [--out FILE]
 """
 from __future__ import annotations
 
@@ -54,6 +54,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # the constants each scale multiplies, per workload
 SCALED = {"teaching": ("COURSES",), "orders": ("ORDERS", "CUSTOMERS", "STATIONS", "CONNECTIONS")}
 INPUTS = ("graph.json", "schema.gofd")
+REPEATS = 3  # timed runs per verb, with the collector on and again off
+MEMORY_MB = 2560  # address space of each child; ``orders`` ×16 grows about 1.5 GB
+BUDGET_S = 300.0  # seconds for one size, generation included
 FILES = ["--graph", "graph.json", "--schema", "schema.gofd"]
 VERBS = {"check": ["check", *FILES],
          "metrics": ["metrics", *FILES],
@@ -128,7 +131,7 @@ def max_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
 
-def measure(folder: str, repeats: int, objects: int) -> dict:
+def measure(folder: str, objects: int) -> dict:
     """Time every verb on the input in ``folder``, or refuse an input whose
     ``check`` fails."""
     rss_after_import = max_rss_mb()
@@ -140,15 +143,15 @@ def measure(folder: str, repeats: int, objects: int) -> dict:
     verbs = {}
     for verb, argv in VERBS.items():
         collections = Collections()
-        timed = [run_verb(argv, collections) for _ in range(repeats)]
+        timed = [run_verb(argv, collections) for _ in range(REPEATS)]
         gc.disable()
         try:
-            untimed = [run_verb(argv) for _ in range(repeats)]
+            untimed = [run_verb(argv) for _ in range(REPEATS)]
         finally:
             gc.enable()
         outcomes = {(code, digest) for code, _, digest, _ in timed + untimed}
         if len(outcomes) != 1:
-            raise RuntimeError(f"{verb} gave {len(outcomes)} outcomes over {2 * repeats} runs")
+            raise RuntimeError(f"{verb} gave {len(outcomes)} outcomes over {2 * REPEATS} runs")
         [(code, digest)] = outcomes
         median = statistics.median(seconds for _, seconds, _, _ in timed)
         verbs[verb] = {"exit": code, "median_s": round(median, 6),
@@ -172,14 +175,14 @@ def measure(folder: str, repeats: int, objects: int) -> dict:
 def child(job: dict) -> int:
     """Run one job of ``sweep_size`` within its address-space budget."""
     _, hard = resource.getrlimit(resource.RLIMIT_AS)
-    resource.setrlimit(resource.RLIMIT_AS, (job["memory_mb"] * 2**20, hard))
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_MB * 2**20, hard))
     try:
         if job["task"] == "generate":
             doc = generate(job["workload"], job["scale"], job["seed"], job["folder"])
         else:
-            doc = measure(job["folder"], job["repeats"], job["objects"])
+            doc = measure(job["folder"], job["objects"])
     except MemoryError:
-        doc = {"status": "skipped", "reason": f"over the {job['memory_mb']} MB memory budget"}
+        doc = {"status": "skipped", "reason": f"over the {MEMORY_MB} MB memory budget"}
     print(json.dumps(doc))
     return 0
 
@@ -200,12 +203,11 @@ def _run_child(job: dict, deadline: float) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def sweep_size(workload: str, scale: int, args: argparse.Namespace) -> dict:
+def sweep_size(workload: str, scale: int, seed: int) -> dict:
     """One size: generate it, then time it, in two children within the budgets."""
-    deadline = time.monotonic() + args.budget
+    deadline = time.monotonic() + BUDGET_S
     with tempfile.TemporaryDirectory() as folder:
-        job = {"workload": workload, "scale": scale, "seed": args.seed, "folder": folder,
-               "repeats": args.repeats, "memory_mb": args.memory}
+        job = {"workload": workload, "scale": scale, "seed": seed, "folder": folder}
         size = _run_child({**job, "task": "generate"}, deadline)
         if "status" not in size:
             size.update(_run_child({**job, "task": "measure", "objects": size["objects"]},
@@ -229,21 +231,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workloads", nargs="+", choices=tuple(SCALED), default=list(SCALED))
     parser.add_argument("--scales", nargs="+", type=int, default=[1, 4, 16, 32])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timed runs per verb, with the collector on and again off")
-    parser.add_argument("--budget", type=float, default=300.0,
-                        help="seconds for one size, generation included")
-    parser.add_argument("--memory", type=int, default=2560,
-                        help="MB of address space for each child process")
     parser.add_argument("--out", default=str(ROOT / "BENCH_sweep.json"))
     args = parser.parse_args(argv)
 
     status = _git("status", "--porcelain", "--", "src", "scripts", "perfbench")
     doc = {"git_sha": _git("rev-parse", "HEAD"), "git_dirty": bool(status),
            "python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
-           "seed": args.seed, "repeats": args.repeats, "budget_s": args.budget,
-           "memory_mb": args.memory,
-           "workloads": {}}
+           "seed": args.seed, "repeats": REPEATS, "budget_s": BUDGET_S,
+           "memory_mb": MEMORY_MB, "workloads": {}}
     for workload in args.workloads:
         sizes = doc["workloads"][workload] = []
         over = None  # the first scale over a budget; larger ones are not run
@@ -252,9 +247,9 @@ def main(argv: list[str] | None = None) -> int:
                 size = {"status": "skipped", "reason": f"×{over} ran over a budget"}
             else:
                 try:
-                    size = sweep_size(workload, scale, args)
+                    size = sweep_size(workload, scale, args.seed)
                 except subprocess.TimeoutExpired:
-                    size = {"status": "skipped", "reason": f"over the {args.budget:g} s budget"}
+                    size = {"status": "skipped", "reason": f"over the {BUDGET_S:g} s budget"}
                 except RuntimeError as exc:
                     size = {"status": "failed", "reason": str(exc)}
                 if size["status"] == "skipped":

@@ -91,8 +91,7 @@ def test_tracer_counts_the_ops_of_each_kind_from_the_plans(monkeypatch):
 def test_size_sweep_records_every_field_of_a_measured_size(capsys, monkeypatch, tmp_path):
     out = tmp_path / "sweep.json"
     assert load_script(monkeypatch, "size_sweep").main(
-        ["--workloads", "teaching", "--scales", "1", "--repeats", "1", "--budget", "120",
-         "--out", str(out)]) == 0
+        ["--workloads", "teaching", "--scales", "1", "--out", str(out)]) == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert {"git_sha", "python", "nproc"} <= doc.keys() and doc["nproc"] >= 1
     [size] = doc["workloads"]["teaching"]
@@ -109,15 +108,18 @@ def test_size_sweep_records_every_field_of_a_measured_size(capsys, monkeypatch, 
 def test_size_sweep_refuses_a_broken_input_and_skips_past_the_budget(capsys, monkeypatch,
                                                                       tmp_path):
     script = load_script(monkeypatch, "size_sweep")
-    out = tmp_path / "sweep.json"
-    # at seed 4008 two customers draw one id, so the graph breaks its own schema
-    assert script.main(["--workloads", "orders", "--scales", "1", "--seed", "4008",
-                        "--budget", "120", "--out", str(out)]) == 0
-    [size] = json.loads(out.read_text(encoding="utf-8"))["workloads"]["orders"]
+    # the generator's violating graph breaks its own schema on purpose
+    files = load_script(monkeypatch, "workloads", ROOT / "perfbench").GENERATORS["teaching"](1)
+    (tmp_path / "graph.json").write_text(files["violating.graph.json"], encoding="utf-8")
+    (tmp_path / "schema.gofd").write_text(files["schema.gofd"], encoding="utf-8")
+    monkeypatch.chdir(tmp_path)  # ``measure`` works in the input's folder
+    size = script.measure(str(tmp_path), 3150)
     assert size["status"] == "refused" and "verbs" not in size
-    assert size["reason"].startswith("check exited 1: VIOLATED (o:{Order}")
-    assert script.main(["--workloads", "teaching", "--scales", "4", "1", "--budget", "0.001",
-                        "--out", str(out)]) == 0
+    assert size["reason"].startswith("check exited 1: VIOLATED (")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["graph.json", "schema.gofd"]
+    out = tmp_path / "sweep.json"
+    monkeypatch.setattr(script, "BUDGET_S", 0.001)
+    assert script.main(["--workloads", "teaching", "--scales", "4", "1", "--out", str(out)]) == 0
     sizes = json.loads(out.read_text(encoding="utf-8"))["workloads"]["teaching"]
     assert sizes == [{"scale": 1, "status": "skipped", "reason": "over the 0.001 s budget"},
                      {"scale": 4, "status": "skipped", "reason": "×1 ran over a budget"}]
