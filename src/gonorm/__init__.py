@@ -13,7 +13,6 @@ from .errors import (
     InvariantError,
     NonStrict,
     NotFoundError,
-    NothingToDo,
     ParseError,
     ScopeMismatch,
     SizeLimit,
@@ -76,7 +75,6 @@ from .normalize import (
 )
 from .parser import (
     SchemaDocument,
-    format_gofd,
     format_schema,
     load_schema,
     parse_gofd,
@@ -113,11 +111,9 @@ from .transform import (
     TransformationKind,
     build_plans,
     execute_plans,
-    instantiate,
     invert,
     match_redundancy_pattern,
     skolem_label,
-    skolem_node_id,
     verify_lossless,
 )
 

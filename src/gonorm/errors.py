@@ -60,10 +60,6 @@ class SizeLimit(GonormError):
     """An enumeration bound (attribute subset search) was exceeded."""
 
 
-class NothingToDo(GonormError):
-    """The dependency matches no redundancy shape, so there is nothing to transform."""
-
-
 class UnsatisfiedDependency(GonormError):
     """A transformation was applied on a graph that violates its dependency."""
 

@@ -120,23 +120,16 @@ class Graph:
     def __init__(self) -> None:
         self.nodes: dict[str, NodeRecord] = {}
         self.edges: dict[str, EdgeRecord] = {}
-        self._node_counter = 0
-        self._edge_counter = 0
+        self._counters = {"n": 0, "e": 0}  # the last number handed out per id prefix
 
     # -- object management ------------------------------------------------
 
     def _fresh_id(self, prefix: str) -> str:
-        counter = self._node_counter if prefix == "n" else self._edge_counter
         while True:
-            counter += 1
-            candidate = f"{prefix}{counter}"
+            self._counters[prefix] += 1
+            candidate = f"{prefix}{self._counters[prefix]}"
             if candidate not in self.nodes and candidate not in self.edges:
-                break
-        if prefix == "n":
-            self._node_counter = counter
-        else:
-            self._edge_counter = counter
-        return candidate
+                return candidate
 
     def add_node(self, labels: Iterable[str] = (), props: dict[str, Atomic] | None = None,
                  node_id: str | None = None) -> str:
@@ -186,8 +179,7 @@ class Graph:
 
     def copy(self) -> Graph:
         dup = Graph()
-        dup._node_counter = self._node_counter
-        dup._edge_counter = self._edge_counter
+        dup._counters = dict(self._counters)
         dup.nodes = {nid: NodeRecord(n.labels, dict(n.props)) for nid, n in self.nodes.items()}
         dup.edges = {eid: EdgeRecord(e.src, e.tgt, e.labels, dict(e.props))
                      for eid, e in self.edges.items()}

@@ -262,10 +262,6 @@ def parse_schema(text: str) -> SchemaDocument:
     return doc
 
 
-def format_gofd(dep: GoFd) -> str:
-    return dep.render()
-
-
 def format_schema(deps: Iterable[GoFd]) -> str:
     return "".join(f"{dep.render()}\n" for dep in deps)
 

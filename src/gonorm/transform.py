@@ -50,7 +50,6 @@ from .errors import (
     GonormError,
     InvariantError,
     NonStrict,
-    NothingToDo,
 )
 from .gofd import GoFd, check_bound, gofd, scope_matches
 from .graph import (Atomic, EdgeRecord, Graph, NodeRecord, check_atomic, dump_graph,
@@ -160,19 +159,13 @@ def _skolem_text(tag: str, labels: Iterable[str], texts: Iterable[tuple[str, str
     return f"{tag}|{','.join(sorted(labels))}|{pairs}"
 
 
-def skolem_node_id(tag: str, labels: Iterable[str], kv: Iterable[tuple[str, Atomic]]) -> str:
-    """``sk:tag|labels|pairs``, sorted, each value written as its ``value_key``,
-    which is its ``json.dumps`` text."""
-    return "sk:" + _skolem_text(tag, labels, [(k, value_key(v)) for k, v in kv])
-
-
 def skolem_label(labels: Iterable[str], keys: Iterable[str]) -> str:
     parts = sorted(labels) + sorted(keys)
     return "Sk_" + "".join(p[:1].upper() + p[1:] for p in parts)
 
 
 def reifier_id(edge_id: str) -> str:
-    return "sk:reif||edge=" + value_key(edge_id)  # as skolem_node_id would write it
+    return "sk:reif||edge=" + value_key(edge_id)  # a value node's layout, tag reif
 
 
 def reification_prefix(edge_labels: Iterable[str]) -> str:
@@ -373,20 +366,12 @@ def _sweep(graph: Graph, relation: Relation, source: int, lhs: list[tuple[str, i
     return blocks
 
 
-def _instantiate(graph: Graph, dep: GoFd, matches: Relation | None,
+def _instantiate(graph: Graph, dep: GoFd, kind: TransformationKind, relation: Relation,
                  sweeps: dict[tuple[Pattern, frozenset[Variable]], list[Block]]
                  ) -> Transformation:
-    """``instantiate``, reusing the sweep of an earlier part with the same
-    scope and left side from ``sweeps``, or adding this part's there."""
-    if len(dep.rhs) != 1:
-        raise ValueError("one right-side variable per transformation; split the dependency")
-    kind = match_redundancy_pattern(dep)
-    if kind is TransformationKind.NO_REDUNDANCY:
-        raise NothingToDo(f"no redundancy shape in {dep.render()}")
-    relation = scope_matches(graph, dep, matches)
-    if not relation.rows:
-        raise NothingToDo(f"scope of {dep.render()} matches nothing")
-
+    """The plan of one part of shape ``kind`` on its scope's non-empty
+    matches ``relation``, reusing the sweep of an earlier part with the
+    same scope and left side from ``sweeps``, or adding this part's there."""
     roles = variable_roles(dep.scope)
     column = {var: pos for pos, var in enumerate(relation.variables)}
     owner = {roles[var.name]: pos for var, pos in column.items() if isinstance(var, ObjectVar)}
@@ -419,31 +404,20 @@ def _instantiate(graph: Graph, dep: GoFd, matches: Relation | None,
     return Transformation(dep, kind, len(relation.rows), [], key_dep, sweep=blocks)
 
 
-def instantiate(graph: Graph, dep: GoFd, *, matches: Relation | None = None) -> Transformation:
-    """Plan the transformation for one dependency on one graph.
-
-    The dependency must have a single right-side variable; recombined
-    dependencies are split by the caller and their plans merge naturally
-    because value nodes are named by left-side values alone.  Raises
-    ``NothingToDo`` when the descriptor shape carries no redundancy or when
-    the scope matches nothing.  ``matches`` may pass the scope's already
-    evaluated matches on ``graph``.
-    """
-    return _instantiate(graph, dep, matches, {})
-
-
 def build_plans(graph: Graph, deps: Iterable[GoFd], *, matches: Relation | None = None
                 ) -> tuple[list[Transformation], list[tuple[GoFd, TransformationKind]]]:
     """Plan every transformable dependency and coordinate shared edges.
 
-    Returns the plans plus the dependencies that produced none, each with the
-    shape it matched.  Dependencies with the same scope and left side, like
-    the parts of one split dependency, share one sweep over the matches.
-    Coordination: when an edge is deleted, its properties that no plan moved
-    anywhere migrate to the reifier node, so the edge's incidental data
-    survives.  Migration ops are attached to the first plan that deletes the
-    edge.  ``matches`` may pass the already evaluated matches of the one
-    scope all ``deps`` share.
+    Returns the plans plus, in input order, the dependencies that produced
+    none, each with the shape it matched: none, or a scope matching nothing.
+    A dependency with a shape needs one right-side variable, else
+    ``ValueError``; the plans of its split parts merge, as value nodes are
+    named by left-side values alone.  Dependencies with the same scope and
+    left side share one sweep over the matches.  Coordination: when an edge
+    is deleted, its properties that no plan moved anywhere migrate to the
+    reifier node, so the edge's incidental data survives.  Migration ops
+    are attached to the first plan that deletes the edge.  ``matches`` may
+    pass the already evaluated matches of the one scope all ``deps`` share.
     """
     plans: list[Transformation] = []
     leftovers: list[tuple[GoFd, TransformationKind]] = []
@@ -453,9 +427,12 @@ def build_plans(graph: Graph, deps: Iterable[GoFd], *, matches: Relation | None 
         if kind is TransformationKind.NO_REDUNDANCY:
             leftovers.append((dep, kind))
             continue
-        try:
-            plans.append(_instantiate(graph, dep, matches, sweeps))
-        except NothingToDo:
+        if len(dep.rhs) != 1:
+            raise ValueError("one right-side variable per transformation; split the dependency")
+        relation = scope_matches(graph, dep, matches)
+        if relation.rows:
+            plans.append(_instantiate(graph, dep, kind, relation, sweeps))
+        else:
             leftovers.append((dep, kind))
 
     deleted = [plan.deleted_edges for plan in plans]

@@ -7,6 +7,13 @@ scan over rows, and the closure oracle intersects every closed superset it
 can enumerate.  The generators construct graphs that satisfy a dependency
 *by construction*, so the expected outcome of each check is known before
 the library runs.
+
+A few library helpers are reused as the specification itself, not
+recomputed: the descriptor-shape table (``match_redundancy_pattern``), the
+value-node label (``skolem_label``), the reifier node and created edge ids
+(``reifier_id``, ``created_edge_id``) and the reification label prefix
+(``reification_prefix``).  Value-node ids are rebuilt from their
+definition by ``oracle_skolem_node_id``.
 """
 
 from __future__ import annotations
@@ -55,7 +62,6 @@ from gonorm.transform import (
     reification_prefix,
     reifier_id,
     skolem_label,
-    skolem_node_id,
 )
 
 
@@ -377,7 +383,7 @@ def oracle_instantiate(graph: Graph, dep: GoFd, rows) -> list[Op]:
         lhs_values = [values[column[var]] for var in lhs_vars]
         name_key = tuple(json.dumps(value) for value in lhs_values)
         if name_key not in names:
-            names[name_key] = skolem_node_id(
+            names[name_key] = oracle_skolem_node_id(
                 "val", owner_labels, [(var.key, value) for var, value in zip(lhs_vars, lhs_values)])
             add(NewNode(names[name_key], (val_label,)))
         vid = names[name_key]
@@ -531,6 +537,13 @@ def _set_key(variables: Iterable[Variable]) -> tuple:
 def _scope_closure(seed: Iterable[Variable], deps: Iterable[GoFd],
                    scope: Pattern) -> frozenset[Variable]:
     return oracle_closure(seed, list(deps) + list(structurally_implied(scope)))
+
+
+def oracle_implies(deps: Iterable[GoFd], dep: GoFd) -> bool:
+    """Whether ``deps`` entail ``dep``: its right side lies in the closure of
+    its left side under the dependencies that apply to its scope, restricted
+    to it, and the scope's structural ones."""
+    return dep.rhs <= _scope_closure(dep.lhs, applicable_deps(deps, dep.scope), dep.scope)
 
 
 def oracle_candidate_keys(scope: Pattern,

@@ -139,6 +139,20 @@ def test_copy_is_independent():
     assert dup.add_edge("n1", "n2") not in g.edges
 
 
+def test_copy_numbers_on_where_its_original_stood_and_skips_taken_ids():
+    g = Graph()
+    assert [g.add_node(), g.add_node()] == ["n1", "n2"]
+    g.add_node(node_id="n4")
+    g.add_node(node_id="e1")  # the id spaces are shared: no edge may take it
+    assert g.add_edge("n1", "n2") == "e2"
+    dup = g.copy()
+    assert [dup.add_node(), dup.add_node()] == ["n3", "n5"]
+    assert dup.add_edge("n1", "n2") == "e3"
+    assert dup.add_node(node_id="n6") == "n6" and dup.add_node() == "n7"
+    # the original's numbering goes on by itself
+    assert g.add_node() == "n3" and g.add_edge("n1", "n2") == "e3"
+
+
 def test_len_counts_nodes_and_edges():
     g = small_graph()
     assert len(g) == 3

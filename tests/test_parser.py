@@ -19,7 +19,6 @@ from gonorm import (
     PropVar,
     attrs,
     edge_pattern,
-    format_gofd,
     format_schema,
     full_normalize,
     gofd,
@@ -273,15 +272,15 @@ CANONICAL = [
 def test_parse_format_parse_is_stable():
     for text in CANONICAL:
         dep = parse_gofd(text)
-        assert format_gofd(dep) == text
-        assert parse_gofd(format_gofd(dep)) == dep
+        assert dep.render() == text
+        assert parse_gofd(dep.render()) == dep
 
 
 def test_non_canonical_spellings_format_canonically():
     dep = parse_gofd("( x : {B,A} : {b,a} ) :: x.b , x.a ⇒ x")
-    assert format_gofd(dep) == "(x:{A,B}:{a,b})::x.a,x.b=>x"
+    assert dep.render() == "(x:{A,B}:{a,b})::x.a,x.b=>x"
     anon = parse_gofd("(v:{A}:∅)-[:{R}:{w}]->() :: v ⇒ v")
-    assert format_gofd(anon) == "(v:{A}:{})-[:{R}:{w}]->()::v=>v"
+    assert anon.render() == "(v:{A}:{})-[:{R}:{w}]->()::v=>v"
 
 
 def test_underscored_identifiers_parse():
@@ -297,7 +296,7 @@ def test_random_dependency_round_trip(seed):
     pool = sorted(attrs(scope), key=lambda v: (v.name, getattr(v, "key", "")))
     dep = gofd(scope, rng.sample(pool, rng.randint(1, min(3, len(pool)))),
                rng.sample(pool, rng.randint(1, min(2, len(pool)))))
-    assert parse_gofd(format_gofd(dep)) == dep
+    assert parse_gofd(dep.render()) == dep
 
 
 # -- files -----------------------------------------------------------------

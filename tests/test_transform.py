@@ -23,7 +23,6 @@ from gonorm import (
     Graph,
     InvariantError,
     NonStrict,
-    NothingToDo,
     ObjectVar,
     PropVar,
     TransformationKind,
@@ -36,7 +35,6 @@ from gonorm import (
     execute_plans,
     full_normalize,
     gofd,
-    instantiate,
     invert,
     match_redundancy_pattern,
     node_edge_pattern,
@@ -45,7 +43,6 @@ from gonorm import (
     satisfies,
     scoped_normalize,
     skolem_label,
-    skolem_node_id,
     verify_lossless,
 )
 from gonorm.graph import value_key
@@ -141,9 +138,10 @@ def test_shape_rejects_non_strict_descriptors():
 def test_skolem_names_exact():
     assert skolem_label({"b", "A"}, {"k2", "k1"}) == "Sk_ABK1K2"
     assert skolem_label({"Person"}, {"city"}) == "Sk_PersonCity"
-    assert skolem_node_id("val", {"Person"}, [("city", "Rome")]) == 'sk:val|Person|city="Rome"'
-    assert skolem_node_id("val", {"A"}, [("k", 1)]) == "sk:val|A|k=1"
-    assert skolem_node_id("val", {"B", "A"}, [("b", 2), ("a", 1)]) == "sk:val|A,B|a=1,b=2"
+    assert (oracle_skolem_node_id("val", {"Person"}, [("city", "Rome")])
+            == 'sk:val|Person|city="Rome"')
+    assert oracle_skolem_node_id("val", {"A"}, [("k", 1)]) == "sk:val|A|k=1"
+    assert oracle_skolem_node_id("val", {"B", "A"}, [("b", 2), ("a", 1)]) == "sk:val|A,B|a=1,b=2"
     assert reifier_id("e4") == 'sk:reif||edge="e4"'
     assert created_edge_id("L", "n1", "n2") == "ske:L|n1|n2"
     assert reification_prefix({"S", "R"}) == "R_S"
@@ -166,14 +164,24 @@ SKOLEM_VALUES = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(["val", "reif"]), st.lists(TRICKY_TEXT, max_size=3),
-       st.lists(st.tuples(TRICKY_TEXT, SKOLEM_VALUES), max_size=4),
+@settings(max_examples=200, deadline=None)
+@given(st.sets(TRICKY_TEXT, max_size=3),
+       st.lists(TRICKY_TEXT.filter(lambda key: key != "out"), min_size=1, max_size=3, unique=True),
+       st.lists(st.lists(SKOLEM_VALUES, min_size=3, max_size=3), min_size=1, max_size=4),
        st.one_of(TRICKY_TEXT, TRICKY_TEXT.map(Text)))
-def test_skolem_ids_write_values_as_json_dumps(tag, labels, kv, edge_id):
-    expected = oracle_skolem_node_id(tag, labels, kv)
-    assert skolem_node_id(tag, labels, kv) == expected
-    assert skolem_node_id(tag, labels, iter(kv)) == expected
+def test_skolem_ids_write_values_as_json_dumps(labels, keys, values, edge_id):
+    # the planner names each object's value node from its left-side values
+    g = Graph()
+    for i, row in enumerate(values):
+        g.add_node(labels, {**dict(zip(keys, row)), "out": 0}, node_id=f"o{i}")
+    dep = gofd(node_pattern("x", labels, [*keys, "out"]), [pv("x", k) for k in keys],
+               [pv("x", "out")])
+    (plan,), leftovers = build_plans(g, [dep])
+    assert leftovers == []
+    expected = {f"o{i}": oracle_skolem_node_id("val", labels, zip(keys, row))
+                for i, row in enumerate(values)}
+    assert {op.src: op.tgt for op in plan.ops if isinstance(op, NewEdge)} == expected
+    assert {op.node for op in plan.ops if isinstance(op, NewNode)} == set(expected.values())
     assert reifier_id(edge_id) == oracle_skolem_node_id("reif", (), [("edge", edge_id)])
 
 
@@ -209,21 +217,26 @@ def person_graph() -> Graph:
     return g
 
 
-def test_instantiate_requires_single_rhs_and_redundancy():
+def test_build_plans_requires_single_rhs_and_lists_leftovers():
     g = person_graph()
-    with pytest.raises(ValueError):
-        instantiate(g, gofd(PERSON, [pv("x", "city")],
-                            [pv("x", "zip"), ObjectVar("x")]))
-    with pytest.raises(NothingToDo):
-        instantiate(g, gofd(PERSON, [pv("x", "city")], [ObjectVar("x")]))
-    with pytest.raises(NothingToDo):
-        instantiate(g, gofd(node_pattern("x", {"Ghost"}, {"city", "zip"}),
-                            [pv("x", "city")], [pv("x", "zip")]))
+    wide = node_pattern("x", {"Person"}, {"city", "zip", "age"})  # raises before matching
+    with pytest.raises(ValueError, match="one right-side variable"):
+        build_plans(g, [gofd(wide, [pv("x", "city")], [pv("x", "zip"), pv("x", "age")])])
+    no_shape = gofd(PERSON, [pv("x", "city")], [pv("x", "zip"), ObjectVar("x")])
+    key_dep = gofd(PERSON, [pv("x", "city")], [ObjectVar("x")])
+    ghost = gofd(node_pattern("x", {"Ghost"}, {"city", "zip"}),
+                 [pv("x", "city")], [pv("x", "zip")])
+    real = gofd(PERSON, [pv("x", "city")], [pv("x", "zip")])
+    plans, leftovers = build_plans(g, [no_shape, ghost, real, key_dep])
+    assert [plan.dependency for plan in plans] == [real]
+    none, within_n = TransformationKind.NO_REDUNDANCY, TransformationKind.WITHIN_N
+    assert leftovers == [(no_shape, none), (ghost, within_n), (key_dep, none)]
 
 
-def test_instantiate_within_node_plan_shape():
+def test_build_plans_within_node_plan_shape():
     g = person_graph()
-    plan = instantiate(g, gofd(PERSON, [pv("x", "city")], [pv("x", "zip")]))
+    (plan,), leftovers = build_plans(g, [gofd(PERSON, [pv("x", "city")], [pv("x", "zip")])])
+    assert leftovers == []
     assert plan.kind is TransformationKind.WITHIN_N
     assert plan.match_count == 3
     assert plan.key_dependency.scope.labels == {"Sk_PersonCity"}
@@ -265,7 +278,7 @@ def test_value_node_names_keep_apart_equal_but_distinct_values(edge_only):
     (plan,), _ = build_plans(holding(objects), [dep])
     labels = tuple(plan.key_dependency.scope.labels)
     value_nodes = {op.node for op in plan.ops if isinstance(op, NewNode) and op.labels == labels}
-    assert value_nodes == {skolem_node_id("val", {label}, [("k", value)])
+    assert value_nodes == {oracle_skolem_node_id("val", {label}, [("k", value)])
                            for value in MEMO_VALUES}
     assert len(value_nodes) == 5
 
@@ -500,7 +513,7 @@ def test_plans_of_two_left_sides_run_each_op_object_once():
     assert walks == ["a", "b"]
 
     r1, r2 = reifier_id("e1"), reifier_id("e2")
-    a1, a_true, bx = (skolem_node_id("val", {"R"}, [kv])
+    a1, a_true, bx = (oracle_skolem_node_id("val", {"R"}, [kv])
                       for kv in (("a", 1), ("a", True), ("b", "x")))
     expected = Graph()
     for nid, label, props in (("n1", "A", {}), ("n2", "A", {}), (r1, "R", {}), (r2, "R", {}),
