@@ -12,6 +12,7 @@ input or arguments.  All JSON output is byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -23,7 +24,7 @@ from .gofd import GnSchema, GoFd, applicable_deps, map_per_scope, minimal_cover,
 from .graph import dump_graph, load_graph, unpaired_surrogate
 from .metrics import build_report
 from .normalform import DEFAULT_MAX_ATTRS, NormalForm, check_gn_nf
-from .normalize import full_normalize, scoped_normalize
+from .normalize import _full_normalize, _normalize_scope
 from .parser import format_schema, load_schema, parse_pattern_text
 from .pattern import Variable, render_pattern, render_var
 
@@ -192,12 +193,12 @@ def cmd_nf(args: argparse.Namespace) -> int:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    graph = load_graph(args.graph)
+    graph = load_graph(args.graph)  # normalized in place: nothing else holds it
     schema = _load_schema(args.schema)
     if args.scope is not None:
-        result = scoped_normalize(graph, schema, parse_pattern_text(args.scope))
+        result = _normalize_scope(graph, schema, parse_pattern_text(args.scope))
     else:
-        result = full_normalize(graph, schema)
+        result = _full_normalize(graph, schema)
     texts = {f"{args.out}.graph.json": dump_graph(result.graph),
              f"{args.out}.schema.gofd": format_schema(result.schema)}
     passes = [log.to_dict(explain=args.explain) for log in result.logs]
@@ -243,7 +244,21 @@ def _add_format(sub: argparse.ArgumentParser) -> None:
                      help="output style (default: human)")
 
 
+def _count(text: str) -> int:
+    """An integer of at least 0, the type of the options that bound a count."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
+    return value
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Every verb's parser, built once per process, when ``set_defaults``
+    binds each verb's ``cmd_*`` function; parsing changes nothing in it."""
     parser = argparse.ArgumentParser(
         prog="gonorm",
         description="Dependency-guided normalization of labeled property graphs.")
@@ -253,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--graph", required=True)
     check.add_argument("--schema", required=True)
     check.add_argument("--scope", help="restrict to dependencies applicable to this pattern")
-    check.add_argument("--max-witnesses", type=int, default=5)
+    check.add_argument("--max-witnesses", type=_count, default=5)
     _add_format(check)
     check.set_defaults(func=cmd_check)
 
@@ -275,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     nf.add_argument("--schema", required=True)
     nf.add_argument("--graph", help="needed only for --form 1nf")
     nf.add_argument("--form", choices=("1nf", "2nf", "3nf", "bcnf"), default="bcnf")
-    nf.add_argument("--max-attrs", type=int, default=DEFAULT_MAX_ATTRS,
+    nf.add_argument("--max-attrs", type=_count, default=DEFAULT_MAX_ATTRS,
                     help="refuse scopes with more attributes than this")
     _add_format(nf)
     nf.set_defaults(func=cmd_nf)

@@ -190,21 +190,25 @@ def sort_scopes(scopes: Iterable[Pattern]) -> list[Pattern]:
 
 
 def full_normalize(graph: Graph, schema: Iterable[GoFd]) -> NormalizationResult:
-    """Normalize every scope of the schema, most specific first.
+    """Normalize every scope of the schema, most specific first, on one copy
+    of the graph, which the result holds; the input is never changed."""
+    return _full_normalize(graph.copy(), schema)
 
-    The input graph is copied once and never changed; every pass works on
-    that copy, which the result holds.  The scope list is fixed up front;
-    scopes of key dependencies created along the way describe
-    already-normalized value nodes and are not processed again.
+
+def _full_normalize(graph: Graph, schema: Iterable[GoFd]) -> NormalizationResult:
+    """``full_normalize`` on ``graph`` itself, which the result holds.
+
+    The scope list is fixed up front; scopes of key dependencies created
+    along the way describe already-normalized value nodes and are not
+    processed again.  If it raises, ``graph`` may be left half transformed.
     """
     current = GnSchema(schema)
     order = sort_scopes(current.scopes())
     logs: list[PhaseLog] = []
-    out = graph.copy()
     for index, scope in enumerate(order):
-        step = _normalize_scope(out, current, scope)
+        step = _normalize_scope(graph, current, scope)
         for plan in step.logs[0].transformations:
             plan.pass_index = index
         current = step.schema
         logs.extend(step.logs)
-    return NormalizationResult(out, current, logs)
+    return NormalizationResult(graph, current, logs)

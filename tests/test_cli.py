@@ -14,11 +14,15 @@ from gonorm import (
     build_report,
     dump_graph,
     evaluate,
+    format_schema,
     full_normalize,
     load_graph,
     load_schema,
     profile,
+    render_pattern,
     satisfies,
+    scoped_normalize,
+    sort_scopes,
 )
 from gonorm import cli
 from gonorm.cli import main
@@ -203,6 +207,21 @@ def test_nf_size_limit_is_an_input_error(capsys, tmp_path):
         assert code == 1 and f"{form}: violated" in out  # computable once raised
 
 
+@pytest.mark.parametrize("argv, at_zero", [
+    (["check", "--graph", UNI_GRAPH, "--schema", UNI_SCHEMA, "--max-witnesses"], (0, "")),
+    (["nf", "--schema", UNI_SCHEMA, "--max-attrs"],
+     (2, "error: scope has 3 attributes, limit is 0\n")),
+], ids=["max-witnesses", "max-attrs"])
+def test_a_negative_count_is_an_argument_error(capsys, argv, at_zero):
+    with pytest.raises(SystemExit) as caught:
+        main([*argv, "-1"])
+    captured = capsys.readouterr()
+    assert caught.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(f"error: argument {argv[-1]}: must be at least 0, got '-1'\n")
+    code, _, err = run(capsys, *argv, "0")  # the least count reaches the verb
+    assert (code, err) == at_zero
+
+
 # -- normalize -------------------------------------------------------------
 
 def test_normalize_writes_graph_schema_and_log(capsys, tmp_path):
@@ -318,6 +337,44 @@ def test_normalize_scope_limits_the_run(capsys, tmp_path):
     # nothing applied: the output graph equals the input
     assert dump_graph(load_graph(f"{base}.graph.json")) == \
         dump_graph(load_graph(UNI_GRAPH))
+
+
+@pytest.mark.parametrize("name", ["university", "students", "metrics_example", "shipping"])
+def test_normalize_writes_what_the_library_returns_without_copying(capsys, monkeypatch,
+                                                                   tmp_path, name):
+    graph_path = str(FIXTURES / f"{name}.graph.json")
+    schema_path = str(FIXTURES / f"{name}.schema.gofd")
+    graph, schema = load_graph(graph_path), load_schema(schema_path).schema
+    scope = sort_scopes(dep.scope for dep in schema)[0]
+    runs = [([], full_normalize(graph, schema)),
+            (["--scope", render_pattern(scope)], scoped_normalize(graph, schema, scope))]
+    copies = []
+    monkeypatch.setattr(Graph, "copy", lambda self: copies.append(self))
+    for extra, expected in runs:
+        base = tmp_path / "out"
+        code, _, err = run(capsys, "normalize", "--graph", graph_path, "--schema", schema_path,
+                           "--out", str(base), *extra)
+        assert code == 0 and err == ""
+        assert (tmp_path / "out.graph.json").read_text(encoding="utf-8") == \
+            dump_graph(expected.graph)
+        assert (tmp_path / "out.schema.gofd").read_text(encoding="utf-8") == \
+            format_schema(expected.schema)
+    assert copies == []  # the loaded graph is normalized in place
+
+
+@pytest.mark.parametrize("extra", [[], ["--scope", "(c:{C}:{k,v})"]], ids=["full", "scope"])
+def test_normalize_refused_by_the_executor_exits_two_without_writing(capsys, tmp_path, extra):
+    graph, schema = value_files(tmp_path, '{"k": "x", "v": 1}', '{"k": "x", "v": 1}')
+    doc = json.loads(open(graph, encoding="utf-8").read())
+    doc["nodes"].append({"id": 'sk:val|C|k="x"', "labels": ["Squatter"]})
+    write(tmp_path, "values.graph.json", json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    code, printed, err = run(capsys, "normalize", "--graph", graph, "--schema", schema,
+                             "--out", str(out / "norm"), "--explain", *extra)
+    assert code == 2 and printed == ""
+    assert err == "error: generated node id 'sk:val|C|k=\"x\"' already taken\n"
+    assert list(out.iterdir()) == []
 
 
 # -- convert ---------------------------------------------------------------
@@ -576,6 +633,30 @@ def test_missing_required_argument_is_an_argparse_error(capsys):
     capsys.readouterr()
 
 
+MAIN = "import sys; from gonorm.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_calls_sharing_the_parser_answer_as_in_a_fresh_process(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to this width in both processes
+    assert cli.build_parser() is cli.build_parser()
+    calls = [["check", "--graph", UNI_GRAPH], ["--help"]]
+    for verb in (["check", "--graph", UNI_GRAPH, "--schema", UNI_SCHEMA],
+                 ["mincover", "--schema", UNI_SCHEMA]):
+        calls += [verb, [*verb, "--format", "json"]]
+    codes = []
+    for argv in calls:
+        try:
+            codes.append(main(argv))
+        except SystemExit as caught:
+            codes.append(caught.code)
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-c", MAIN, *argv],
+                               capture_output=True, text=True)
+        assert (codes[-1], captured.out, captured.err) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert codes == [2, 0, 0, 0, 0, 0]
+
+
 def test_reserved_seed_variable_does_not_change_output(capsys, monkeypatch):
     _, baseline, _ = run(capsys, "metrics", "--graph", UNI_GRAPH,
                          "--schema", UNI_SCHEMA, "--format", "json")
@@ -587,9 +668,7 @@ def test_reserved_seed_variable_does_not_change_output(capsys, monkeypatch):
 
 def test_installed_script_smoke():
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from gonorm.cli import main; sys.exit(main(sys.argv[1:]))",
-         "check", "--graph", UNI_GRAPH, "--schema", UNI_SCHEMA],
+        [sys.executable, "-c", MAIN, "check", "--graph", UNI_GRAPH, "--schema", UNI_SCHEMA],
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("ok")

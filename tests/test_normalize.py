@@ -468,6 +468,18 @@ def test_scoped_normalize_and_execute_plans_leave_their_input_unchanged():
     assert dump_graph(graph) == frozen
 
 
+@pytest.mark.parametrize("name", ["university", "students", "metrics_example", "shipping"])
+def test_public_normalizers_leave_each_bundled_fixture_unchanged(name):
+    graph = fixture_graph(f"{name}.graph.json")
+    schema = fixture_schema(f"{name}.schema.gofd").schema
+    frozen = dump_graph(graph)
+    assert dump_graph(full_normalize(graph, schema).graph) != frozen
+    assert dump_graph(graph) == frozen
+    for scope in sort_scopes(dep.scope for dep in schema):
+        scoped_normalize(graph, schema, scope)
+        assert dump_graph(graph) == frozen
+
+
 def test_full_normalize_copies_the_graph_once(monkeypatch):
     graph, schema = shipping()
     copies = []
