@@ -348,8 +348,8 @@ def test_normalize_writes_what_the_library_returns_without_copying(capsys, monke
     scope = sort_scopes(dep.scope for dep in schema)[0]
     runs = [([], full_normalize(graph, schema)),
             (["--scope", render_pattern(scope)], scoped_normalize(graph, schema, scope))]
-    copies = []
-    monkeypatch.setattr(Graph, "copy", lambda self: copies.append(self))
+    copies, original = [], Graph.copy
+    monkeypatch.setattr(Graph, "copy", lambda self: copies.append(self) or original(self))
     for extra, expected in runs:
         base = tmp_path / "out"
         code, _, err = run(capsys, "normalize", "--graph", graph_path, "--schema", schema_path,
@@ -364,10 +364,11 @@ def test_normalize_writes_what_the_library_returns_without_copying(capsys, monke
 
 @pytest.mark.parametrize("extra", [[], ["--scope", "(c:{C}:{k,v})"]], ids=["full", "scope"])
 def test_normalize_refused_by_the_executor_exits_two_without_writing(capsys, tmp_path, extra):
-    graph, schema = value_files(tmp_path, '{"k": "x", "v": 1}', '{"k": "x", "v": 1}')
-    doc = json.loads(open(graph, encoding="utf-8").read())
-    doc["nodes"].append({"id": 'sk:val|C|k="x"', "labels": ["Squatter"]})
-    write(tmp_path, "values.graph.json", json.dumps(doc))
+    graph = write(tmp_path, "squatted.graph.json", json.dumps({"nodes": [
+        {"id": "c1", "labels": ["C"], "properties": {"k": "x", "v": 1}},
+        {"id": "c2", "labels": ["C"], "properties": {"k": "x", "v": 1}},
+        {"id": 'sk:val|C|k="x"', "labels": ["Squatter"]}], "edges": []}))
+    schema = write(tmp_path, "values.gofd", VALUE_SCHEMA)
     out = tmp_path / "out"
     out.mkdir()
     code, printed, err = run(capsys, "normalize", "--graph", graph, "--schema", schema,
