@@ -28,7 +28,6 @@ from .gofd import (
     classify,
     closure,
     gofd,
-    implies,
     minimal_cover,
     restrict,
     satisfies,
@@ -64,7 +63,6 @@ from .normalform import (
     check_gn1nf,
     check_gn_nf,
     check_scoped,
-    is_superkey,
 )
 from .normalize import (
     NormalizationResult,

@@ -12,6 +12,7 @@ input or arguments.  All JSON output is byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import itertools
 import json
@@ -53,8 +54,11 @@ def _write_files(texts: dict[str, str]) -> None:
     """Write each text to its path, so that a failure leaves no partial file.
 
     Every text goes to a new temporary file beside its path first; only when
-    all are written are they renamed into place.
+    all are written are they renamed into place; a directory path is refused first.
     """
+    for path in texts:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     temps: list[str] = []
     try:
         for path, text in texts.items():

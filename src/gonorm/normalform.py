@@ -60,11 +60,6 @@ def _check_size(scope: Pattern, max_attrs: int) -> None:
         raise SizeLimit(f"scope has {size} attributes, limit is {max_attrs}")
 
 
-def is_superkey(candidate: Iterable[Variable], scope: Pattern, deps: Iterable[GoFd]) -> bool:
-    kernel = ClosureKernel.for_scope(scope, deps)
-    return kernel.close(kernel.mask(candidate)) == kernel.full
-
-
 def candidate_keys(scope: Pattern, deps: Iterable[GoFd],
                    max_attrs: int = DEFAULT_MAX_ATTRS) -> tuple[frozenset[Variable], ...]:
     """All subset-minimal non-empty superkeys of the scope's attribute set.

@@ -207,9 +207,9 @@ def _strip_comment(raw: str) -> str:
     return raw if cut < 0 else raw[:cut]
 
 
-def parse_pattern_text(text: str, line: int = 1) -> Pattern:
-    """Parse a pattern on its own, as used for scope selection."""
-    parser = _Parser(_tokenize(_strip_comment(text), line), line)
+def parse_pattern_text(text: str) -> Pattern:
+    """Parse a pattern on its own, as used for scope selection; errors say line 1."""
+    parser = _Parser(_tokenize(_strip_comment(text), 1), 1)
     pattern = parser.pattern()
     parser.take("end")
     return pattern

@@ -303,6 +303,19 @@ def test_normalize_failure_leaves_no_output_file(capsys, monkeypatch, tmp_path):
     assert squatter.read_text(encoding="utf-8") == "not ours"
 
 
+@pytest.mark.parametrize("blocked, extra", [("out.schema.gofd", []),
+                                            ("out.log.json", ["--explain"])])
+def test_normalize_onto_a_directory_writes_no_file(capsys, tmp_path, blocked, extra):
+    # the graph file comes first: it must not be renamed into place either
+    (tmp_path / blocked).mkdir()
+    code, out, err = run(capsys, "normalize", "--graph", UNI_GRAPH, "--schema", UNI_SCHEMA,
+                         "--out", str(tmp_path / "out"), *extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f"Is a directory: '{tmp_path / blocked}'\n" in err
+    assert [p.name for p in tmp_path.iterdir()] == [blocked]
+    assert list((tmp_path / blocked).iterdir()) == []
+
+
 def test_normalize_prints_the_warning_of_a_kept_part(capsys, tmp_path):
     graph = write(tmp_path, "mixed.graph.json", json.dumps({
         "nodes": [{"id": "p1", "labels": ["Person"], "properties": {"city": "Rome"}},

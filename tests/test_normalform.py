@@ -29,8 +29,8 @@ from gonorm import (
     node_edge_pattern,
     node_pattern,
 )
-from gonorm.gofd import _fixpoint
-from gonorm.normalform import NormalFormReport, candidate_keys, is_superkey
+from gonorm.gofd import ClosureKernel, _fixpoint
+from gonorm.normalform import NormalFormReport, candidate_keys
 from gonorm.pattern import var_sort_key
 
 from conftest import fixture_graph, runs_of
@@ -75,16 +75,18 @@ def test_candidate_keys_all_prime_scope():
 def test_object_variable_alone_keys_a_node_scope():
     scope = node_pattern("x", {"A"}, {"a", "b"})
     assert candidate_keys(scope, []) == (frozenset({ObjectVar("x")}),)
-    assert is_superkey([ObjectVar("x")], scope, [])
-    assert not is_superkey([pv("x", "a")], scope, [])
+    kernel = ClosureKernel.for_scope(scope, [])
+    assert kernel.close(kernel.mask([ObjectVar("x")])) == kernel.full
+    assert kernel.close(kernel.mask([pv("x", "a")])) != kernel.full
     with pytest.raises(UnboundVariable):
-        is_superkey([pv("x", "elsewhere")], scope, [])
+        kernel.mask([pv("x", "elsewhere")])
 
 
 def test_edge_variable_alone_keys_a_node_edge_scope():
     ne = node_edge_pattern("x", {"A"}, {"a"}, "y", {"R"}, {"w"}, Direction.OUT)
     assert candidate_keys(ne, []) == (frozenset({ObjectVar("y")}),)
-    assert not is_superkey([ObjectVar("x")], ne, [])  # node cannot reach the edge
+    kernel = ClosureKernel.for_scope(ne, [])
+    assert kernel.close(kernel.mask([ObjectVar("x")])) != kernel.full  # node cannot reach the edge
 
 
 def test_candidate_keys_refuses_oversized_scopes():

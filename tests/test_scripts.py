@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import json
+import re
 import sys
 from collections import Counter
 from pathlib import Path
 
+import gonorm
 from gonorm import build_plans, gofd, load_graph, load_schema
 from gonorm.pattern import var_sort_key
 
@@ -65,6 +68,39 @@ def test_every_traced_name_resolves_in_gonorm(monkeypatch):
             # a method is wrapped where its class defines it, as the tracer does
             found = vars(getattr(module, owner)).get(attr) if owner else getattr(module, name, None)
             assert callable(found), f"{module_name}.{name}"
+
+
+def test_every_gonorm_name_the_benchmark_imports_resolves():
+    # no tier-1 test imports ``perfbench/checks.py``: a deleted name would
+    # only show as a failed benchmark run
+    imported = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and node.module.partition(".")[0] == "gonorm":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    imported.append(f"{path.name}: {node.module}.{alias.name}")
+                    assert hasattr(module, alias.name), imported[-1]
+    assert any(name.startswith("checks.py: gonorm.") for name in imported)
+
+
+def test_every_gonorm_export_has_a_caller_outside_the_tests():
+    # a name counts as used where it occurs as a word, except on its own
+    # ``def`` or ``class`` line and in the package's export list
+    sources = [path for path in sorted((ROOT / "src" / "gonorm").glob("*.py"))
+               if path.name != "__init__.py"]
+    sources += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    sources.append(ROOT / "README.md")
+    used: set[str] = set()
+    for path in sources:
+        for line in path.read_text(encoding="utf-8").splitlines():
+            words = set(re.findall(r"\w+", line))
+            defined = re.match(r"\s*(?:def|class)\s+(\w+)", line)
+            if defined:
+                words.discard(defined.group(1))
+            used |= words
+    assert sorted(set(gonorm.__all__) - used) == []
 
 
 def test_tracer_counts_the_ops_of_each_kind_from_the_plans(monkeypatch):
