@@ -21,8 +21,11 @@ the collector on, the collections and collector time per generation over
 those runs (``gc.callbacks``), the minimum time with the collector off, and
 a sha256 of exit code, stdout, stderr and written files, which every run
 must repeat.  Per size it also records the peak RSS growth over the value
-right after import, and whether ``invert`` rebuilt the input's bytes as
-``dump_graph`` writes them.  Writes the results as JSON with the git sha,
+right after import, how many objects the collector tracks more than
+before ``load_graph`` once the graph is loaded and once it went through
+``full_normalize`` (``len(gc.get_objects())`` after a full collection, a
+count that does not drift with the machine), and whether ``invert``
+rebuilt the input's bytes as ``dump_graph`` writes them.  Writes the results as JSON with the git sha,
 the Python version and the number of usable CPUs.
 
     python scripts/size_sweep.py [--workloads teaching orders] [--scales 1 4 16 32]
@@ -158,16 +161,23 @@ def measure(folder: str, objects: int) -> dict:
                        "us_per_object": round(median / objects * 1e6, 3),
                        "min_gc_off_s": round(min(seconds for _, seconds, _, _ in untimed), 6),
                        "gc": collections.to_dict(), "sha256": digest}
+    schema = load_schema("schema.gofd").schema
+    gc.collect()
+    before = len(gc.get_objects())
     graph = load_graph("graph.json")
-    result = full_normalize(graph, load_schema("schema.gofd").schema)
+    gc.collect()
+    loaded = len(gc.get_objects()) - before
+    result = full_normalize(graph, schema)
     plans = [plan for log in result.logs for plan in log.transformations]
     gc.collect()
+    normalized = len(gc.get_objects()) - before
     start = time.perf_counter()
     rebuilt = invert(result.graph, plans)
     seconds = time.perf_counter() - start
     return {"status": "measured", "verbs": verbs,
             "invert": {"s": round(seconds, 6), "plans": len(plans),
                        "rebuilt": dump_graph(rebuilt) == dump_graph(graph)},
+            "tracked_objects": {"load": loaded, "normalize": normalized},
             "rss_after_import_mb": round(rss_after_import, 2),
             "rss_growth_mb": round(max_rss_mb() - rss_after_import, 2)}
 

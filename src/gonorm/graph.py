@@ -1,18 +1,17 @@
 """In-memory labeled property graph with a JSON file format.
 
 Nodes and edges are objects drawn from one id space (the two sets stay
-disjoint), each carrying a label set and a property map.  Label sets are
-immutable ``frozenset``s, so records may share one: the loader keeps one per
-distinct label list, and copies share the original's.  Property values are
-atomic: strings, numbers, or booleans.  Nested values are rejected so that
-every graph is first-normal-form by construction.
+disjoint), each with a label set and a property map, kept in maps keyed by
+id.  Label sets are immutable ``frozenset``s, so objects may share one: the
+loader keeps one per distinct label list, and copies share the original's.
+Property values are atomic: strings, numbers, or booleans.  Nested values
+are rejected so that every graph is first-normal-form by construction.
 """
 from __future__ import annotations
 
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import Any, IO, Iterable, Iterator, Sequence, Union
@@ -83,64 +82,51 @@ def check_atomic(value: Any) -> Atomic:
     raise FormatError(f"property values must be string/number/boolean, got {type(value).__name__}")
 
 
-@dataclass(slots=True)
-class NodeRecord:
-    """A node's labels and properties; the label set is immutable and may be shared."""
-
-    labels: frozenset[str] = frozenset()
-    props: dict[str, Atomic] = field(default_factory=dict)
-
-
-@dataclass(slots=True)
-class EdgeRecord:
-    """An edge's endpoints, labels and properties; the label set is immutable
-    and may be shared."""
-
-    src: str
-    tgt: str
-    labels: frozenset[str] = frozenset()
-    props: dict[str, Atomic] = field(default_factory=dict)
-
-
 class Graph:
     """Mutable property graph store.
 
-    ``nodes`` and ``edges`` map object ids to records.  Records are read,
-    and may be changed in place, through these maps; code that writes a
-    record keeps the invariants itself (disjoint id spaces, total
-    endpoints, atomic values).  The methods check what they add: an id not
-    yet taken, endpoints that are nodes, atomic values, and an existing
-    object for ``set_prop`` and ``remove_object``, which drops a node's
-    incident edges with it.  Records share their immutable label sets,
-    with each other and with copies of the graph; a label change replaces
-    the record's set.  No locking is done; a graph instance is not safe for
-    concurrent mutation.
+    Four maps keyed by object id hold the graph: ``nodes`` and ``edges``
+    map an id to its label set, ``ends`` maps an edge to its ``(src,
+    tgt)``, and ``props`` maps every object, node or edge, to its property
+    dict, so an id is taken exactly when ``props`` holds it.  The maps are
+    read, and may be changed in place; code that writes them keeps the
+    invariants itself (one ``props`` entry per object, disjoint id spaces,
+    total endpoints, atomic values).  The methods check what they add: an
+    id not yet taken, endpoints that are nodes, atomic values, and an
+    existing object for ``set_prop`` and ``remove_object``, which drops a
+    node's incident edges with it.  Label sets are immutable and shared,
+    between objects and with copies; a label change replaces the object's
+    set.  No locking is done; a graph instance is not safe for concurrent
+    mutation.
     """
 
     def __init__(self) -> None:
-        self.nodes: dict[str, NodeRecord] = {}
-        self.edges: dict[str, EdgeRecord] = {}
+        self.nodes: dict[str, frozenset[str]] = {}
+        self.edges: dict[str, frozenset[str]] = {}
+        self.ends: dict[str, tuple[str, str]] = {}
+        self.props: dict[str, dict[str, Atomic]] = {}
         self._counters = {"n": 0, "e": 0}  # the last number handed out per id prefix
 
     # -- object management ------------------------------------------------
 
-    def _fresh_id(self, prefix: str) -> str:
-        while True:
-            self._counters[prefix] += 1
-            candidate = f"{prefix}{self._counters[prefix]}"
-            if candidate not in self.nodes and candidate not in self.edges:
-                return candidate
+    def _claim(self, obj_id: str | None, prefix: str, props: dict[str, Atomic] | None) -> str:
+        """``obj_id``, refused if taken, or a fresh id with ``prefix``, now
+        the id of a new object holding ``props``, checked."""
+        if obj_id is None:
+            while True:
+                self._counters[prefix] += 1
+                obj_id = f"{prefix}{self._counters[prefix]}"
+                if obj_id not in self.props:
+                    break
+        elif obj_id in self.props:
+            raise InvariantError(f"duplicate id: object {obj_id!r} already exists")
+        self.props[obj_id] = {key: check_atomic(value) for key, value in (props or {}).items()}
+        return obj_id
 
     def add_node(self, labels: Iterable[str] = (), props: dict[str, Atomic] | None = None,
                  node_id: str | None = None) -> str:
-        if node_id is None:
-            node_id = self._fresh_id("n")
-        elif node_id in self.nodes or node_id in self.edges:
-            raise InvariantError(f"duplicate id: object {node_id!r} already exists")
-        record = NodeRecord(frozenset(labels))
-        for key, value in (props or {}).items():
-            record.props[key] = check_atomic(value)
-        self.nodes[node_id] = record
+        node_id = self._claim(node_id, "n", props)
+        self.nodes[node_id] = frozenset(labels)
         return node_id
 
     def add_edge(self, src: str, tgt: str, labels: Iterable[str] = (),
@@ -148,67 +134,61 @@ class Graph:
         for endpoint in (src, tgt):
             if endpoint not in self.nodes:
                 raise EndpointError(f"endpoint {endpoint!r} is not a node of the graph")
-        if edge_id is None:
-            edge_id = self._fresh_id("e")
-        elif edge_id in self.nodes or edge_id in self.edges:
-            raise InvariantError(f"duplicate id: object {edge_id!r} already exists")
-        record = EdgeRecord(src, tgt, frozenset(labels))
-        for key, value in (props or {}).items():
-            record.props[key] = check_atomic(value)
-        self.edges[edge_id] = record
+        edge_id = self._claim(edge_id, "e", props)
+        self.edges[edge_id] = frozenset(labels)
+        self.ends[edge_id] = (src, tgt)
         return edge_id
 
     def remove_object(self, obj_id: str) -> None:
         """Remove a node (cascading to its incident edges) or an edge."""
         if obj_id in self.edges:
-            del self.edges[obj_id]
-            return
-        if obj_id in self.nodes:
-            incident = [eid for eid, e in self.edges.items() if obj_id in (e.src, e.tgt)]
-            for eid in incident:
-                del self.edges[eid]
-            del self.nodes[obj_id]
-            return
-        raise NotFoundError(f"no object with id {obj_id!r}")
+            doomed = [obj_id]
+        elif obj_id in self.nodes:
+            doomed = [eid for eid, ends in self.ends.items() if obj_id in ends]
+            del self.nodes[obj_id], self.props[obj_id]
+        else:
+            raise NotFoundError(f"no object with id {obj_id!r}")
+        for eid in doomed:
+            del self.edges[eid], self.ends[eid], self.props[eid]
 
     def set_prop(self, obj_id: str, key: str, value: Atomic) -> None:
-        record = self.nodes.get(obj_id) or self.edges.get(obj_id)
-        if record is None:
+        props = self.props.get(obj_id)
+        if props is None:
             raise NotFoundError(f"no object with id {obj_id!r}")
-        record.props[key] = check_atomic(value)
+        props[key] = check_atomic(value)
 
     def copy(self) -> Graph:
         dup = Graph()
         dup._counters = dict(self._counters)
-        dup.nodes = {nid: NodeRecord(n.labels, dict(n.props)) for nid, n in self.nodes.items()}
-        dup.edges = {eid: EdgeRecord(e.src, e.tgt, e.labels, dict(e.props))
-                     for eid, e in self.edges.items()}
+        dup.nodes, dup.edges, dup.ends = dict(self.nodes), dict(self.edges), dict(self.ends)
+        dup.props = {oid: dict(props) for oid, props in self.props.items()}
         return dup
 
     def __len__(self) -> int:
-        return len(self.nodes) + len(self.edges)
+        return len(self.props)
 
 
 # -- serialization --------------------------------------------------------
 
 def graph_to_dict(graph: Graph) -> dict[str, Any]:
     """JSON-ready representation; object, label, and key order is sorted."""
+    props = graph.props
     return {
         "nodes": [
             {
                 "id": nid,
-                "labels": sorted(graph.nodes[nid].labels),
-                "properties": {k: graph.nodes[nid].props[k] for k in sorted(graph.nodes[nid].props)},
+                "labels": sorted(graph.nodes[nid]),
+                "properties": {k: props[nid][k] for k in sorted(props[nid])},
             }
             for nid in sorted(graph.nodes)
         ],
         "edges": [
             {
                 "id": eid,
-                "src": graph.edges[eid].src,
-                "tgt": graph.edges[eid].tgt,
-                "labels": sorted(graph.edges[eid].labels),
-                "properties": {k: graph.edges[eid].props[k] for k in sorted(graph.edges[eid].props)},
+                "src": graph.ends[eid][0],
+                "tgt": graph.ends[eid][1],
+                "labels": sorted(graph.edges[eid]),
+                "properties": {k: props[eid][k] for k in sorted(props[eid])},
             }
             for eid in sorted(graph.edges)
         ],
@@ -266,7 +246,7 @@ def graph_from_dict(doc: Any) -> Graph:
     if not isinstance(edge_docs, list):
         raise InvariantError('"edges" must be a list')
     graph = Graph()
-    nodes, edges = graph.nodes, graph.edges
+    nodes, edges, ends, props = graph.nodes, graph.edges, graph.ends, graph.props
     interned: dict[tuple[str, ...], frozenset[str]] = {}  # one set per label list
     for entry in node_docs:
         if not isinstance(entry, dict):
@@ -276,14 +256,15 @@ def graph_from_dict(doc: Any) -> Graph:
             raise InvariantError("node ids must be strings")
         if nid in nodes:
             raise InvariantError(f"duplicate id: {nid!r}")
-        nodes[nid] = NodeRecord(_labels_of(entry, nid, interned), _props_of(entry, nid))
+        nodes[nid] = _labels_of(entry, nid, interned)
+        props[nid] = _props_of(entry, nid)
     for entry in edge_docs:
         if not isinstance(entry, dict):
             raise InvariantError("edge entries must be objects")
         eid = entry.get("id")
         if not isinstance(eid, str):
             raise InvariantError("edge ids must be strings")
-        if eid in nodes or eid in edges:
+        if eid in props:
             raise InvariantError(f"duplicate id: {eid!r}")
         src, tgt = entry.get("src"), entry.get("tgt")
         if not (isinstance(src, str) and isinstance(tgt, str)):
@@ -292,8 +273,9 @@ def graph_from_dict(doc: Any) -> Graph:
             raise InvariantError(f"dangling endpoint: edge {eid!r} src {src!r} is not a node")
         if tgt not in nodes:
             raise InvariantError(f"dangling endpoint: edge {eid!r} tgt {tgt!r} is not a node")
-        edges[eid] = EdgeRecord(src, tgt, _labels_of(entry, eid, interned),
-                                _props_of(entry, eid))
+        edges[eid] = _labels_of(entry, eid, interned)
+        ends[eid] = (src, tgt)
+        props[eid] = _props_of(entry, eid)
     return graph
 
 
@@ -343,19 +325,19 @@ def dump_graph(graph: Graph) -> str:
     loader and ``Graph`` keep them.  A non-finite float raises ``ValueError``.
     Each distinct label set's text is written once.
     """
-    distinct = {record.labels for record in graph.nodes.values()}
-    distinct.update(record.labels for record in graph.edges.values())
-    labels_text = {labels: _labels_text(labels) for labels in distinct}
+    ends, props = graph.ends, graph.props
+    labels_text = {labels: _labels_text(labels)
+                   for labels in {*graph.nodes.values(), *graph.edges.values()}}
     nodes = [f'    {{\n      "id": {_encode_str(nid)},\n'
-             f'      "labels": {labels_text[record.labels]},\n'
-             f'      "properties": {_props_text(record.props)}\n    }}'
-             for nid, record in sorted(graph.nodes.items())]
+             f'      "labels": {labels_text[labels]},\n'
+             f'      "properties": {_props_text(props[nid])}\n    }}'
+             for nid, labels in sorted(graph.nodes.items())]
     edges = [f'    {{\n      "id": {_encode_str(eid)},\n'
-             f'      "src": {_encode_str(record.src)},\n'
-             f'      "tgt": {_encode_str(record.tgt)},\n'
-             f'      "labels": {labels_text[record.labels]},\n'
-             f'      "properties": {_props_text(record.props)}\n    }}'
-             for eid, record in sorted(graph.edges.items())]
+             f'      "src": {_encode_str(ends[eid][0])},\n'
+             f'      "tgt": {_encode_str(ends[eid][1])},\n'
+             f'      "labels": {labels_text[labels]},\n'
+             f'      "properties": {_props_text(props[eid])}\n    }}'
+             for eid, labels in sorted(graph.edges.items())]
     return f'{{\n  "nodes": {_list_text(nodes)},\n  "edges": {_list_text(edges)}\n}}\n'
 
 

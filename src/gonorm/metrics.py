@@ -31,8 +31,8 @@ class GraphMetrics:
 def per_graph_metrics(graph: Graph) -> GraphMetrics:
     nodes = len(graph.nodes)
     edges = len(graph.edges)
-    node_props = sum(len(n.props) for n in graph.nodes.values())
-    edge_props = sum(len(e.props) for e in graph.edges.values())
+    node_props = sum(len(graph.props[n]) for n in graph.nodes)
+    edge_props = sum(len(graph.props[e]) for e in graph.edges)
     return GraphMetrics(
         nodes, edges,
         Fraction(node_props, nodes) if nodes else Fraction(0),

@@ -105,8 +105,8 @@ def _keys(kernel: ClosureKernel) -> list[int]:
 
 def check_gn1nf(graph: Graph) -> NormalFormReport:
     """Atomic property values; holds by construction, verified defensively."""
-    for record in chain(graph.nodes.values(), graph.edges.values()):
-        for value in record.props.values():
+    for oid in chain(graph.nodes, graph.edges):  # nodes first, as the file lists them
+        for value in graph.props[oid].values():
             check_atomic(value)
     return NormalFormReport(NormalForm.GN1NF, True)
 

@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import Iterable, Union
 
 from .errors import InvariantError
-from .graph import Atomic, EdgeRecord, Graph, NodeRecord
+from .graph import Atomic, Graph
 
 # reserved name given to an edge variable that was written anonymously
 ANON_EDGE_VAR = "_e"
@@ -170,8 +170,9 @@ class Relation:
         return len(self.rows)
 
 
-def _matches(record: NodeRecord | EdgeRecord, labels: frozenset[str], keys: frozenset[str]) -> bool:
-    return labels <= record.labels and keys <= record.props.keys()
+def _matches(own: frozenset[str], props: dict[str, Atomic], labels: frozenset[str],
+             keys: frozenset[str]) -> bool:
+    return labels <= own and keys <= props.keys()
 
 
 def evaluate(pattern: Pattern, graph: Graph) -> Relation:
@@ -181,20 +182,22 @@ def evaluate(pattern: Pattern, graph: Graph) -> Relation:
     single anchor node, the source for ``OUT`` and the target for ``IN``, so
     one pass over the edges finds them all.
     """
+    nodes, ends, props = graph.nodes, graph.ends, graph.props
     if isinstance(pattern, NodeEdgePattern):
         names = (pattern.node_var, pattern.edge_var)
+        end = 0 if pattern.direction is Direction.OUT else 1
         matches = []
-        for eid, edge in graph.edges.items():
-            nid = edge.src if pattern.direction is Direction.OUT else edge.tgt
-            node = graph.nodes[nid]
-            if (_matches(edge, pattern.edge_labels, pattern.edge_keys)
-                    and _matches(node, pattern.node_labels, pattern.node_keys)):
-                matches.append((nid, node.props, eid, edge.props))
+        for eid, labels in graph.edges.items():
+            nid = ends[eid][end]
+            node, edge = props[nid], props[eid]
+            if (_matches(labels, edge, pattern.edge_labels, pattern.edge_keys)
+                    and _matches(nodes[nid], node, pattern.node_labels, pattern.node_keys)):
+                matches.append((nid, node, eid, edge))
     else:
         names = (pattern.var,)
-        records = graph.nodes if isinstance(pattern, NodePattern) else graph.edges
-        matches = [(oid, record.props) for oid, record in records.items()
-                   if _matches(record, pattern.labels, pattern.keys)]
+        objects = nodes if isinstance(pattern, NodePattern) else graph.edges
+        matches = [(oid, props[oid]) for oid, labels in objects.items()
+                   if _matches(labels, props[oid], pattern.labels, pattern.keys)]
     variables = tuple(sorted(attrs(pattern), key=var_sort_key))
     columns = []  # one lazy column per variable, all read in C as zip builds the rows
     for var in variables:

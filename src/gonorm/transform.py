@@ -52,8 +52,8 @@ from .errors import (
     NonStrict,
 )
 from .gofd import GoFd, check_bound, gofd, scope_matches
-from .graph import (Atomic, EdgeRecord, Graph, NodeRecord, check_atomic, dump_graph,
-                    shared_labels, value_key, value_keys)
+from .graph import (Atomic, Graph, check_atomic, dump_graph, shared_labels, value_key,
+                    value_keys)
 from .pattern import (
     Direction,
     NodeEdgePattern,
@@ -138,13 +138,14 @@ def check_transformable(graph: Graph, dep: GoFd, *,
     anchors = {row[column] for row in relation.rows}
     if kind is TransformationKind.BETWEEN_N_EP:
         for nid in sorted(anchors):
-            if key in graph.nodes[nid].props:
+            if key in graph.props[nid]:
                 raise InvariantError(f"node {nid} already has {key}")
     other_keys = scope.edge_keys - {key}
-    for eid, edge in graph.edges.items():
-        nid = edge.src if scope.direction is Direction.OUT else edge.tgt
-        if (nid in anchors and key not in edge.props
-                and _matches(edge, scope.edge_labels, other_keys)):
+    end = 0 if scope.direction is Direction.OUT else 1
+    for eid, labels in graph.edges.items():
+        nid, props = graph.ends[eid][end], graph.props[eid]
+        if (nid in anchors and key not in props
+                and _matches(labels, props, scope.edge_labels, other_keys)):
             raise InvariantError(f"edge {eid} of node {nid} lacks {key}")
 
 
@@ -347,13 +348,12 @@ def _sweep(graph: Graph, relation: Relation, source: int, lhs: list[tuple[str, i
     links, link_label = objs, val_label
     if lhs_role == "edge":  # values leave the edge: reify it, link the reifier
         prefix = reification_prefix(owner_labels)
-        records = list(map(graph.edges.__getitem__, objs))
-        sorted_labels = {labels: tuple(sorted(labels)) for labels in {r.labels for r in records}}
-        srcs = [record.src for record in records]
-        tgts = [record.tgt for record in records]
+        labels = list(map(graph.edges.__getitem__, objs))
+        sorted_labels = {own: tuple(sorted(own)) for own in set(labels)}
+        srcs, tgts = map(list, zip(*map(graph.ends.__getitem__, objs)))
         links, link_label = list(map(reifier_id, objs)), f"{prefix}_det"
         src_label, tgt_label = f"{prefix}_src", f"{prefix}_tgt"
-        blocks += [("new-node", links, [sorted_labels[record.labels] for record in records]),
+        blocks += [("new-node", links, list(map(sorted_labels.__getitem__, labels))),
                    ("new-edge", list(map(created_edge_id, repeat(src_label), srcs, links)),
                     srcs, links, (src_label,)),
                    ("new-edge", list(map(created_edge_id, repeat(tgt_label), links, tgts)),
@@ -449,9 +449,9 @@ def build_plans(graph: Graph, deps: Iterable[GoFd], *, matches: Relation | None 
         for eid in sorted(edges - migrated):
             migrated.add(eid)
             rid = reifier_id(eid)
-            record = graph.edges[eid]
-            for key in sorted(set(record.props) - claimed[eid]):
-                plan.tail.append(("move-prop", eid, key, rid, record.props[key]))
+            props = graph.props[eid]
+            for key in sorted(set(props) - claimed[eid]):
+                plan.tail.append(("move-prop", eid, key, rid, props[key]))
     return plans, leftovers
 
 
@@ -497,7 +497,7 @@ def _execute(graph: Graph, plans: Iterable[Transformation]) -> Graph:
     changes nothing.
     """
     plans = list(plans)
-    nodes, edges = graph.nodes, graph.edges
+    nodes, edges, ends, props = graph.nodes, graph.edges, graph.ends, graph.props
     created_nodes, created_edges = set(), set()  # two sets: an edge may not take a new node's id
     assigned: dict[tuple[str, str], Atomic] = {}  # each written slot's value
     label_sets: dict[tuple[str, ...], frozenset[str]] = {}  # of created objects
@@ -507,27 +507,26 @@ def _execute(graph: Graph, plans: Iterable[Transformation]) -> Graph:
     def new_nodes(ids: Iterable[str], labels: Iterable[tuple[str, ...]]) -> None:
         for nid, names in zip(ids, labels):
             if nid in created_nodes:
-                record = nodes[nid]
-                record.labels = record.labels.union(names)
-            elif nid in nodes or nid in edges:
+                nodes[nid] = nodes[nid].union(names)
+            elif nid in props:
                 raise InvariantError(f"generated node id {nid!r} already taken")
             else:
-                nodes[nid] = NodeRecord(shared_labels(label_sets, names))
+                nodes[nid], props[nid] = shared_labels(label_sets, names), {}
                 created_nodes.add(nid)
 
     def new_edges(ids: Iterable[str], srcs: Iterable[str], tgts: Iterable[str],
                   labels: Iterable[tuple[str, ...]]) -> None:
         for eid, src, tgt, names in zip(ids, srcs, tgts, labels):
             if eid in created_edges:
-                record = edges[eid]
-                record.labels = record.labels.union(names)
-            elif eid in nodes or eid in edges:
+                edges[eid] = edges[eid].union(names)
+            elif eid in props:
                 raise InvariantError(f"generated edge id {eid!r} already taken")
             elif src not in nodes or tgt not in nodes:
                 raise EndpointError(f"endpoint {(tgt if src in nodes else src)!r} "
                                     "is not a node of the graph")
             else:
-                edges[eid] = EdgeRecord(src, tgt, shared_labels(label_sets, names))
+                edges[eid] = shared_labels(label_sets, names)
+                ends[eid], props[eid] = (src, tgt), {}
                 created_edges.add(eid)
 
     def move(objs: Iterable[str], keys: Iterable[str], targets: Iterable[str],
@@ -541,13 +540,13 @@ def _execute(graph: Graph, plans: Iterable[Transformation]) -> Graph:
                     raise InvariantError(f"conflicting values for {target}.{key}: "
                                          f"{first!r} vs {value!r}")
             else:
-                record = nodes.get(target)
-                if record is None:
+                if target not in nodes:
                     raise InvariantError(f"move target {target!r} is not a node")
-                if key in record.props:  # even an equal value: the output could not tell them apart
+                own = props[target]
+                if key in own:  # even an equal value: the output could not tell them apart
                     raise InvariantError(f"transformation would overwrite {target}.{key}: "
-                                         f"{record.props[key]!r} vs {value!r}")
-                record.props[key] = assigned[slot] = check_atomic(value)
+                                         f"{own[key]!r} vs {value!r}")
+                own[key] = assigned[slot] = check_atomic(value)
         moved.append((objs, keys))
 
     run = {"new-node": new_nodes, "new-edge": new_edges, "move-prop": move,
@@ -556,9 +555,9 @@ def _execute(graph: Graph, plans: Iterable[Transformation]) -> Graph:
         run[tag](*columns)
     for objs, keys in moved:
         for obj, key in zip(objs, keys):
-            record = nodes.get(obj) or edges.get(obj)
-            if record is not None:
-                record.props.pop(key, None)
+            own = props.get(obj)
+            if own is not None:
+                own.pop(key, None)
     for eids in deleted:
         for eid in eids:
             if eid in edges:
@@ -585,7 +584,7 @@ def invert(after: Graph, plans: Iterable[Transformation]) -> Graph:
     """
     plans = list(plans)
     out = after.copy()
-    nodes, edges = out.nodes, out.edges
+    nodes, edges, ends, props = out.nodes, out.edges, out.ends, out.props
     # a pass moves no value off a slot it writes: it writes only keys its
     # targets lack, and moves values off after every write
     for index in sorted({plan.pass_index for plan in plans}, reverse=True):
@@ -608,24 +607,23 @@ def invert(after: Graph, plans: Iterable[Transformation]) -> Graph:
         if absent:
             raise InvariantError(f"node {min(absent)!r} of the plans is missing")
         for eid, (src, tgt, _) in new_edges.items():
-            record = edges.get(eid)
-            if record is None or (record.src, record.tgt) != (src, tgt):
+            if ends.get(eid) != (src, tgt):
                 raise InvariantError(f"created edge {eid!r} is missing or rewired")
         # the only created edge into a reifier node is its _src link; the _tgt
         # link leaves it under the same prefix
-        ends = {tgt: (src, (labels[0].removesuffix("_src") + "_tgt",))
-                for src, tgt, labels in new_edges.values() if tgt in replaced and labels}
+        links = {tgt: (src, (labels[0].removesuffix("_src") + "_tgt",))
+                 for src, tgt, labels in new_edges.values() if tgt in replaced and labels}
         for src, tgt, labels in new_edges.values():
-            end = ends.get(src)
-            if end is not None and labels == end[1]:
-                out.add_edge(end[0], tgt, nodes[src].labels, edge_id=replaced[src])
+            link = links.get(src)
+            if link is not None and labels == link[1]:
+                out.add_edge(link[0], tgt, nodes[src], edge_id=replaced[src])
         missing = set(replaced.values()) - edges.keys()
         if missing:
             raise InvariantError(f"no _src/_tgt links for reified edges {sorted(missing)}")
-        lost = [slot for slot in written if slot[1] not in nodes[slot[0]].props]
+        lost = [slot for slot in written if slot[1] not in props[slot[0]]]
         if lost:
             raise InvariantError(f"moved value {'.'.join(min(lost))} is missing")
-        held = {(target, key): nodes[target].props.pop(key) for target, key in written}
+        held = {(target, key): props[target].pop(key) for target, key in written}
         for (obj, key), targets in moves.items():
             found = {value_key(held[target, key]): held[target, key] for target in targets}
             if len(found) > 1:
@@ -633,12 +631,12 @@ def invert(after: Graph, plans: Iterable[Transformation]) -> Graph:
                                      f"{', '.join(sorted(found))}")
             out.set_prop(obj, key, found.popitem()[1])
         for eid in new_edges:
-            del edges[eid]
+            del edges[eid], ends[eid], props[eid]
         for nid in new_nodes:
-            del nodes[nid]
-    for edge in edges.values():
-        if edge.src not in nodes or edge.tgt not in nodes:
-            raise EndpointError(f"endpoint {(edge.tgt if edge.src in nodes else edge.src)!r} "
+            del nodes[nid], props[nid]
+    for src, tgt in ends.values():
+        if src not in nodes or tgt not in nodes:
+            raise EndpointError(f"endpoint {(tgt if src in nodes else src)!r} "
                                 "is not a node of the graph")
     return out
 

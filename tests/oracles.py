@@ -120,39 +120,41 @@ def _covers(required: Iterable[str], available: Iterable[str]) -> bool:
 def naive_matches(graph: Graph, pattern: Pattern) -> list[Row]:
     """Every assignment of the pattern's variables, by exhaustive search."""
     rows: list[Row] = []
+    props = graph.props
     if isinstance(pattern, NodePattern):
-        for nid, rec in graph.nodes.items():
-            if _covers(pattern.labels, rec.labels) and _covers(pattern.keys, rec.props):
+        for nid, labels in graph.nodes.items():
+            if _covers(pattern.labels, labels) and _covers(pattern.keys, props[nid]):
                 row: Row = {ObjectVar(pattern.var): nid}
                 for key in pattern.keys:
-                    row[PropVar(pattern.var, key)] = rec.props[key]
+                    row[PropVar(pattern.var, key)] = props[nid][key]
                 rows.append(row)
         return rows
     if isinstance(pattern, EdgeOnlyPattern):
-        for eid, rec in graph.edges.items():
-            if _covers(pattern.labels, rec.labels) and _covers(pattern.keys, rec.props):
+        for eid, labels in graph.edges.items():
+            if _covers(pattern.labels, labels) and _covers(pattern.keys, props[eid]):
                 row = {ObjectVar(pattern.var): eid}
                 for key in pattern.keys:
-                    row[PropVar(pattern.var, key)] = rec.props[key]
+                    row[PropVar(pattern.var, key)] = props[eid][key]
                 rows.append(row)
         return rows
     assert isinstance(pattern, NodeEdgePattern)
-    for nid, nrec in graph.nodes.items():
-        if not (_covers(pattern.node_labels, nrec.labels)
-                and _covers(pattern.node_keys, nrec.props)):
+    for nid, node_labels in graph.nodes.items():
+        if not (_covers(pattern.node_labels, node_labels)
+                and _covers(pattern.node_keys, props[nid])):
             continue
-        for eid, erec in graph.edges.items():
-            anchor = erec.src if pattern.direction is Direction.OUT else erec.tgt
+        for eid, edge_labels in graph.edges.items():
+            src, tgt = graph.ends[eid]
+            anchor = src if pattern.direction is Direction.OUT else tgt
             if anchor != nid:
                 continue
-            if not (_covers(pattern.edge_labels, erec.labels)
-                    and _covers(pattern.edge_keys, erec.props)):
+            if not (_covers(pattern.edge_labels, edge_labels)
+                    and _covers(pattern.edge_keys, props[eid])):
                 continue
             row = {ObjectVar(pattern.node_var): nid, ObjectVar(pattern.edge_var): eid}
             for key in pattern.node_keys:
-                row[PropVar(pattern.node_var, key)] = nrec.props[key]
+                row[PropVar(pattern.node_var, key)] = props[nid][key]
             for key in pattern.edge_keys:
-                row[PropVar(pattern.edge_var, key)] = erec.props[key]
+                row[PropVar(pattern.edge_var, key)] = props[eid][key]
             rows.append(row)
     return rows
 
@@ -389,13 +391,13 @@ def oracle_instantiate(graph: Graph, dep: GoFd, rows) -> list[Op]:
         vid = names[name_key]
         obj = link = values[owner[lhs_role]]
         if lhs_role == "edge":
-            record = graph.edges[obj]
+            src, tgt = graph.ends[obj]
             link = reifier_id(obj)
-            add(NewNode(link, tuple(sorted(record.labels))))
-            add(NewEdge(created_edge_id(f"{prefix}_src", record.src, link),
-                        record.src, link, (f"{prefix}_src",)))
-            add(NewEdge(created_edge_id(f"{prefix}_tgt", link, record.tgt),
-                        link, record.tgt, (f"{prefix}_tgt",)))
+            add(NewNode(link, tuple(sorted(graph.edges[obj]))))
+            add(NewEdge(created_edge_id(f"{prefix}_src", src, link),
+                        src, link, (f"{prefix}_src",)))
+            add(NewEdge(created_edge_id(f"{prefix}_tgt", link, tgt),
+                        link, tgt, (f"{prefix}_tgt",)))
             add(DelEdge(obj))
         for var, value in zip(lhs_vars, lhs_values):
             add(MoveProp(obj, var.key, vid, value))
@@ -422,7 +424,7 @@ def oracle_build_plans(graph: Graph, parts: Iterable[GoFd], rows):
     for _, ops in plans:
         for eid in sorted({op.edge for op in ops if isinstance(op, DelEdge)} - migrated):
             migrated.add(eid)
-            props = graph.edges[eid].props
+            props = graph.props[eid]
             ops.extend(MoveProp(eid, key, reifier_id(eid), props[key])
                        for key in sorted(props) if (eid, key) not in claimed)
     return plans, leftovers
@@ -436,7 +438,7 @@ def oracle_execute(graph: Graph, plans) -> Graph:
     conflict when their JSON texts differ; an equal row run again changes
     nothing."""
     out = graph.copy()
-    nodes, edges = out.nodes, out.edges
+    nodes, edges, props = out.nodes, out.edges, out.props
     created_nodes: set[str] = set()
     created_edges: set[str] = set()
     assigned: dict[tuple[str, str], Atomic] = {}
@@ -453,17 +455,17 @@ def oracle_execute(graph: Graph, plans) -> Graph:
             else:
                 if target not in nodes:
                     raise InvariantError(f"move target {target!r} is not a node")
-                if key in nodes[target].props:
+                if key in props[target]:
                     raise InvariantError(f"transformation would overwrite {target}.{key}: "
-                                         f"{nodes[target].props[key]!r} vs {value!r}")
+                                         f"{props[target][key]!r} vs {value!r}")
                 out.set_prop(target, key, value)
                 assigned[target, key] = value
             removals.append(row)
         elif tag == "new-node":
             _, nid, labels = row
             if nid in created_nodes:
-                nodes[nid].labels = nodes[nid].labels | set(labels)
-            elif nid in nodes or nid in edges:
+                nodes[nid] = nodes[nid] | set(labels)
+            elif nid in props:
                 raise InvariantError(f"generated node id {nid!r} already taken")
             else:
                 out.add_node(labels, node_id=nid)
@@ -471,8 +473,8 @@ def oracle_execute(graph: Graph, plans) -> Graph:
         elif tag == "new-edge":
             _, eid, src, tgt, labels = row
             if eid in created_edges:
-                edges[eid].labels = edges[eid].labels | set(labels)
-            elif eid in nodes or eid in edges:
+                edges[eid] = edges[eid] | set(labels)
+            elif eid in props:
                 raise InvariantError(f"generated edge id {eid!r} already taken")
             else:
                 out.add_edge(src, tgt, labels, edge_id=eid)
@@ -481,11 +483,10 @@ def oracle_execute(graph: Graph, plans) -> Graph:
             removals.append(row)
     for row in removals:
         if row[0] == "del-edge":
-            edges.pop(row[1], None)
-        else:
-            record = nodes.get(row[1]) or edges.get(row[1])
-            if record is not None:
-                record.props.pop(row[2], None)
+            if row[1] in edges:
+                del edges[row[1]], out.ends[row[1]], props[row[1]]
+        elif row[1] in props:
+            props[row[1]].pop(row[2], None)
     return out
 
 
@@ -943,12 +944,12 @@ def random_multi_pass_case(rng: random.Random) -> Graph:
         written = rng.choice(LHS_POOL)
         for _ in range(degree):
             graph.add_edge(nid, rng.choice(ids), {"R"}, {"w": written})
-        node = graph.nodes[nid]
-        texts = [json.dumps(node.props["w"])] if "w" in node.props else []
-        if degree and "A" in node.labels:
+        props = graph.props[nid]
+        texts = [json.dumps(props["w"])] if "w" in props else []
+        if degree and "A" in graph.nodes[nid]:
             texts.append(json.dumps(written))
         if texts:
-            node.props["d"] = "d" + "/".join(texts)
+            props["d"] = "d" + "/".join(texts)
     for _ in range(rng.randint(0, 3)):  # another label: free to disagree
         graph.add_edge(rng.choice(ids), rng.choice(ids), {"S"}, {"w": rng.choice(LHS_POOL)})
     return graph

@@ -100,10 +100,10 @@ def test_criterion_1_university_full_normalize():
         assert after.avg_edge_props == Fraction(1, 1)
 
         carriers = [nid for nid in result.graph.nodes
-                    if "usingBook" in result.graph.nodes[nid].props]
+                    if "usingBook" in result.graph.props[nid]]
         assert carriers == ["n1"]
-        assert result.graph.nodes["n1"].props["usingBook"] == "Alice"
-        assert all("usingBook" not in result.graph.edges[eid].props
+        assert result.graph.props["n1"]["usingBook"] == "Alice"
+        assert all("usingBook" not in result.graph.props[eid]
                    for eid in result.graph.edges)
 
     _criterion("1", "university scenario normalizes onto the course node", 1.0, body)
@@ -123,14 +123,14 @@ def test_criterion_2_group_dependency_scoped_normalize():
         value_nodes = [nid for nid in out.nodes if nid.startswith("sk:val|")]
         assert len(value_nodes) == 1
         val = value_nodes[0]
-        assert out.nodes[val].props == {"groupNo": 1, "name": "Heroes"}
-        assert out.nodes[val].labels == {"Sk_InGroupWithGroupNo"}
+        assert out.props[val] == {"groupNo": 1, "name": "Heroes"}
+        assert out.nodes[val] == {"Sk_InGroupWithGroupNo"}
 
         reifiers = sorted(nid for nid in out.nodes if nid.startswith("sk:reif|"))
         assert len(reifiers) == 2
         for rid in reifiers:
-            assert out.nodes[rid].labels == {"inGroupWith"}
-            assert out.nodes[rid].props == {}
+            assert out.nodes[rid] == {"inGroupWith"}
+            assert out.props[rid] == {}
 
         created = [eid for eid in out.edges if eid.startswith("ske:")]
         assert len(created) == 6
@@ -267,7 +267,7 @@ def test_criterion_5_scope_order_and_phase_deltas():
         assert len(general.cover) == 1     # recombined title=>{language,program}
 
         for nid in ("i1", "i2", "p1", "p2"):
-            assert result.graph.nodes[nid].props == {}
+            assert result.graph.props[nid] == {}
         assert len(result.schema) == 5
         assert check_gn_nf(NormalForm.GNBCNF, result.schema).holds
 

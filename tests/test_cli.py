@@ -464,7 +464,7 @@ def test_key_dependency_holds_on_values_python_equality_merges(capsys, tmp_path,
                      "--schema", f"{out}.schema.gofd")
     assert code == 0
     result = load_graph(f"{out}.graph.json")
-    values = [node.props["k"] for node in result.nodes.values() if "Sk_CK" in node.labels]
+    values = [result.props[nid]["k"] for nid, labels in result.nodes.items() if "Sk_CK" in labels]
     assert sorted(map(json.dumps, values)) == sorted([first, second])
 
 
@@ -479,7 +479,7 @@ def test_integer_beyond_float_range_round_trips(capsys, tmp_path):
                      "--out", str(out))
     assert code == 0
     result = load_graph(f"{out}.graph.json")
-    assert [node.props for node in result.nodes.values() if node.props.get("k") == 10**400] \
+    assert [result.props[nid] for nid in result.nodes if result.props[nid].get("k") == 10**400] \
         == [{"k": 10**400, "v": "p"}]
     assert f'"k": {huge},' in (tmp_path / "out.graph.json").read_text()
 
@@ -613,7 +613,7 @@ def test_surrogate_pair_escape_round_trips(capsys, tmp_path):
     assert run(capsys, "convert", "--graph", str(first), "--out", str(second))[0] == 0
     assert first.read_bytes() == second.read_bytes()
     assert '"k": "\\\\ud800 \U0001f600"'.encode() in first.read_bytes()
-    assert load_graph(str(first)).nodes["n1"].props["v"] == "q\U0001f600"
+    assert load_graph(str(first)).props["n1"]["v"] == "q\U0001f600"
     code, printed, _ = run(capsys, "convert", "--graph", graph)
     assert code == 0 and printed == first.read_text(encoding="utf-8")
 

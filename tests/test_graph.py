@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import random
@@ -22,14 +23,17 @@ from gonorm import (
     full_normalize,
     graph_from_dict,
     graph_to_dict,
+    invert,
     load_graph,
     save_graph,
+    scoped_normalize,
 )
 from gonorm.cli import main
 from gonorm.graph import check_atomic, column_keys, value_key, value_keys
 
 from conftest import TRICKY_VALUES, Real, SameRepr, fixture_graph, fixture_schema
-from oracles import oracle_dump_graph, random_graph
+from oracles import (MULTI_PASS_DEPS, oracle_dump_graph, random_graph, random_multi_pass_case,
+                     random_satisfying_case)
 
 
 def small_graph() -> Graph:
@@ -54,8 +58,8 @@ def test_add_node_copies_labels_and_props():
     nid = g.add_node(labels, props)
     labels.add("B")
     props["k"] = 2
-    assert g.nodes[nid].labels == frozenset({"A"})
-    assert g.nodes[nid].props == {"k": 1}
+    assert g.nodes[nid] == frozenset({"A"})
+    assert g.props[nid] == {"k": 1}
 
 
 def test_duplicate_and_cross_space_ids_rejected():
@@ -81,7 +85,7 @@ def test_self_loops_allowed():
     g = Graph()
     g.add_node(node_id="n1")
     eid = g.add_edge("n1", "n1", {"R"})
-    assert g.edges[eid].src == g.edges[eid].tgt == "n1"
+    assert g.ends[eid] == ("n1", "n1")
 
 
 def test_atomic_value_validation():
@@ -116,7 +120,7 @@ def test_remove_edge_keeps_endpoints():
 def test_prop_mutation_contract():
     g = small_graph()
     g.set_prop("e1", "w", "y")
-    assert g.edges["e1"].props["w"] == "y"
+    assert g.props["e1"]["w"] == "y"
     with pytest.raises(NotFoundError):
         g.set_prop("ghost", "k", 1)
 
@@ -128,12 +132,12 @@ def test_copy_is_independent():
     dup.set_prop("e1", "w", "y")
     # label sets are shared and immutable: a change replaces the copy's set
     with pytest.raises(AttributeError):
-        dup.nodes["n2"].labels.add("Z")  # type: ignore[attr-defined]
-    dup.nodes["n2"].labels = dup.nodes["n2"].labels | {"Z"}
-    dup.edges["e1"].labels = frozenset()
-    assert g.nodes["n1"].props["k"] == 1 and g.edges["e1"].props["w"] == "x"
-    assert g.nodes["n2"].labels == frozenset({"B"}) and g.edges["e1"].labels == frozenset({"R"})
-    assert dup.nodes["n2"].labels == frozenset({"B", "Z"})
+        dup.nodes["n2"].add("Z")  # type: ignore[attr-defined]
+    dup.nodes["n2"] = dup.nodes["n2"] | {"Z"}
+    dup.edges["e1"] = frozenset()
+    assert g.props["n1"]["k"] == 1 and g.props["e1"]["w"] == "x"
+    assert g.nodes["n2"] == frozenset({"B"}) and g.edges["e1"] == frozenset({"R"})
+    assert dup.nodes["n2"] == frozenset({"B", "Z"})
     # fresh ids in the copy do not collide with originals
     assert dup.add_node() not in g.nodes
     assert dup.add_edge("n1", "n2") not in g.edges
@@ -159,13 +163,74 @@ def test_len_counts_nodes_and_edges():
     assert "e1" in g.edges and "n1" not in g.edges
 
 
+def assert_maps_agree(graph: Graph) -> None:
+    """The four maps describe one graph: every object has one ``props``
+    entry, every edge one ``ends`` entry, no id is both a node and an edge,
+    and every end is a node."""
+    assert graph.props.keys() == graph.nodes.keys() | graph.edges.keys()
+    assert graph.ends.keys() == graph.edges.keys()
+    assert not graph.nodes.keys() & graph.edges.keys()
+    assert all(src in graph.nodes and tgt in graph.nodes for src, tgt in graph.ends.values())
+
+
+FIXTURE_NAMES = ("university", "students", "metrics_example", "shipping")
+
+
+@pytest.mark.parametrize("case", [*FIXTURE_NAMES, *(f"random{seed}" for seed in range(4)),
+                                  *(f"multi{seed}" for seed in range(4))])
+def test_the_four_maps_agree_after_every_change(case):
+    rng = random.Random(case)
+    if case in FIXTURE_NAMES:
+        graph = fixture_graph(f"{case}.graph.json")
+        result = full_normalize(graph, list(fixture_schema(f"{case}.schema.gofd").schema))
+    elif case.startswith("multi"):
+        graph = random_multi_pass_case(rng)
+        result = full_normalize(graph, MULTI_PASS_DEPS)
+    else:
+        graph, dep = random_satisfying_case(rng)
+        result = scoped_normalize(graph, [dep], dep.scope)
+    plans = [plan for log in result.logs for plan in log.transformations]
+    for checked in (graph, graph.copy(), result.graph, invert(result.graph, plans)):
+        assert_maps_agree(checked)
+    dup = graph.copy()
+    some = next(iter(dup.nodes))
+    added = dup.add_node({"Z"}, {"k": 1})
+    assert_maps_agree(dup)
+    incident = [dup.add_edge(added, some, {"R"}, {"w": 2}), dup.add_edge(some, added),
+                dup.add_edge(added, added)]
+    assert_maps_agree(dup)
+    dup.remove_object(incident[0])
+    assert_maps_agree(dup)
+    assert incident[0] not in dup.props and incident[1] in dup.props
+    dup.remove_object(added)
+    assert_maps_agree(dup)
+    assert not dup.props.keys() & {added, *incident}
+    assert dump_graph(dup) == dump_graph(graph)
+
+
+def test_the_store_holds_no_tracked_object_per_object():
+    # property dicts of atomic values and (src, tgt) pairs of strings are
+    # left to the collector to untrack: it walks none of them afterwards
+    def assert_untracked(store: Graph) -> None:
+        assert store.props and not any(map(gc.is_tracked, store.props.values()))
+        assert store.ends and not any(map(gc.is_tracked, store.ends.values()))
+
+    graph = fixture_graph("shipping.graph.json")
+    gc.collect()
+    assert_untracked(graph)
+    result = full_normalize(graph, list(fixture_schema("shipping.schema.gofd").schema))
+    gc.collect()
+    assert_untracked(graph)
+    assert_untracked(result.graph)
+
+
 # -- serialization ---------------------------------------------------------
 
 def _as_comparable(g: Graph):
     return (
-        {nid: (frozenset(rec.labels), dict(rec.props)) for nid, rec in g.nodes.items()},
-        {eid: (rec.src, rec.tgt, frozenset(rec.labels), dict(rec.props))
-         for eid, rec in g.edges.items()},
+        {nid: (frozenset(labels), dict(g.props[nid])) for nid, labels in g.nodes.items()},
+        {eid: (*g.ends[eid], frozenset(labels), dict(g.props[eid]))
+         for eid, labels in g.edges.items()},
     )
 
 
@@ -288,7 +353,7 @@ def test_load_rejects_malformed_json(tmp_path):
 def test_float_literals_load_up_to_the_float_range():
     doc = ('{"nodes": [{"id": "n1", "properties": '
            '{"big": 1e308, "small": -1.7976931348623157e308, "tiny": 1e-999}}], "edges": []}')
-    props = load_graph(io.StringIO(doc)).nodes["n1"].props
+    props = load_graph(io.StringIO(doc)).props["n1"]
     assert props == {"big": 1e308, "small": -1.7976931348623157e308, "tiny": 0.0}
     for literal in ("1e999", "-1e999", "1.8e308"):
         with pytest.raises(ParseError, match=f"^non-finite number {literal} is not JSON "
@@ -441,7 +506,7 @@ def test_atomic_value_subclasses_still_load():
         pass
 
     graph = graph_from_dict(_doc([_node(labels=[Name("A")], properties={"k": Name("v")})]))
-    assert graph.nodes["a"].labels == frozenset({"A"}) and graph.nodes["a"].props == {"k": "v"}
+    assert graph.nodes["a"] == frozenset({"A"}) and graph.props["a"] == {"k": "v"}
 
 
 def test_equal_label_lists_share_one_set_and_copies_share_it():
@@ -449,19 +514,19 @@ def test_equal_label_lists_share_one_set_and_copies_share_it():
                 _node("c", labels=[]), _node("d")],
                [_edge("e", labels=["A", "B"]), _edge("f", "c", "d")])
     graph = graph_from_dict(doc)
-    shared = graph.nodes["a"].labels
+    shared = graph.nodes["a"]
     assert type(shared) is frozenset and shared == {"A", "B"}
-    assert graph.nodes["b"].labels is shared and graph.edges["e"].labels is shared
-    assert graph.nodes["c"].labels is graph.nodes["d"].labels is graph.edges["f"].labels
+    assert graph.nodes["b"] is shared and graph.edges["e"] is shared
+    assert graph.nodes["c"] is graph.nodes["d"] is graph.edges["f"]
     dup = graph.copy()
-    for records, copied in ((graph.nodes, dup.nodes), (graph.edges, dup.edges)):
-        assert all(copied[oid].labels is record.labels for oid, record in records.items())
-    assert graph_from_dict(doc).nodes["a"].labels is not shared  # kept for one call only
+    for labels_of, copied in ((graph.nodes, dup.nodes), (graph.edges, dup.edges)):
+        assert all(copied[oid] is labels for oid, labels in labels_of.items())
+    assert graph_from_dict(doc).nodes["a"] is not shared  # kept for one call only
 
 
 def _snapshot(graph: Graph) -> dict:
-    return {oid: (record.labels, frozenset(record.labels), dict(record.props))
-            for records in (graph.nodes, graph.edges) for oid, record in records.items()}
+    return {oid: (labels, frozenset(labels), dict(graph.props[oid]), graph.ends.get(oid))
+            for labels_of in (graph.nodes, graph.edges) for oid, labels in labels_of.items()}
 
 
 @pytest.mark.parametrize("name", ["university", "students", "metrics_example", "shipping"])
@@ -471,7 +536,7 @@ def test_normalizing_leaves_every_input_record_unchanged(name):
     result = full_normalize(graph, list(fixture_schema(f"{name}.schema.gofd").schema))
     after = _snapshot(graph)
     assert after == before
-    assert all(after[oid][0] is labels for oid, (labels, _, _) in before.items())
+    assert all(after[oid][0] is labels for oid, (labels, *_) in before.items())
     assert dump_graph(result.graph) != dump_graph(graph)
 
 

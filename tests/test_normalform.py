@@ -121,7 +121,7 @@ def test_gn1nf_holds_on_fixture_graphs():
 def test_gn1nf_detects_smuggled_compound_value():
     g = Graph()
     g.add_node({"A"}, {"ok": 1}, node_id="n1")
-    g.nodes["n1"].props["bad"] = [1, 2]  # bypass the setter on purpose
+    g.props["n1"]["bad"] = [1, 2]  # bypass the setter on purpose
     with pytest.raises(FormatError):
         check_gn1nf(g)
 

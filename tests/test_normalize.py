@@ -285,8 +285,8 @@ def test_full_normalize_visits_scopes_most_specific_first():
     assert first.kept == ["(x:{Person}:{city})-[y:{R}:{w}]->()::x.city=>x"]
     assert first.key_dependencies == ["(x:{Sk_PersonCity}:{city,w})::x.city=>x"]
     assert second.transformations == []  # city already moved off the node
-    assert result.graph.nodes['sk:val|Person|city="Rome"'].props == {"city": "Rome", "w": 7}
-    assert result.graph.nodes["p1"].props == {"zip": 100}
+    assert result.graph.props['sk:val|Person|city="Rome"'] == {"city": "Rome", "w": 7}
+    assert result.graph.props["p1"] == {"zip": 100}
 
 
 def test_full_normalize_reaches_a_fixpoint():
@@ -406,9 +406,9 @@ def test_int_enum_members_join_the_value_nodes_of_their_ints():
     result = full_normalize(g, [C_K_V])
     made = sorted(set(result.graph.nodes) - set(g.nodes))
     assert made == ['sk:val|C|k="k1"', "sk:val|C|k=2"]
-    assert result.graph.nodes['sk:val|C|k="k1"'].props == {"k": "k1", "v": 1}
-    assert result.graph.nodes["sk:val|C|k=2"].props == {"k": 2, "v": 5}
-    assert all(not result.graph.nodes[nid].props for nid in ("c1", "c2", "c3", "c4"))
+    assert result.graph.props['sk:val|C|k="k1"'] == {"k": "k1", "v": 1}
+    assert result.graph.props["sk:val|C|k=2"] == {"k": 2, "v": 5}
+    assert all(not result.graph.props[nid] for nid in ("c1", "c2", "c3", "c4"))
     plans = [plan for log in result.logs for plan in log.transformations]
     assert dump_graph(invert(result.graph, plans)) == dump_graph(g)
 

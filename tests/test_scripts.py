@@ -139,6 +139,9 @@ def test_size_sweep_records_every_field_of_a_measured_size(capsys, monkeypatch, 
         assert len(verb["gc"]["collections"]) == len(verb["gc"]["s"]) == 3
     assert size["invert"]["rebuilt"] is True and size["invert"]["plans"] > 0
     assert {"rss_after_import_mb", "rss_growth_mb"} <= size.keys()
+    tracked = size["tracked_objects"]
+    assert list(tracked) == ["load", "normalize"] and all(type(n) is int for n in tracked.values())
+    assert 0 < tracked["load"] < tracked["normalize"]
 
 
 def test_size_sweep_refuses_a_broken_input_and_skips_past_the_budget(capsys, monkeypatch,

@@ -203,8 +203,8 @@ def test_a_plan_takes_rows_and_reads_them_as_named_tuples():
     assert plan.ops == [NewNode("v", ("L",)), MoveProp("p1", "zip", "v", 1)]
     assert list(map(type, plan.ops)) == [NewNode, MoveProp]
     out = execute_plans(person_graph(), [plan])
-    assert out.nodes["v"].labels == {"L"} and out.nodes["v"].props == {"zip": 1}
-    assert out.nodes["p1"].props == {"city": "Rome"}
+    assert out.nodes["v"] == {"L"} and out.props["v"] == {"zip": 1}
+    assert out.props["p1"] == {"city": "Rome"}
 
 
 # -- planning --------------------------------------------------------------
@@ -299,13 +299,13 @@ def test_within_node_execution_moves_values_once():
     assert len(plans) == 1
     rome = 'sk:val|Person|city="Rome"'
     oslo = 'sk:val|Person|city="Oslo"'
-    assert out.nodes[rome].props == {"city": "Rome", "zip": 100}
-    assert out.nodes[oslo].props == {"city": "Oslo", "zip": 200}
-    assert out.nodes[rome].labels == frozenset({"Sk_PersonCity"})
+    assert out.props[rome] == {"city": "Rome", "zip": 100}
+    assert out.props[oslo] == {"city": "Oslo", "zip": 200}
+    assert out.nodes[rome] == frozenset({"Sk_PersonCity"})
     for nid in ("p1", "p2", "p3"):
-        assert out.nodes[nid].props == {}
-    assert out.edges[created_edge_id("Sk_PersonCity", "p1", rome)].tgt == rome
-    assert out.edges[created_edge_id("Sk_PersonCity", "p3", oslo)].tgt == oslo
+        assert out.props[nid] == {}
+    assert out.ends[created_edge_id("Sk_PersonCity", "p1", rome)][1] == rome
+    assert out.ends[created_edge_id("Sk_PersonCity", "p3", oslo)][1] == oslo
     assert len(out.nodes) == 5 and len(out.edges) == 3
     assert verify_lossless(g, out, plans[0])
     assert satisfies(out, plans[0].key_dependency).holds
@@ -327,16 +327,16 @@ def test_within_edge_execution_reifies_and_migrates_leftovers():
     assert plans[0].deleted_edges == {"e1", "e2"}
     r1, r2 = reifier_id("e1"), reifier_id("e2")
     val = "sk:val|R|u=1"
-    assert out.nodes[val].props == {"u": 1, "v": 2}
-    assert out.nodes[val].labels == frozenset({"Sk_RU"})
-    assert out.nodes[r1].labels == frozenset({"R"})
+    assert out.props[val] == {"u": 1, "v": 2}
+    assert out.nodes[val] == frozenset({"Sk_RU"})
+    assert out.nodes[r1] == frozenset({"R"})
     # unclaimed edge property survives on the reifier node
-    assert out.nodes[r1].props == {"note": "keep"}
-    assert out.nodes[r2].props == {}
+    assert out.props[r1] == {"note": "keep"}
+    assert out.props[r2] == {}
     assert "e1" not in out.edges and "e2" not in out.edges
-    assert out.edges[created_edge_id("R_src", "a", r1)].labels == {"R_src"}
-    assert out.edges[created_edge_id("R_tgt", r1, "b")].tgt == "b"
-    assert out.edges[created_edge_id("R_det", r1, val)].labels == {"R_det"}
+    assert out.edges[created_edge_id("R_src", "a", r1)] == {"R_src"}
+    assert out.ends[created_edge_id("R_tgt", r1, "b")][1] == "b"
+    assert out.edges[created_edge_id("R_det", r1, val)] == {"R_det"}
     assert verify_lossless(g, out, plans[0])
 
 
@@ -357,8 +357,8 @@ def test_between_node_edge_prop_moves_onto_node():
     assert plans[0].kind is TransformationKind.BETWEEN_N_EP
     assert "new-node" not in {row[0] for row in plans[0].rows}
     assert plans[0].key_dependency is None
-    assert out.nodes["p1"].props == {"city": "Rome", "w": 5}
-    assert out.edges["e1"].props == {} and out.edges["e2"].props == {}
+    assert out.props["p1"] == {"city": "Rome", "w": 5}
+    assert out.props["e1"] == {} and out.props["e2"] == {}
     assert set(out.edges) == {"e1", "e2"}  # nothing reified
     assert verify_lossless(g, out, plans[0])
 
@@ -369,10 +369,10 @@ def test_between_node_prop_edge_prop_shares_value_node():
     out, plans = normalize_one(g, dep)
     assert plans[0].kind is TransformationKind.BETWEEN_NP_EP
     val = 'sk:val|Person|city="Rome"'
-    assert out.nodes[val].props == {"city": "Rome", "w": 5}
-    assert out.nodes["p1"].props == {}
-    assert out.edges["e1"].props == {} and "e1" in out.edges
-    assert out.edges[created_edge_id("Sk_PersonCity", "p1", val)].src == "p1"
+    assert out.props[val] == {"city": "Rome", "w": 5}
+    assert out.props["p1"] == {}
+    assert out.props["e1"] == {} and "e1" in out.edges
+    assert out.ends[created_edge_id("Sk_PersonCity", "p1", val)][0] == "p1"
     assert verify_lossless(g, out, plans[0])
 
 
@@ -382,11 +382,11 @@ def test_between_edge_prop_node_prop_reifies_the_edge():
     out, plans = normalize_one(g, dep)
     assert plans[0].kind is TransformationKind.BETWEEN_EP_NP
     val = "sk:val|R|w=5"
-    assert out.nodes[val].props == {"w": 5, "city": "Rome"}
-    assert out.nodes["p1"].props == {}
+    assert out.props[val] == {"w": 5, "city": "Rome"}
+    assert out.props["p1"] == {}
     r1 = reifier_id("e1")
     assert "e1" not in out.edges and r1 in out.nodes
-    assert out.edges[created_edge_id("R_det", r1, val)].tgt == val
+    assert out.ends[created_edge_id("R_det", r1, val)][1] == val
     assert verify_lossless(g, out, plans[0])
 
 
@@ -396,7 +396,7 @@ def test_between_edge_prop_node_id_keeps_endpoint_recoverable():
     out, plans = normalize_one(g, dep)
     assert plans[0].kind is TransformationKind.BETWEEN_EP_N
     val = "sk:val|R|w=5"
-    assert out.nodes[val].props == {"w": 5}
+    assert out.props[val] == {"w": 5}
     assert plans[0].key_dependency.render() == "(x:{Sk_RW}:{w})::x.w=>x"
     assert verify_lossless(g, out, plans[0])
 
@@ -410,7 +410,7 @@ def test_split_right_sides_merge_on_one_value_node():
     out, plans = normalize_one(g, dep)
     assert len(plans) == 2  # one per right-side variable
     rome = 'sk:val|Person|city="Rome"'
-    assert out.nodes[rome].props == {"city": "Rome", "zip": 100, "area": "EU"}
+    assert out.props[rome] == {"city": "Rome", "zip": 100, "area": "EU"}
     assert len([n for n in out.nodes if n.startswith("sk:val|")]) == 2
     for plan in plans:
         others = [p for p in plans if p is not plan]
@@ -458,7 +458,7 @@ def test_executor_keys_each_moved_value_once():
     with runs_of(value_key) as (keyed,):
         out = execute_plans(g, [plan])
     assert keyed == []  # equal values of one exact str or int type need no key
-    assert out.nodes['sk:val|P|city="Rome"'].props == {"city": "Rome", "zip": 100}
+    assert out.props['sk:val|P|city="Rome"'] == {"city": "Rome", "zip": 100}
 
 
 def test_plans_of_two_left_sides_run_each_op_object_once():
@@ -601,7 +601,7 @@ def test_executor_conflicts_exactly_when_json_texts_differ():
                                 [V, ("move-prop", source, "zip", "v", value)])
                  for source, value in (("p1", first), ("p3", second))]
         if json.dumps(first) == json.dumps(second):
-            assert execute_plans(g, plans).nodes["v"].props["zip"] is first
+            assert execute_plans(g, plans).props["v"]["zip"] is first
         else:
             with pytest.raises(InvariantError, match="conflicting values"):
                 execute_plans(g, plans)
@@ -628,8 +628,8 @@ def test_plans_run_in_the_order_given():
             assert str(caught.value) == f"move target {rome!r} is not a node"
     out = execute_plans(g, [part, onto])
     assert dump_graph(out) == dump_graph(oracle_execute(g, [part, onto]))
-    assert out.nodes[rome].props == {"city": "Rome", "zip": 100, "tag": "t"}
-    assert out.edges["f"].tgt == rome
+    assert out.props[rome] == {"city": "Rome", "zip": 100, "tag": "t"}
+    assert out.ends["f"][1] == rome
     with pytest.raises(InvariantError) as caught:
         execute_plans(g, [part, clash])
     assert str(caught.value) == f"conflicting values for {rome}.zip: 100 vs 999"
@@ -659,11 +659,11 @@ def tracked_in(plans) -> int:
 def doubled(graph: Graph) -> Graph:
     """The graph beside a copy of itself whose every id is primed."""
     out = graph.copy()
-    for nid, record in graph.nodes.items():
-        out.add_node(record.labels, record.props, node_id=nid + "'")
-    for eid, record in graph.edges.items():
-        out.add_edge(record.src + "'", record.tgt + "'", record.labels, record.props,
-                     edge_id=eid + "'")
+    for nid, labels in graph.nodes.items():
+        out.add_node(labels, graph.props[nid], node_id=nid + "'")
+    for eid, labels in graph.edges.items():
+        src, tgt = graph.ends[eid]
+        out.add_edge(src + "'", tgt + "'", labels, graph.props[eid], edge_id=eid + "'")
     return out
 
 
@@ -754,8 +754,8 @@ def test_a_row_without_a_tuple_of_labels_is_refused_when_the_plan_is_built(row, 
     assert repr(row) in str(caught.value)
     out = execute_plans(person_graph(), [Transformation(dep, TransformationKind.WITHIN_N, 1,
                                                         [fixed])])
-    records = out.nodes if fixed[0] == "new-node" else out.edges
-    assert records[fixed[1]].labels == set(fixed[-1])
+    labels_of = out.nodes if fixed[0] == "new-node" else out.edges
+    assert labels_of[fixed[1]] == set(fixed[-1])
 
 
 @settings(max_examples=150, deadline=None)
@@ -768,10 +768,10 @@ def test_split_parts_carry_the_ops_each_part_plans_alone(seed, shape):
     node_labels, edge_labels = set(rng.sample(("A", "B"), rng.randint(0, 1))), set()
     node_keys = rng.sample(("na", "nb", "nz"), rng.randint(1, 3))
     edge_keys = rng.sample(("ea", "eb", "ez"), rng.randint(1, 3))
-    for records, keys in ((graph.nodes, node_keys), (graph.edges, edge_keys)):
-        for oid, record in records.items():  # most objects get the scope's keys
+    for ids, keys in ((graph.nodes, node_keys), (graph.edges, edge_keys)):
+        for oid in ids:  # most objects get the scope's keys
             for key in keys:
-                if key not in record.props and rng.random() < 0.8:
+                if key not in graph.props[oid] and rng.random() < 0.8:
                     graph.set_prop(oid, key, rng.choice(LHS_POOL))
     scope = {"node": node_pattern("x", node_labels, node_keys),
              "edge": edge_pattern("y", edge_labels, edge_keys),
@@ -848,7 +848,7 @@ def test_verify_lossless_fails_after_tampering():
     plan = plans[0]
 
     broken = out.copy()
-    broken.nodes['sk:val|Person|city="Rome"'].props.pop("zip")
+    broken.props['sk:val|Person|city="Rome"'].pop("zip")
     assert not verify_lossless(g, broken, plan)
 
     rewired = out.copy()
@@ -879,7 +879,7 @@ def test_invert_rejects_a_slot_moved_to_different_values():
                           TransformationKind.WITHIN_N, 1,
                           [("new-node", "v1", ("V",)), ("new-node", "v2", ("V",)),
                            ("move-prop", "p1", "k", "v1", 1), ("move-prop", "p1", "k", "v2", 1)])
-    assert invert(g, [plan]).nodes["p1"].props == {"k": 1}
+    assert invert(g, [plan]).props["p1"] == {"k": 1}
     g.set_prop("v2", "k", 1.0)  # equal in Python, not as JSON text
     with pytest.raises(InvariantError, match="moved to different values"):
         invert(g, [plan])
@@ -920,7 +920,7 @@ def test_invert_of_a_slot_emptied_and_written_again():
     result = full_normalize(g, deps)
     plans = [plan for log in result.logs for plan in log.transformations]
     assert [plan.kind.value for plan in plans] == ["within-n", "between-n-ep", "within-n"]
-    assert sorted(result.graph.nodes[v].props["w"] for v in result.graph.nodes
+    assert sorted(result.graph.props[v]["w"] for v in result.graph.nodes
                   if v.startswith("sk:val|")) == [1, 7]  # nothing is lost
     assert verify_lossless(g, result.graph, plans[0], plans[1:])
     assert [plan.pass_index for plan in plans] == [0, 1, 2]
@@ -979,7 +979,7 @@ for damage in ("remove", "clear"):
         if damage == "remove":
             out.remove_object(nid)
         else:
-            out.nodes[nid].props.clear()
+            out.props[nid].clear()
     try:
         invert(out, plans)
     except InvariantError as exc:
