@@ -529,7 +529,7 @@ def _snapshot(graph: Graph) -> dict:
             for labels_of in (graph.nodes, graph.edges) for oid, labels in labels_of.items()}
 
 
-@pytest.mark.parametrize("name", ["university", "students", "metrics_example", "shipping"])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_normalizing_leaves_every_input_record_unchanged(name):
     graph = fixture_graph(f"{name}.graph.json")
     before = _snapshot(graph)
