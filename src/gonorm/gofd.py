@@ -68,7 +68,7 @@ def restrict(dep: GoFd, scope: Pattern) -> GoFd:
 
     Onto a scope equal to its own, the dependency itself is returned.
     """
-    if dep.scope == scope:
+    if dep.scope is scope or dep.scope == scope:
         return dep
     mapping = rename_map(dep.scope, scope)
     return gofd(scope,
@@ -123,10 +123,10 @@ class DepClass(Enum):
 
 def check_bound(dep: GoFd) -> None:
     universe = attrs(dep.scope)
-    for var in sorted(dep.lhs | dep.rhs, key=var_sort_key):
-        if var not in universe:
-            raise UnboundVariable(
-                f"variable {render_var(var)} does not occur in scope {render_pattern(dep.scope)}")
+    if not dep.lhs <= universe >= dep.rhs:
+        var = min((dep.lhs | dep.rhs) - universe, key=var_sort_key)
+        raise UnboundVariable(
+            f"variable {render_var(var)} does not occur in scope {render_pattern(dep.scope)}")
 
 
 def classify(dep: GoFd) -> DepClass:
@@ -240,6 +240,7 @@ class ClosureKernel:
         self.variables = tuple(sorted(set(variables), key=var_sort_key))
         self.bits = {var: 1 << i for i, var in enumerate(self.variables)}
         self.full = (1 << len(self.variables)) - 1
+        self.texts = [render_var(var) for var in self.variables]
         self.rules = self.compile(deps)
 
     @classmethod
@@ -261,6 +262,10 @@ class ClosureKernel:
         """The variables of ``mask``, in ascending bit order."""
         return [var for i, var in enumerate(self.variables) if mask >> i & 1]
 
+    def text(self, mask: int) -> str:
+        """``render_vars`` of the variables of ``mask``."""
+        return ",".join([name for i, name in enumerate(self.texts) if mask >> i & 1])
+
     def compile(self, deps: Iterable[GoFd]) -> list[tuple[int, int]]:
         """One ``(lhs, rhs)`` pair per distinct left side, trivial parts dropped."""
         rules: dict[int, int] = {}
@@ -272,17 +277,20 @@ class ClosureKernel:
         return list(rules.items())
 
     def close(self, mask: int) -> int:
-        return _fixpoint(mask, self.rules)
+        return _fixpoint(mask, self.rules, self.full)
 
 
-def _fixpoint(mask: int, rules: list[tuple[int, int]]) -> int:
-    """Smallest superset of ``mask`` closed under the ``(lhs, rhs)`` mask rules."""
+def _fixpoint(mask: int, rules: list[tuple[int, int]], goal: int = -1) -> int:
+    """Smallest superset of ``mask`` closed under the ``(lhs, rhs)`` mask rules,
+    or, once it holds ``goal``, the subset of that closure reached so far."""
     pending = rules
     while True:
         waiting = []
         for lhs, rhs in pending:
             if lhs & mask == lhs:
                 mask |= rhs
+                if goal & mask == goal:
+                    return mask
             else:
                 waiting.append((lhs, rhs))
         if len(waiting) == len(pending):
@@ -343,9 +351,6 @@ def minimal_cover(deps: Iterable[GoFd]) -> tuple[GoFd, ...]:
     kernel = ClosureKernel(attrs(scope))
     structural = kernel.compile(structurally_implied(scope))
 
-    def render(rule: tuple[int, int]) -> str:
-        return gofd(scope, kernel.unmask(rule[0]), kernel.unmask(rule[1])).render()
-
     # split right sides to single variables, drop trivial parts
     split: dict[tuple[int, int], None] = {}
     for dep in sorted(pool, key=lambda d: d.render()):
@@ -363,15 +368,15 @@ def minimal_cover(deps: Iterable[GoFd]) -> tuple[GoFd, ...]:
         while rest and lhs & (lhs - 1):  # try each variable while two are left
             bit = rest & -rest
             rest ^= bit
-            if _fixpoint(lhs & ~bit, current + structural) & rhs == rhs:
+            if _fixpoint(lhs & ~bit, current + structural, rhs) & rhs == rhs:
                 lhs &= ~bit
         current[i] = (lhs, rhs)
 
-    # drop members implied by the rest
+    # drop members implied by the rest, in ``GoFd.render`` order past the shared scope
     kept = list(dict.fromkeys(current))
-    for rule in sorted(kept, key=render):
+    for rule in sorted(kept, key=lambda r: f"{kernel.text(r[0])}=>{kernel.text(r[1])}"):
         rest = [r for r in kept if r != rule]
-        if _fixpoint(rule[0], rest + structural) & rule[1] == rule[1]:
+        if _fixpoint(rule[0], rest + structural, rule[1]) & rule[1] == rule[1]:
             kept = rest
 
     # recombine right sides per left side

@@ -15,7 +15,7 @@ from itertools import chain
 from typing import Iterable
 
 from .errors import SizeLimit
-from .gofd import ClosureKernel, GnSchema, GoFd, applicable_deps, gofd
+from .gofd import ClosureKernel, GnSchema, GoFd, applicable_deps
 from .graph import Graph, check_atomic
 from .pattern import Pattern, Variable, attrs, render_pattern
 
@@ -170,9 +170,9 @@ def check_scoped(form: NormalForm, scope: Pattern, schema: Iterable[GoFd],
     scope_text = render_pattern(scope)
     violations: list[Violation] = []
     for lhs, implied in _lhs_candidates(kernel, deps):
-        left = kernel.unmask(lhs)
-        for rhs in kernel.unmask(implied & ~lhs & ~prime):
-            violations.append(Violation(scope_text, gofd(scope, left, [rhs]).render(), reason))
+        left = f"{scope_text}::{kernel.text(lhs)}=>"  # as ``GoFd.render`` writes it
+        for i in _bits(implied & ~lhs & ~prime):
+            violations.append(Violation(scope_text, left + kernel.texts[i], reason))
     return NormalFormReport(form, not violations, tuple(violations))
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable
 
 from .errors import ParseError
 from .gofd import GnSchema, GoFd, gofd
@@ -50,15 +50,9 @@ _KIND.update({"⇒": "=>", "∅": "empty"})  # fancy arrow, empty-set sign
 _IDENT_START = frozenset(string.ascii_letters + "_")
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    column: int
-
-
-def _tokenize(text: str, line: int, column: int = 1) -> list[_Token]:
-    """The tokens of ``text``, whose first character is at ``column``."""
-    out: list[_Token] = []
+def _tokenize(text: str, line: int, column: int = 1) -> list[tuple[str, str, int]]:
+    """The ``(kind, text, column)`` tokens of ``text``, whose first character is at ``column``."""
+    out: list[tuple[str, str, int]] = []
     for piece in _PIECE.findall(text):
         kind = _KIND.get(piece)
         if kind is None:
@@ -69,9 +63,9 @@ def _tokenize(text: str, line: int, column: int = 1) -> list[_Token]:
                 continue
             else:
                 raise ParseError(f"unexpected character {piece!r}", line, column)
-        out.append(_Token(kind, piece, column))
+        out.append((kind, piece, column))
         column += len(piece)
-    out.append(_Token("end", "", column))
+    out.append(("end", "", column))
     return out
 
 
@@ -84,25 +78,25 @@ class _Endpoint:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], line: int):
+    def __init__(self, tokens: list[tuple[str, str, int]], line: int):
         self.tokens = tokens
         self.line = line
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def take(self, kind: str) -> _Token:
+    def take(self, kind: str) -> tuple[str, str, int]:
         token = self.tokens[self.pos]
-        if token.kind != kind:
-            shown = token.text or "end of line"
-            raise ParseError(f"unexpected {shown!r}", self.line, token.column,
+        if token[0] != kind:
+            shown = token[1] or "end of line"
+            raise ParseError(f"unexpected {shown!r}", self.line, token[2],
                              expected=(kind,))
         self.pos += 1
         return token
 
-    def accept(self, kind: str) -> _Token | None:
-        if self.tokens[self.pos].kind == kind:
+    def accept(self, kind: str) -> tuple[str, str, int] | None:
+        if self.tokens[self.pos][0] == kind:
             return self.take(kind)
         return None
 
@@ -113,10 +107,10 @@ class _Parser:
             return ()
         self.take("{")
         names: list[str] = []
-        if self.peek().kind == "ident":
-            names.append(self.take("ident").text)
+        if self.peek()[0] == "ident":
+            names.append(self.take("ident")[1])
             while self.accept(","):
-                names.append(self.take("ident").text)
+                names.append(self.take("ident")[1])
         self.take("}")
         return tuple(names)
 
@@ -136,7 +130,7 @@ class _Parser:
         if self.accept(":"):
             labels, keys = self.both_sets()
         self.take(")")
-        return _Endpoint(token.text, labels, keys, token.column)
+        return _Endpoint(token[1], labels, keys, token[2])
 
     def edge_body(self) -> _Endpoint:
         token = self.accept("ident")
@@ -146,15 +140,15 @@ class _Parser:
             labels, keys = self.both_sets()
         if token is None:
             return _Endpoint(None, labels, keys)
-        return _Endpoint(token.text, labels, keys, token.column)
+        return _Endpoint(token[1], labels, keys, token[2])
 
     def pattern(self) -> Pattern:
         first = self.endpoint()
-        arrow = self.peek().kind
+        arrow = self.peek()[0]
         if arrow not in ("-[", "<-["):
             if first.name is None:
                 raise ParseError("a node pattern must bind a variable",
-                                 self.line, self.peek().column)
+                                 self.line, self.peek()[2])
             return node_pattern(first.name, first.labels, first.keys)
         self.take(arrow)
         edge = self.edge_body()
@@ -163,7 +157,7 @@ class _Parser:
         source, target = (first, second) if arrow == "-[" else (second, first)
         if source.name is not None and target.name is not None:
             raise ParseError("at most one endpoint may bind a variable",
-                             self.line, self.peek().column)
+                             self.line, self.peek()[2])
         if source.name is None and target.name is None:
             return edge_pattern(edge.name or "", edge.labels, edge.keys)
         node = source if source.name is not None else target
@@ -179,10 +173,10 @@ class _Parser:
         while True:
             token = self.take("ident")
             if self.accept("."):
-                key = self.take("ident").text
-                out.append((PropVar(token.text, key), token.column))
+                key = self.take("ident")[1]
+                out.append((PropVar(token[1], key), token[2]))
             else:
-                out.append((ObjectVar(token.text), token.column))
+                out.append((ObjectVar(token[1]), token[2]))
             if not self.accept(","):
                 return out
 

@@ -36,6 +36,7 @@ from gonorm import (
     rename_map,
     render_pattern,
     restrict,
+    match_redundancy_pattern,
     satisfies,
     scope_key,
     scope_closure,
@@ -43,7 +44,7 @@ from gonorm import (
 )
 
 from gonorm import cli
-from gonorm.gofd import ClosureKernel
+from gonorm.gofd import ClosureKernel, _fixpoint, check_bound
 from gonorm.graph import column_keys, value_key
 from gonorm.pattern import var_sort_key
 
@@ -161,6 +162,24 @@ def test_check_bound_rejects_foreign_variables():
         satisfies(Graph(), gofd(NODE3, [pv("x", "a")], [pv("x", "nope")]))
     with pytest.raises(UnboundVariable):
         classify(gofd(NODE3, [ObjectVar("q")], [pv("x", "a")]))
+    # of two unbound variables, the message names the one that sorts first by
+    # ``var_sort_key``, on either side and whatever order the sets iterate in
+    message = "variable w.a does not occur in scope (x:{A}:{a,b,c})"
+    for lhs, rhs in (([pv("x", "a"), pv("w0", "b")], [pv("w", "a")]),
+                     ([pv("w", "a")], [ObjectVar("w0"), pv("x", "b")]),
+                     ([ObjectVar("x"), pv("w", "a"), ObjectVar("w_")], [pv("x", "c")])):
+        dep = gofd(NODE3, lhs, rhs)
+        for verb in (check_bound, lambda d: satisfies(Graph(), d),
+                     lambda d: minimal_cover([d]), match_redundancy_pattern):
+            with pytest.raises(UnboundVariable) as caught:
+                verb(dep)
+            assert str(caught.value) == message
+
+
+def test_restrict_onto_its_own_scope_returns_the_dependency():
+    dep = gofd(NODE3, [pv("x", "a")], [pv("x", "b")])
+    assert restrict(dep, dep.scope) is dep
+    assert restrict(dep, copy.copy(dep.scope)) is dep  # equal, not the same object
 
 
 def test_classify_table():
@@ -557,6 +576,52 @@ def test_minimal_cover_is_equivalent_to_input(seed):
         assert oracle_implies(cover, dep)
     for dep in cover:
         assert oracle_implies(deps, dep)
+
+
+# keys whose texts sort otherwise than their variables: "x.a,x.b" < "x.a0"
+# < "x.a=>…" as text, while a < a0 < aB < a_b < b as variables
+AWKWARD_KEYS = ("a", "a0", "aB", "a_b", "b")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_minimal_cover_tries_removals_in_render_order_on_awkward_names(seed, with_edge):
+    rng = random.Random(seed)
+    node_var = rng.choice(("a", "x"))
+    node_keys = rng.sample(AWKWARD_KEYS, rng.randint(2, 5))
+    if with_edge:
+        scope = node_edge_pattern(node_var, {"A"}, node_keys,
+                                  rng.choice(("a0", "a_b", "")), {"R"},
+                                  rng.sample(AWKWARD_KEYS, rng.randint(1, 3)),
+                                  rng.choice((Direction.OUT, Direction.IN)))
+    else:
+        scope = node_pattern(node_var, {"A"}, node_keys)
+    pool = sorted(attrs(scope), key=var_sort_key)
+    deps = [gofd(scope, rng.sample(pool, rng.randint(1, min(3, len(pool)))),
+                 rng.sample(pool, rng.randint(1, 2)))
+            for _ in range(rng.randint(2, 7))]
+    assert minimal_cover(deps) == oracle_minimal_cover(deps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_fixpoint_holds_its_goal_exactly_when_the_closure_does(seed):
+    rng = random.Random(seed)
+    scope = node_pattern("x", {"A"}, ["k0", "k1", "k2", "k3", "k4"])
+    pool = sorted(attrs(scope), key=var_sort_key)
+    deps = [gofd(scope, rng.sample(pool, rng.randint(0, 2)), rng.sample(pool, rng.randint(1, 2)))
+            for _ in range(rng.randint(0, 6))]
+    kernel = ClosureKernel(pool, deps)
+    rules = kernel.rules
+    seed_vars = rng.sample(pool, rng.randint(0, 3))
+    start = kernel.mask(seed_vars)
+    full = kernel.mask(oracle_closure(seed_vars, deps))
+    assert _fixpoint(start, rules) == full  # no goal: the whole closure
+    assert kernel.close(start) == full
+    for goal in range(kernel.full + 1):
+        reached = _fixpoint(start, rules, goal)
+        assert start & reached == start and reached & full == reached
+        assert (reached & goal == goal) == (full & goal == goal)
 
 
 @settings(max_examples=60, deadline=None)

@@ -56,6 +56,15 @@ def test_output_digest_is_the_same_on_a_second_run(capsys, monkeypatch):
     assert lines[-1].endswith(f"  {len(lines) - 1} calls") and len(lines) > 4 * 20
 
 
+def test_output_digest_pins_every_verb_output(capsys, monkeypatch):
+    # the only check on the outputs for the benchmark inputs, the ``reasoning``
+    # schema verbs among them; a change to any byte any verb writes changes it
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds perfbench/
+    assert load_script(monkeypatch, "output_digest").main([]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "5cd0b95bec5dec31552b7c3b928ef6e432ab278d574059f1a8174ba98a432d7c  248 calls")
+
+
 def test_every_traced_name_resolves_in_gonorm(monkeypatch):
     # the benchmark's tracer wraps these by name; a deleted one would break
     # ``perfbench/run.py --trace 1`` and ``perfbench/selftest.py`` silently
