@@ -30,8 +30,43 @@ from .parser import format_schema, load_schema, parse_pattern_text
 from .pattern import Variable, render_pattern, render_var
 
 
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=False)
+_FLAT = frozenset({str, int, float, bool, type(None)})  # a flat container's member types
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """The C encoder of a flat container at ``depth``, one member a line."""
+    return json.encoder.c_make_encoder(None, json.JSONEncoder().default,
+                                       json.encoder.encode_basestring, None, ": ",
+                                       ",\n" + "  " * (depth + 1), False, False, True)
+
+
+def _layout(items: list[str], depth: int, brackets: str = "{}") -> str:
+    """Member texts laid out as ``json.dumps`` with ``indent=2`` lays out a
+    non-empty container at ``depth``."""
+    pad = "\n" + "  " * depth
+    return f"{brackets[0]}{pad}  {(',' + pad + '  ').join(items)}{pad}{brackets[1]}"
+
+
+def _fields_text(fields: dict[str, str], depth: int = 0) -> str:
+    """An object at ``depth`` whose members are already written as text."""
+    return _layout([f"{json.encoder.encode_basestring(key)}: {text}"
+                    for key, text in fields.items()], depth)
+
+
+def _json_text(doc, depth: int = 0) -> str:
+    """``json.dumps(doc, indent=2, ensure_ascii=False)`` nested ``depth``
+    deep, for string keys: each scalar and flat container written in C."""
+    if not isinstance(doc, (dict, list, tuple)) or not doc:
+        return "".join(_flat_encoder(depth)(doc, 0))
+    is_dict = isinstance(doc, dict)
+    if _FLAT.issuperset(map(type, doc.values() if is_dict else doc)):
+        return _layout(["".join(_flat_encoder(depth)(doc, 0))[1:-1]], depth,
+                       "{}" if is_dict else "[]")
+    if is_dict:
+        return _fields_text({key: _json_text(value, depth + 1)
+                             for key, value in doc.items()}, depth)
+    return _layout([_json_text(member, depth + 1) for member in doc], depth, "[]")
 
 
 def _print_json(doc: dict) -> None:
@@ -152,10 +187,11 @@ def cmd_mincover(args: argparse.Namespace) -> int:
 def cmd_metrics(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
     report = build_report(graph, _load_schema(args.schema))
+    text = _json_text(report)
     if args.out:
-        _write_files({args.out: _json_text(report) + "\n"})
+        _write_files({args.out: text + "\n"})
     if args.format == "json":
-        _print_json(report)
+        print(text)
     else:
         g = report["graph"]
         s = report["schema"]
@@ -205,12 +241,13 @@ def cmd_normalize(args: argparse.Namespace) -> int:
         result = _full_normalize(graph, schema)
     texts = {f"{args.out}.graph.json": dump_graph(result.graph),
              f"{args.out}.schema.gofd": format_schema(result.schema)}
-    passes = [log.to_dict(explain=args.explain) for log in result.logs]
+    # the passes' text, written once for both the log and the report
+    passes = _json_text([log.to_dict(explain=args.explain) for log in result.logs], 1)
     if args.explain:
-        texts[f"{args.out}.log.json"] = _json_text({"passes": passes}) + "\n"
+        texts[f"{args.out}.log.json"] = _fields_text({"passes": passes}) + "\n"
     written = list(texts)
     if args.format == "json":
-        lines = [_json_text({"passes": passes, "written": written})]
+        lines = [_fields_text({"passes": passes, "written": _json_text(written, 1)})]
     else:
         lines = []
         for log in result.logs:

@@ -193,7 +193,7 @@ def satisfies(graph: Graph, dep: GoFd, max_witnesses: int = 5, *,
     lhs_cols = [index[v] for v in sorted(dep.lhs, key=var_sort_key)]
     rhs_cols = [index[v] for v in sorted(dep.rhs, key=var_sort_key)]
     lefts = list(value_keys(rows, lhs_cols))
-    rights = [column_keys(rows, column) for column in rhs_cols]  # each encoded once
+    rights = [column_keys(rows, column) for column in rhs_cols]  # each keyed once
     holds = True
     for keys in rights:  # one right-side column at a time, each checked in C
         last = dict(zip(lefts, keys))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from typing import Any, IO, Iterable, Iterator, Sequence, Union
 
@@ -49,7 +49,12 @@ def value_key(value: Atomic) -> str:
     return _ENCODERS.get(type(value), json.dumps)(value)
 
 
-def column_keys(rows: Sequence[Sequence[Atomic]], column: int) -> list[str]:
+# Exact types whose equal values have equal JSON texts; a float's do not
+# (``0.0 == -0.0``, ``nan != nan``), nor, in general, a subclass's.
+EQUAL_IS_SAME = frozenset({str, int, bool})
+
+
+def column_texts(rows: Sequence[Sequence[Atomic]], column: int) -> list[str]:
     """The ``value_key`` of each row's value at ``column``.
 
     No Python call is made per value where the values share one exact
@@ -66,13 +71,23 @@ def column_keys(rows: Sequence[Sequence[Atomic]], column: int) -> list[str]:
     return [_ENCODERS.get(type(value), json.dumps)(value) for value in values]
 
 
-def value_keys(rows: Sequence[Sequence[Atomic]],
-               columns: Sequence[int]) -> Iterator[tuple[str, ...]]:
-    """Each row's ``value_key``s at ``columns``, one tuple per row, in row
-    order, built a column at a time by ``column_keys``."""
+def column_keys(rows: Sequence[Sequence[Atomic]], column: int) -> list[Atomic]:
+    """A key per row's value at ``column``, two keys equal exactly when the
+    values' JSON texts are: the values themselves where they share one
+    exact type of ``EQUAL_IS_SAME``, else their ``column_texts``."""
+    values = list(map(itemgetter(column), rows))
+    kinds = set(map(type, values))
+    return values if len(kinds) == 1 and kinds <= EQUAL_IS_SAME else column_texts(rows, column)
+
+
+def value_keys(rows: Sequence[Sequence[Atomic]], columns: Sequence[int],
+               column_key=column_keys) -> Iterator[tuple]:
+    """Each row's keys at ``columns``, one tuple per row, in row order, built
+    a column at a time by ``column_key``: ``column_keys``, or ``column_texts``
+    for the ``value_key``s themselves."""
     if not columns:
         return repeat((), len(rows))
-    return zip(*[column_keys(rows, column) for column in columns])
+    return zip(*[column_key(rows, column) for column in columns])
 
 
 def check_atomic(value: Any) -> Atomic:
@@ -280,23 +295,22 @@ def graph_from_dict(doc: Any) -> Graph:
 
 
 _encode_str = json.encoder.encode_basestring  # the C encoder, where CPython has it
+# a property map, keys sorted and one item a line at the layout's depth; it
+# also writes None, lists and dicts, which ``dump_graph`` refuses first
+_encode_props = json.encoder.c_make_encoder(None, None, _encode_str, None, ": ",
+                                            ",\n        ", True, False, False)
 
 
-def _scalar(value: Atomic) -> str:
-    """One atomic value as ``json.dumps(value, allow_nan=False)`` writes it."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+def _refuse(graph: Graph) -> None:
+    """Raise what ``json.dumps(value, allow_nan=False)`` raises for the graph's
+    first value in file order that is not atomic or not finite, if any."""
+    props = graph.props
+    for oid in chain(sorted(graph.nodes), sorted(graph.edges)):
+        for _, value in sorted(props[oid].items()):
+            if not isinstance(value, (str, int, float, bool)):
+                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
 
 
 def _labels_text(labels: frozenset[str]) -> str:
@@ -308,8 +322,7 @@ def _labels_text(labels: frozenset[str]) -> str:
 def _props_text(props: dict[str, Atomic]) -> str:
     if not props:
         return "{}"
-    pairs = (f"{_encode_str(key)}: {_scalar(value)}" for key, value in sorted(props.items()))
-    return "{\n        " + ",\n        ".join(pairs) + "\n      }"
+    return "{\n        " + "".join(_encode_props(props, 0))[1:-1] + "\n      }"
 
 
 def _list_text(items: list[str]) -> str:
@@ -322,22 +335,31 @@ def dump_graph(graph: Graph) -> str:
 
     The layout is written here because ``indent`` makes ``json.dumps`` use
     its pure-Python encoder.  Ids, labels and keys are strings, as the
-    loader and ``Graph`` keep them.  A non-finite float raises ``ValueError``.
-    Each distinct label set's text is written once.
+    loader and ``Graph`` keep them.  A non-finite float raises ``ValueError``
+    and a value that is not atomic ``TypeError``, as ``json.dumps`` raises
+    them for the first such value.  Each distinct label set's text is
+    written once.
     """
     ends, props = graph.ends, graph.props
+    if not _ATOMIC_TYPES.issuperset(map(type, chain.from_iterable(map(dict.values,
+                                                                      props.values())))):
+        _refuse(graph)  # exact types, in C; subclasses pass
     labels_text = {labels: _labels_text(labels)
                    for labels in {*graph.nodes.values(), *graph.edges.values()}}
-    nodes = [f'    {{\n      "id": {_encode_str(nid)},\n'
-             f'      "labels": {labels_text[labels]},\n'
-             f'      "properties": {_props_text(props[nid])}\n    }}'
-             for nid, labels in sorted(graph.nodes.items())]
-    edges = [f'    {{\n      "id": {_encode_str(eid)},\n'
-             f'      "src": {_encode_str(ends[eid][0])},\n'
-             f'      "tgt": {_encode_str(ends[eid][1])},\n'
-             f'      "labels": {labels_text[labels]},\n'
-             f'      "properties": {_props_text(props[eid])}\n    }}'
-             for eid, labels in sorted(graph.edges.items())]
+    try:
+        nodes = [f'    {{\n      "id": {_encode_str(nid)},\n'
+                 f'      "labels": {labels_text[labels]},\n'
+                 f'      "properties": {_props_text(props[nid])}\n    }}'
+                 for nid, labels in sorted(graph.nodes.items())]
+        edges = [f'    {{\n      "id": {_encode_str(eid)},\n'
+                 f'      "src": {_encode_str(ends[eid][0])},\n'
+                 f'      "tgt": {_encode_str(ends[eid][1])},\n'
+                 f'      "labels": {labels_text[labels]},\n'
+                 f'      "properties": {_props_text(props[eid])}\n    }}'
+                 for eid, labels in sorted(graph.edges.items())]
+    except ValueError:  # the C encoder's error does not name the value
+        _refuse(graph)
+        raise
     return f'{{\n  "nodes": {_list_text(nodes)},\n  "edges": {_list_text(edges)}\n}}\n'
 
 

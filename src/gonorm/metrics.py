@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .gofd import DepClass, GoFd, check_bound, classify, map_per_scope, scope_matches
-from .graph import Graph, value_keys
+from .graph import Graph, column_texts, value_keys
 from .pattern import Relation, var_sort_key
 
 
@@ -65,7 +65,7 @@ def profile(graph: Graph, dep: GoFd, *, matches: Relation | None = None) -> DepP
         return DepProfile((), 0, Fraction(0), Fraction(1), True)
     index = {v: i for i, v in enumerate(relation.variables)}
     cols = [index[v] for v in sorted(dep.lhs | dep.rhs, key=var_sort_key)]
-    groups = Counter(value_keys(relation.rows, cols))
+    groups = Counter(value_keys(relation.rows, cols, column_texts))
     texts = [f"[{', '.join(keys)}]" for keys in groups]
     sizes = tuple(count for _, count in sorted(zip(texts, groups.values())))
     total = sum(sizes)

@@ -52,8 +52,8 @@ from .errors import (
     NonStrict,
 )
 from .gofd import GoFd, check_bound, gofd, scope_matches
-from .graph import (Atomic, Graph, check_atomic, dump_graph, shared_labels, value_key,
-                    value_keys)
+from .graph import (EQUAL_IS_SAME, Atomic, Graph, check_atomic, column_texts, dump_graph,
+                    shared_labels, value_key, value_keys)
 from .pattern import (
     Direction,
     NodeEdgePattern,
@@ -337,11 +337,12 @@ def _sweep(graph: Graph, relation: Relation, source: int, lhs: list[tuple[str, i
     match of ``relation``, whose column ``source`` holds the left side's
     object.  ``lhs`` pairs each left-side key with its column."""
     rows = relation.rows
-    keys = [key for key, _ in lhs]
-    name_keys = list(value_keys(rows, [pos for _, pos in lhs]))
-    names = dict.fromkeys(name_keys)
-    for name_key in names:
-        names[name_key] = "sk:" + _skolem_text("val", owner_labels, zip(keys, name_key))
+    keys, columns = zip(*lhs)
+    name_keys = list(value_keys(rows, columns))
+    names = dict(zip(name_keys, rows))  # one row per left side, in first-seen order
+    texts = value_keys(list(names.values()), columns, column_texts)
+    for name_key, name_texts in zip(names, texts):
+        names[name_key] = "sk:" + _skolem_text("val", owner_labels, zip(keys, name_texts))
     vids = list(map(names.__getitem__, name_keys))
     objs = list(map(itemgetter(source), rows))
     blocks: list[Block] = [("new-node", list(names.values()), (val_label,))]
@@ -483,11 +484,6 @@ def execute_plans(graph: Graph, plans: Iterable[Transformation]) -> Graph:
     return _execute(graph.copy(), plans)
 
 
-# Exact types whose equal values have equal JSON texts; a float's do not
-# (``0.0 == -0.0``, ``nan != nan``), nor, in general, a subclass's.
-_EQUAL_IS_SAME = frozenset({str, int, bool})
-
-
 def _execute(graph: Graph, plans: Iterable[Transformation]) -> Graph:
     """``execute_plans`` on ``graph`` itself, which it changes and returns.
 
@@ -535,7 +531,7 @@ def _execute(graph: Graph, plans: Iterable[Transformation]) -> Graph:
             slot = (target, key)
             first = assigned.get(slot)  # never None: the first write checked it
             if first is not None:
-                if not (type(first) is type(value) and type(value) in _EQUAL_IS_SAME
+                if not (type(first) is type(value) and type(value) in EQUAL_IS_SAME
                         and first == value) and value_key(first) != value_key(value):
                     raise InvariantError(f"conflicting values for {target}.{key}: "
                                          f"{first!r} vs {value!r}")

@@ -8,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gonorm import (
     Graph,
@@ -27,7 +29,7 @@ from gonorm import (
 from gonorm import cli
 from gonorm.cli import main
 
-from conftest import FIXTURES, runs_of
+from conftest import FIXTURES, Level, SameRepr, runs_of
 
 UNI_GRAPH = str(FIXTURES / "university.graph.json")
 UNI_SCHEMA = str(FIXTURES / "university.schema.gofd")
@@ -253,6 +255,26 @@ def test_normalize_json_format_lists_written_files(capsys, tmp_path):
         {"()-[t:{TEACHES}:{usingBook}]->(c:{Course}:{})"}
 
 
+
+def test_explain_report_and_log_hold_the_same_passes_text(capsys, tmp_path):
+    base = str(tmp_path / "result")
+    code, out, _ = run(capsys, "normalize", "--graph", str(FIXTURES / "shipping.graph.json"),
+                       "--schema", str(FIXTURES / "shipping.schema.gofd"), "--out", base,
+                       "--explain", "--format", "json")
+    assert code == 0
+    log = (tmp_path / "result.log.json").read_text(encoding="utf-8")
+    head = '{\n  "passes": '
+    assert log.startswith(head) and log.endswith("\n}\n")
+    passes = log[len(head):-len("\n}\n")]
+    assert json.loads(passes) and json.loads(passes)[0]["transformations"][0]["ops"]
+    assert out.startswith(f'{head}{passes},\n  "written": [\n')
+    for text in (out, log):
+        assert text == json.dumps(json.loads(text), indent=2, ensure_ascii=False) + "\n"
+    report = tmp_path / "report.json"  # metrics writes one text to the file and stdout
+    code, out, _ = run(capsys, "metrics", "--graph", UNI_GRAPH, "--schema", UNI_SCHEMA,
+                       "--out", str(report), "--format", "json")
+    assert code == 0 and out == report.read_text(encoding="utf-8")
+
 def test_normalize_refuses_violating_graph_without_writing(capsys, tmp_path):
     schema = write(tmp_path, "bad.gofd",
                    "(c:{Course}:{})<-[t:{TEACHES}:{at}]-() :: c => t.at\n")
@@ -421,6 +443,24 @@ def test_convert_needs_exactly_one_input(capsys):
 
 
 # -- failure modes and plumbing --------------------------------------------
+
+TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)  # control characters too
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.just(2**70), st.floats(),
+    st.sampled_from([float("nan"), -0.0, float("inf"), Level.ONE, Level.TWO]),
+    TEXT, TEXT.map(SameRepr))
+JSON_DOCS = st.recursive(JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(st.one_of(TEXT, TEXT.map(SameRepr)),
+                                                 inner, max_size=4)), max_leaves=20)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_DOCS)
+def test_report_text_is_json_dumps_with_an_indent_of_two(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2, ensure_ascii=False)
+    assert cli._json_text([doc], 1) == json.dumps({"a": [doc]}, indent=2,
+                                                  ensure_ascii=False)[9:-2]
+
 
 # -- property values: identity by JSON text ------------------------------------
 

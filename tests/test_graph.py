@@ -29,9 +29,10 @@ from gonorm import (
     scoped_normalize,
 )
 from gonorm.cli import main
-from gonorm.graph import check_atomic, column_keys, value_key, value_keys
+from gonorm.graph import (EQUAL_IS_SAME, check_atomic, column_keys, column_texts, value_key,
+                          value_keys)
 
-from conftest import TRICKY_VALUES, Real, SameRepr, fixture_graph, fixture_schema
+from conftest import TRICKY_VALUES, Level, Real, SameRepr, fixture_graph, fixture_schema
 from oracles import (MULTI_PASS_DEPS, oracle_dump_graph, random_graph, random_multi_pass_case,
                      random_satisfying_case)
 
@@ -296,6 +297,34 @@ def test_dump_matches_json_dumps_explicit():
             dump_graph(g)
 
 
+
+def test_dump_refuses_what_it_cannot_write_with_the_messages_of_json_dumps():
+    g = small_graph()
+    for smuggled, name in ((None, "NoneType"), ([1, 2], "list"), ({"a": 1}, "dict")):
+        g.props["e1"]["w"] = smuggled  # past the checks of set_prop
+        with pytest.raises(TypeError) as info:
+            dump_graph(g)
+        assert str(info.value) == f"Object of type {name} is not JSON serializable"
+    for text in ("nan", "inf", "-inf"):
+        g.props["e1"]["w"] = float(text)
+        with pytest.raises(ValueError) as info:
+            dump_graph(g)
+        assert str(info.value) == f"Out of range float values are not JSON compliant: {text}"
+    # the first value in file order is named: nodes, then edges, keys sorted
+    g.props["n2"].update({"a": float("nan"), "b": None})
+    with pytest.raises(ValueError, match="compliant: nan$"):
+        dump_graph(g)
+    g.props["n1"]["z"] = [1]
+    with pytest.raises(TypeError, match="type list"):
+        dump_graph(g)
+
+
+def test_dump_writes_subclass_values_as_json_dumps():
+    g = small_graph()
+    g.add_node({"S"}, {"e": Level.TWO, "r": Real(-0.0), "s": SameRepr("é\n")}, node_id="n3")
+    g.set_prop("e1", "w", Level.ONE)
+    assert dump_graph(g) == oracle_dump_graph(g)
+
 ATOMIC_VALUES = st.one_of(
     st.integers(),
     st.integers(min_value=10**308, max_value=10**400),  # beyond float range
@@ -324,13 +353,38 @@ def test_value_key_is_identity_by_json_text(a, b):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(KEYED_VALUES, KEYED_VALUES), max_size=8),
        st.lists(st.sampled_from([0, 1, 1, 0]), max_size=3))
-def test_value_keys_are_the_value_key_of_each_column(rows, columns):
-    assert list(value_keys(rows, columns)) == [tuple(value_key(row[c]) for c in columns)
-                                               for row in rows]
+def test_value_texts_are_the_value_key_of_each_column(rows, columns):
+    assert list(value_keys(rows, columns, column_texts)) == [
+        tuple(value_key(row[c]) for c in columns) for row in rows]
     for column in (0, 1):  # one exact type per column: the mapped encoder
         for kind in (str, int, float, bool):
             same = [row for row in rows if type(row[column]) is kind]
-            assert column_keys(same, column) == [json.dumps(row[column]) for row in same]
+            assert column_texts(same, column) == [json.dumps(row[column]) for row in same]
+
+
+# values that Python equality merges or splits where their JSON texts do not
+KEY_TRAPS = (1, True, 1.0, "1", 0.0, -0.0, float("nan"), Level.ONE, SameRepr("1"), 0, False, "")
+KEY_COLUMNS = st.sampled_from([KEY_TRAPS, (0, 1, 2), (True, False), ("1", "", "a"),
+                               (0.0, -0.0, float("nan"))]).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(KEY_COLUMNS, min_size=1, max_size=3), st.data())
+def test_value_keys_are_equal_exactly_when_the_value_key_tuples_are(columns, data):
+    height = min(map(len, columns))
+    rows = list(zip(*(column[:height] for column in columns)))
+    picked = data.draw(st.lists(st.integers(0, len(columns) - 1), max_size=3))
+    keys = list(value_keys(rows, picked))
+    texts = [tuple(value_key(row[c]) for c in picked) for row in rows]
+    assert len(keys) == len(rows)
+    for i in range(len(rows)):
+        for j in range(len(rows)):
+            assert (keys[i] == keys[j]) == (texts[i] == texts[j])
+    for column in range(len(columns)):
+        kinds = {type(row[column]) for row in rows}
+        if len(kinds) == 1 and kinds <= EQUAL_IS_SAME:  # keyed by the values themselves
+            assert column_keys(rows, column) == [row[column] for row in rows]
 
 
 def test_save_and_load_path_and_file(tmp_path):
