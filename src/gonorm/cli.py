@@ -69,10 +69,6 @@ def _json_text(doc, depth: int = 0) -> str:
     return _layout([_json_text(member, depth + 1) for member in doc], depth, "[]")
 
 
-def _print_json(doc: dict) -> None:
-    print(_json_text(doc))
-
-
 def _create_beside(path: str):
     """A new file ``<path>.<n>.tmp`` for the first free ``n``, opened exclusively.
 
@@ -140,7 +136,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         graph, dep, max_witnesses=args.max_witnesses, matches=matches))))
     holds = all(outcome.holds for _, outcome in results)
     if args.format == "json":
-        _print_json({
+        print(_json_text({
             "holds": holds,
             "results": [
                 {
@@ -151,7 +147,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 }
                 for dep, outcome in results
             ],
-        })
+        }))
     else:
         for dep, outcome in results:
             print(f"{'ok       ' if outcome.holds else 'VIOLATED '}{dep.render()}")
@@ -172,13 +168,13 @@ def cmd_mincover(args: argparse.Namespace) -> int:
     if args.out:
         _write_files({args.out: format_schema(flattened)})
     if args.format == "json":
-        _print_json({
+        print(_json_text({
             "scopes": [
                 {"scope": render_pattern(scope),
                  "cover": [dep.render() for dep in cover]}
                 for scope, cover in covers
             ],
-        })
+        }))
     else:
         print(format_schema(flattened), end="")
     return 0
@@ -216,14 +212,14 @@ def cmd_nf(args: argparse.Namespace) -> int:
         return 2
     report = check_gn_nf(form, schema, graph=graph, max_attrs=args.max_attrs)
     if args.format == "json":
-        _print_json({
+        print(_json_text({
             "form": report.form.value,
             "holds": report.holds,
             "violations": [
                 {"scope": v.scope, "dependency": v.dependency, "reason": v.reason.value}
                 for v in report.violations
             ],
-        })
+        }))
     else:
         state = "holds" if report.holds else f"violated ({len(report.violations)})"
         print(f"{report.form.value}: {state}")

@@ -223,35 +223,13 @@ _STR_TYPE = frozenset((str,))
 _ATOMIC_TYPES = frozenset((str, int, float, bool))
 
 
-def _labels_of(entry: dict, oid: str,
-               interned: dict[tuple[str, ...], frozenset[str]]) -> frozenset[str]:
-    """The entry's labels, checked, as the one set ``interned`` keeps for them."""
-    labels = entry.get("labels", [])
-    if not isinstance(labels, list) or not (
-            _STR_TYPE.issuperset(map(type, labels))  # exact types, in one pass in C
-            or all(isinstance(label, str) for label in labels)):
-        raise InvariantError(f"labels of {oid!r} must be a list of strings")
-    return shared_labels(interned, tuple(labels))
-
-
-def _props_of(entry: dict, oid: str) -> dict[str, Atomic]:
-    props = entry.get("properties", {})
-    if not isinstance(props, dict):
-        raise InvariantError(f"properties of {oid!r} must be an object")
-    if not _ATOMIC_TYPES.issuperset(map(type, props.values())):  # exact types, in C
-        for key, value in props.items():  # subclasses pass; name the first bad key
-            if not isinstance(value, (str, int, float, bool)):
-                raise InvariantError(
-                    f"property {key!r} of {oid!r} must be an atomic string/number/boolean")
-    return dict(props)
-
-
 def graph_from_dict(doc: Any) -> Graph:
     """Build a graph from its JSON document, checking each entry once.
 
     Nodes are checked before edges, and each entry's id before its
     endpoints, labels and properties; the first rule broken raises
-    ``InvariantError`` naming it.
+    ``InvariantError`` naming it.  Each property map is copied, so the
+    document stays the caller's.
     """
     if not isinstance(doc, dict):
         raise InvariantError("document root must be an object")
@@ -261,36 +239,43 @@ def graph_from_dict(doc: Any) -> Graph:
     if not isinstance(edge_docs, list):
         raise InvariantError('"edges" must be a list')
     graph = Graph()
-    nodes, edges, ends, props = graph.nodes, graph.edges, graph.ends, graph.props
+    nodes, ends, props = graph.nodes, graph.ends, graph.props
     interned: dict[tuple[str, ...], frozenset[str]] = {}  # one set per label list
-    for entry in node_docs:
-        if not isinstance(entry, dict):
-            raise InvariantError("node entries must be objects")
-        nid = entry.get("id")
-        if not isinstance(nid, str):
-            raise InvariantError("node ids must be strings")
-        if nid in nodes:
-            raise InvariantError(f"duplicate id: {nid!r}")
-        nodes[nid] = _labels_of(entry, nid, interned)
-        props[nid] = _props_of(entry, nid)
-    for entry in edge_docs:
-        if not isinstance(entry, dict):
-            raise InvariantError("edge entries must be objects")
-        eid = entry.get("id")
-        if not isinstance(eid, str):
-            raise InvariantError("edge ids must be strings")
-        if eid in props:
-            raise InvariantError(f"duplicate id: {eid!r}")
-        src, tgt = entry.get("src"), entry.get("tgt")
-        if not (isinstance(src, str) and isinstance(tgt, str)):
-            raise InvariantError(f"edge {eid!r} must name src and tgt node ids")
-        if src not in nodes:
-            raise InvariantError(f"dangling endpoint: edge {eid!r} src {src!r} is not a node")
-        if tgt not in nodes:
-            raise InvariantError(f"dangling endpoint: edge {eid!r} tgt {tgt!r} is not a node")
-        edges[eid] = _labels_of(entry, eid, interned)
-        ends[eid] = (src, tgt)
-        props[eid] = _props_of(entry, eid)
+    for kind, entries, labels_of in (("node", node_docs, nodes), ("edge", edge_docs, graph.edges)):
+        for entry in entries:
+            if not isinstance(entry, dict):
+                raise InvariantError(f"{kind} entries must be objects")
+            oid = entry.get("id")
+            if not isinstance(oid, str):
+                raise InvariantError(f"{kind} ids must be strings")
+            if oid in props:
+                raise InvariantError(f"duplicate id: {oid!r}")
+            if kind == "edge":
+                src, tgt = entry.get("src"), entry.get("tgt")
+                if not (isinstance(src, str) and isinstance(tgt, str)):
+                    raise InvariantError(f"edge {oid!r} must name src and tgt node ids")
+                if src not in nodes:
+                    raise InvariantError(
+                        f"dangling endpoint: edge {oid!r} src {src!r} is not a node")
+                if tgt not in nodes:
+                    raise InvariantError(
+                        f"dangling endpoint: edge {oid!r} tgt {tgt!r} is not a node")
+                ends[oid] = (src, tgt)
+            labels = entry.get("labels", [])
+            if not isinstance(labels, list) or not (
+                    _STR_TYPE.issuperset(map(type, labels))  # exact types, in one pass in C
+                    or all(isinstance(label, str) for label in labels)):
+                raise InvariantError(f"labels of {oid!r} must be a list of strings")
+            values = entry.get("properties", {})
+            if not isinstance(values, dict):
+                raise InvariantError(f"properties of {oid!r} must be an object")
+            if not _ATOMIC_TYPES.issuperset(map(type, values.values())):  # exact types, in C
+                for key, value in values.items():  # subclasses pass; name the first bad key
+                    if not isinstance(value, (str, int, float, bool)):
+                        raise InvariantError(
+                            f"property {key!r} of {oid!r} must be an atomic string/number/boolean")
+            labels_of[oid] = shared_labels(interned, tuple(labels))
+            props[oid] = dict(values)
     return graph
 
 

@@ -14,9 +14,9 @@ from enum import Enum
 from itertools import chain
 from typing import Iterable
 
-from .errors import SizeLimit
+from .errors import FormatError, SizeLimit
 from .gofd import ClosureKernel, GnSchema, GoFd, applicable_deps
-from .graph import Graph, check_atomic
+from .graph import Graph
 from .pattern import Pattern, Variable, attrs, render_pattern
 
 
@@ -105,9 +105,11 @@ def _keys(kernel: ClosureKernel) -> list[int]:
 
 def check_gn1nf(graph: Graph) -> NormalFormReport:
     """Atomic property values; holds by construction, verified defensively."""
-    for oid in chain(graph.nodes, graph.edges):  # nodes first, as the file lists them
-        for value in graph.props[oid].values():
-            check_atomic(value)
+    for oid in chain(sorted(graph.nodes), sorted(graph.edges)):  # in file order
+        for key, value in sorted(graph.props[oid].items()):
+            if not isinstance(value, (str, int, float, bool)):
+                raise FormatError(
+                    f"property {key!r} of {oid!r} must be an atomic string/number/boolean")
     return NormalFormReport(NormalForm.GN1NF, True)
 
 

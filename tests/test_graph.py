@@ -563,6 +563,26 @@ def test_atomic_value_subclasses_still_load():
     assert graph.nodes["a"] == frozenset({"A"}) and graph.props["a"] == {"k": "v"}
 
 
+@pytest.mark.parametrize("stray", ["ghost", "a", 7, None, ["a"]])
+def test_node_entries_may_carry_stray_endpoint_fields(stray):
+    graph = graph_from_dict(_doc([_node(src=stray, tgt=stray), _node("b", src="a")]))
+    assert set(graph.nodes) == {"a", "b"} and graph.ends == {}
+
+
+def test_from_dict_never_aliases_its_document():
+    doc = _doc([_node(properties={"k": 1}), _node("b", labels=["B"])],
+               [_edge(properties={"w": "x"})])
+    graph = graph_from_dict(doc)
+    text = dump_graph(graph)
+    entries = doc["nodes"] + doc["edges"]
+    assert all(graph.props[entry["id"]] is not entry["properties"] for entry in entries)
+    for entry in entries:
+        entry["properties"]["k"] = 2
+        entry["properties"].pop("w", None)
+        entry["labels"].append("X")
+    assert dump_graph(graph) == text
+
+
 def test_equal_label_lists_share_one_set_and_copies_share_it():
     doc = _doc([_node("a", labels=["A", "B"]), _node("b", labels=["A", "B"]),
                 _node("c", labels=[]), _node("d")],

@@ -120,10 +120,19 @@ def test_gn1nf_holds_on_fixture_graphs():
 
 def test_gn1nf_detects_smuggled_compound_value():
     g = Graph()
+    g.add_node({"A"}, {"ok": 1}, node_id="n2")
     g.add_node({"A"}, {"ok": 1}, node_id="n1")
-    g.props["n1"]["bad"] = [1, 2]  # bypass the setter on purpose
-    with pytest.raises(FormatError):
+    g.props["n2"]["bad"] = {"x": 1}  # bypass the setter on purpose
+    g.props["n1"]["bad"] = [1, 2]  # inserted second, first in file order
+    with pytest.raises(FormatError) as caught:
         check_gn1nf(g)
+    assert str(caught.value) == "property 'bad' of 'n1' must be an atomic string/number/boolean"
+
+
+def test_gn1nf_holds_on_non_finite_floats():
+    g = Graph()
+    g.add_node({"A"}, {"nan": float("nan"), "inf": float("-inf")}, node_id="n1")
+    assert check_gn1nf(g).holds
 
 
 def test_gn1nf_requires_a_graph_and_gn2nf_is_vacuous():
